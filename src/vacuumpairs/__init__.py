@@ -30,7 +30,6 @@ from .particles import (
     weighted_degeneracy_sum,
 )
 from .statmech import (
-    ModeDensityPoint,
     SpectralSample,
     ThermalState,
     count_box_modes,

@@ -247,15 +247,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    registry = _registry_from(args)
-    overrides = {}
-    for item in args.override or []:
-        key, _, value = item.partition("=")
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            parser.error(f"bad override {item!r}; expected quantity=value")
-    rows = report.build_report(registry, seed=args.seed, overrides=overrides)
+    rows = report.build_report(_registry_from(args), seed=args.seed)
     passed = report.all_pass(rows)
     dicts = [row.to_dict() for row in rows]
     if args.format == "csv":
@@ -347,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="full reproduction table with pass/fail")
     common(p_report)
     p_report.add_argument("--seed", type=int, default=report.REPORT_SEED)
-    p_report.add_argument("--override", action="append", help=argparse.SUPPRESS)
     p_report.set_defaults(func=cmd_report)
     return parser
 

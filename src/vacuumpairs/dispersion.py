@@ -129,6 +129,31 @@ class SamplingMethod(str, enum.Enum):
     PER_INTERACTION = "per-interaction"
 
 
+def compound_moments(
+    process: InteractionProcess,
+    delay: DelayDistribution,
+    expected_n: float,
+    tau: float,
+) -> tuple[float, float]:
+    """Exact mean and variance of a photon's total delay, in s and s^2.
+
+    The total is a sum of per-interaction delays X over a count K.  A
+    Poisson count with mean lambda gives mean lambda*E[X] and variance
+    lambda*E[X^2]; a fixed count N = round(lambda) gives N*E[X] and
+    N*Var[X].  Fixed delays have X = tau, exponential delays mean tau and
+    variance tau^2, uniform fractions mean tau/2 and variance tau^2/12.
+    """
+    step_mean, step_var = {
+        DelayDistribution.FIXED_TAU: (tau, 0.0),
+        DelayDistribution.EXPONENTIAL_TAU: (tau, tau * tau),
+        DelayDistribution.UNIFORM_FRACTION: (0.5 * tau, tau * tau / 12.0),
+    }[delay]
+    if process is InteractionProcess.POISSON_COUNT:
+        return expected_n * step_mean, expected_n * (step_var + step_mean * step_mean)
+    count = round(expected_n)
+    return count * step_mean, count * step_var
+
+
 # Photons are processed in fixed-size chunks; chunk c draws from an RNG
 # stream derived from (seed, c), so results are independent of how chunks
 # are assigned to workers.
@@ -177,7 +202,11 @@ class FlightConfig:
 
 @dataclass(frozen=True)
 class PhotonFlightResult:
-    """Arrival-time statistics for one simulated photon ensemble."""
+    """Arrival-time statistics for one simulated photon ensemble.
+
+    ``analytic_sigma_s`` is the exact compound-law spread of the simulated
+    process (``compound_moments``), not only the Poisson, fixed-delay value.
+    """
 
     mean_delay_s: float
     stddev_delay_s: float
@@ -285,6 +314,9 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
             DegenerateFlightWarning,
             stacklevel=2,
         )
+    _, variance = compound_moments(
+        config.interaction_process, config.delay_distribution, expected_n, tau
+    )
     n = config.n_photons
     chunks = [
         (index, min(CHUNK_SIZE, n - start))
@@ -309,7 +341,7 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
         mean_delay_s=base + float(centered.mean()),
         stddev_delay_s=float(centered.std(ddof=1)),
         n_photons=n,
-        analytic_sigma_s=analytic_sigma(config.lifetime_model, config.length_m),
+        analytic_sigma_s=math.sqrt(variance),
         config=config,
         delays_s=delays if keep_samples else None,
     )

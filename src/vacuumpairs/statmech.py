@@ -44,18 +44,6 @@ class ThermalState:
 
 
 @dataclass(frozen=True)
-class ModeDensityPoint:
-    """(momentum, modes per unit momentum per unit volume) sample."""
-
-    momentum_kg_m_s: float
-    density: float
-
-    def __post_init__(self) -> None:
-        if self.density < 0 or (self.density == 0) != (self.momentum_kg_m_s == 0):
-            raise ValueError("density must be positive except exactly at p=0")
-
-
-@dataclass(frozen=True)
 class SpectralSample:
     """(abscissa, spectral energy density) sample of a Planck-type curve."""
 
@@ -312,8 +300,3 @@ def planck_curve(
             )
         )
     return samples
-
-
-def mode_density_curve(momenta_kg_m_s: list[float]) -> list[ModeDensityPoint]:
-    """Mode-density samples for a list of momenta."""
-    return [ModeDensityPoint(p, mode_density(p)) for p in momenta_kg_m_s]

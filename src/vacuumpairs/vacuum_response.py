@@ -249,13 +249,10 @@ def inverse_alpha_total(
 
 
 def inverse_alpha_fixed_gap(registry: SpeciesRegistry, scale_a: float) -> float:
-    """Closed-form 1/alpha for per-species cutoffs A = a*mc^2 and fixed gap.
-
-    (1/2pi) * S * a^3/3 with S the weighted degeneracy sum.
-    """
-    if scale_a <= 0:
-        raise ValueError("scale_a must be > 0")
-    return weighted_degeneracy_sum(registry) * scale_a**3 / 3.0 / _TWO_PI
+    """Total 1/alpha for per-species cutoffs A = a*mc^2 and fixed gap."""
+    return inverse_alpha_total(
+        registry, CutoffPolicy.mass_proportional(scale_a)
+    ).total_inverse_alpha
 
 
 def fit_cutoff(
@@ -268,8 +265,7 @@ def fit_cutoff(
     """Fit the cutoff so the total 1/alpha matches the target.
 
     Global-constant: bracketed root find on A (tolerance 1e-4 MeV).
-    Mass-proportional: closed form a = cbrt(6 pi target / S), cross-checked
-    against a root find to 1e-8.
+    Mass-proportional: closed form a = cbrt(6 pi target / S).
     """
     if target_inverse_alpha <= 0:
         raise ValueError("target_inverse_alpha must be > 0")
@@ -288,17 +284,6 @@ def fit_cutoff(
     if kind is PolicyKind.MASS_PROPORTIONAL:
         s = weighted_degeneracy_sum(registry)
         a = (6.0 * math.pi * target_inverse_alpha / s) ** (1.0 / 3.0)
-        root_spec = numerics.RootSpec(
-            bracket_lo=0.5 * a, bracket_hi=2.0 * a, x_tol=1e-8
-        )
-        a_check = numerics.find_root(
-            lambda v: inverse_alpha_fixed_gap(registry, v) - target_inverse_alpha,
-            root_spec,
-        )
-        if abs(a_check - a) > 1e-6:
-            raise RuntimeError(
-                f"closed-form a={a!r} and root find a={a_check!r} disagree"
-            )
         return CutoffPolicy.mass_proportional(a)
     raise ValueError(f"cannot fit policy kind {kind}")
 

@@ -1,7 +1,13 @@
 """Reproduction acceptance suite.
 
-One test per headline criterion, each pinned at its stated tolerance and
-printing a single pass/fail line (run with ``pytest -s`` for the checklist).
+One test per headline criterion, each printing a single pass/fail line
+(run with ``pytest -s`` for the checklist).  The tests read the rows of the
+report table (``vacuumpairs.report``), where every reference value and
+tolerance is written once; each report stage runs once per module and is
+timed here.  Checks that no report row makes stay in this file: the sub-2%
+bound on every minor species' share, the golden-section Wien oracle, the
+box-mode count above 1e5, the wall-time bounds and the report command's
+determinism.
 
 One check is intentionally red: the sub-2% bound on every minor species'
 share of 1/alpha cannot coexist with the 292 MeV cutoff fit (the d-quark
@@ -9,124 +15,102 @@ share is necessarily ~3-4% once the electron and u-quark terms are pinned),
 so that assertion fails with the computed value rather than being loosened.
 """
 
-import dataclasses
 import json
 import math
 import time
 
-import numpy as np
 import pytest
 
-from vacuumpairs import dispersion, numerics, report, statmech, vacuum_response
+from vacuumpairs import dispersion, report, statmech
 from vacuumpairs.cli import main
 from vacuumpairs.constants import CODATA
-from vacuumpairs.particles import default_registry, weighted_degeneracy_sum
-
-REG = default_registry()
-TARGET = CODATA.inverse_alpha_target
-ELECTRON = REG.get("e")
+from vacuumpairs.particles import default_registry
 
 
 @pytest.fixture(scope="module")
-def report_rows():
-    return report.build_report()
+def report_run():
+    """Report rows by quantity, stage values and wall seconds per stage."""
+    values, seconds = {}, {}
+    for stage in report.STAGES:
+        t0 = time.monotonic()
+        values.update(stage(default_registry(), report.REPORT_SEED))
+        seconds[stage.__name__] = time.monotonic() - t0
+    rows = {row.quantity: row for row in report.table_rows(values)}
+    return rows, values, seconds
 
 
-def test_c01_weighted_degeneracy_sum():
-    value = weighted_degeneracy_sum(REG)
-    ok = value == 9.5
-    print(f"criterion 01 {'PASS' if ok else 'FAIL'}: weighted degeneracy sum = {value}")
+@pytest.fixture(scope="module")
+def rows(report_run):
+    return report_run[0]
+
+
+def passed(*checked):
+    return all(row.status == "pass" for row in checked)
+
+
+def test_c01_weighted_degeneracy_sum(rows):
+    row = rows["weighted-degeneracy-sum"]
+    ok = passed(row)
+    print(f"criterion 01 {'PASS' if ok else 'FAIL'}: weighted degeneracy sum = {row.computed}")
     assert ok
 
 
-def test_c02_constant_cutoff_fit():
-    t0 = time.monotonic()
-    policy = vacuum_response.fit_cutoff(REG, TARGET)
-    breakdown = vacuum_response.inverse_alpha_total(REG, policy)
-    elapsed = time.monotonic() - t0
-    ranked = breakdown.ranked()
-    shares = {
-        name: value / breakdown.total_inverse_alpha
-        for name, value in ranked
-        if name not in ("e", "u")
-    }
-    worst = max(shares, key=shares.get)
-    a_ok = abs(policy.cutoff_mev - 292.0) <= 2.0
-    rank_ok = (ranked[0][0], ranked[1][0]) == ("e", "u")
-    share_ok = shares[worst] < 0.02
-    ok = a_ok and rank_ok and share_ok
+def test_c02_constant_cutoff_fit(report_run):
+    rows, _, seconds = report_run
+    cutoff, leaders = rows["global-cutoff-mev"], rows["alpha-leading-contributors-ok"]
+    share = rows["max-minor-species-share"].computed
+    elapsed = seconds["alpha_fits"]
+    share_ok = share < 0.02
+    ok = passed(cutoff, leaders) and share_ok
     print(
-        f"criterion 02 {'PASS' if ok else 'FAIL'}: A = {policy.cutoff_mev:.3f} MeV, "
-        f"leaders = {ranked[0][0]},{ranked[1][0]}, "
-        f"max minor share = {shares[worst]:.4f} ({worst}), {elapsed:.2f} s"
+        f"criterion 02 {'PASS' if ok else 'FAIL'}: A = {cutoff.computed:.3f} MeV, "
+        f"leaders e,u {leaders.status}, max minor share = {share:.4f}, {elapsed:.2f} s"
     )
     assert elapsed < 1.0
-    assert a_ok
-    assert rank_ok
+    assert passed(cutoff)
+    assert passed(leaders)
     # Known-red: see module docstring. The computed share is reported in the
     # failure message instead of widening the bound.
     assert share_ok, (
-        f"{worst} contributes {shares[worst]:.2%} of 1/alpha: a sub-2% share for "
+        f"a minor species contributes {share:.2%} of 1/alpha: a sub-2% share for "
         "every minor species is arithmetically incompatible with the 292 MeV "
         "cutoff (any global cutoff at or below 294 MeV forces the d-quark term "
         "above 3%)"
     )
 
 
-def test_c03_electron_only_fit():
-    policy = vacuum_response.fit_cutoff(
-        REG.subset(["e"]), TARGET, bracket_mev=(10.0, 2000.0)
-    )
-    ratio = policy.cutoff_mev / ELECTRON.mass_mev
-    at_861 = vacuum_response.inverse_alpha_single(ELECTRON, 861.0 * ELECTRON.mass_mev)
-    ok = abs(ratio - 862.6) <= 0.1 and abs(at_861 - 136.8) <= 0.1
+def test_c03_electron_only_fit(rows):
+    ratio, at_861 = rows["electron-only-cutoff-over-mc2"], rows["inverse-alpha-at-861-mc2"]
+    ok = passed(ratio, at_861)
     print(
-        f"criterion 03 {'PASS' if ok else 'FAIL'}: A/m_e c^2 = {ratio:.4f}, "
-        f"closed form at 861 = {at_861:.4f}"
+        f"criterion 03 {'PASS' if ok else 'FAIL'}: A/m_e c^2 = {ratio.computed:.4f}, "
+        f"closed form at 861 = {at_861.computed:.4f}"
     )
-    assert abs(ratio - 862.6) <= 0.1
-    assert abs(at_861 - 136.8) <= 0.1
+    assert passed(ratio)
+    assert passed(at_861)
 
 
-def test_c04_mass_proportional_fit():
-    policy = vacuum_response.fit_cutoff(
-        REG, TARGET, vacuum_response.PolicyKind.MASS_PROPORTIONAL
-    )
-    volume_ratio = vacuum_response.average_pair_volume(
-        ELECTRON, policy.scale_a
-    ) / CODATA.compton_length_m(ELECTRON.mass_mev) ** 3
-    ok = abs(policy.scale_a - 6.48) <= 0.05 and abs(volume_ratio - 0.218) <= 0.005
+def test_c04_mass_proportional_fit(rows):
+    scale, volume = rows["mass-proportional-scale-a"], rows["pair-volume-compton-units"]
+    ok = passed(scale, volume)
     print(
-        f"criterion 04 {'PASS' if ok else 'FAIL'}: a = {policy.scale_a:.4f}, "
-        f"<V>/lambda_C^3 = {volume_ratio:.4f}"
+        f"criterion 04 {'PASS' if ok else 'FAIL'}: a = {scale.computed:.4f}, "
+        f"<V>/lambda_C^3 = {volume.computed:.4f}"
     )
-    assert abs(policy.scale_a - 6.48) <= 0.05
-    assert abs(volume_ratio - 0.218) <= 0.005
+    assert passed(scale)
+    assert passed(volume)
 
 
-def test_c05_quadrature_vs_closed_form():
-    rng = np.random.default_rng(2024)
-    spec = numerics.QuadratureSpec(rel_tol=1e-12)
-    worst = 0.0
-    for _ in range(100):
-        mass = float(10.0 ** rng.uniform(-1.0, 3.3))
-        cutoff = float(10.0 ** rng.uniform(0.0, 3.0))
-        probe = type(ELECTRON)("probe", mass, ELECTRON.charge_q, 1, 2)
-        closed = vacuum_response.inverse_alpha_single(probe, cutoff)
-        quad = vacuum_response.inverse_alpha_single_quadrature(probe, cutoff, spec=spec)
-        worst = max(worst, abs(quad / closed - 1.0))
-    ok = worst < 1e-8
-    print(f"criterion 05 {'PASS' if ok else 'FAIL'}: max rel diff = {worst:.3e}")
+def test_c05_quadrature_vs_closed_form(rows):
+    row = rows["quadrature-closed-form-max-rel-dev"]
+    ok = passed(row)
+    print(f"criterion 05 {'PASS' if ok else 'FAIL'}: max rel diff = {row.computed:.3e}")
     assert ok
 
 
-def test_c06_stefan_boltzmann_and_wien():
-    t0 = time.monotonic()
-    worst = 0.0
-    for t_k in (2.725, 300.0, 6000.0):
-        state = statmech.ThermalState(t_k)
-        quad = statmech.integrate_thermal_density(state)
-        worst = max(worst, abs(quad / statmech.stefan_boltzmann_density(state) - 1.0))
+def test_c06_stefan_boltzmann_and_wien(report_run):
+    rows, _, seconds = report_run
+    sb, wien = rows["stefan-boltzmann-max-rel-dev"], rows["wien-peak-x"]
 
     # Independent oracle: golden-section maximization of the thermal curve.
     state = statmech.ThermalState(300.0)
@@ -145,184 +129,115 @@ def test_c06_stefan_boltzmann_and_wien():
             a, c = c, d
             d = a + phi * (b - a)
     peak = 0.5 * (a + b)
-    elapsed = time.monotonic() - t0
-    ok = worst < 1e-6 and abs(peak - 2.821) <= 0.001
+    peak_ok = abs(peak - wien.reference) <= wien.abs_tol
+    elapsed = seconds["thermal_checks"]
+    ok = passed(sb, wien) and peak_ok
     print(
-        f"criterion 06 {'PASS' if ok else 'FAIL'}: max SB rel dev = {worst:.3e}, "
+        f"criterion 06 {'PASS' if ok else 'FAIL'}: max SB rel dev = {sb.computed:.3e}, "
         f"Wien x* = {peak:.6f}, {elapsed:.2f} s"
     )
     assert elapsed < 1.0
-    assert worst < 1e-6
-    assert abs(peak - 2.821) <= 0.001
+    assert passed(sb)
+    assert passed(wien)
+    assert peak_ok
 
 
-def test_c07_box_modes_vs_continuum():
-    t0 = time.monotonic()
-    length = 1e-10
-    energy = 140.0 * CODATA.h_c_mev_m / (2.0 * length)
-    count = statmech.count_box_modes((length, length, length), energy)
-    pc = energy * CODATA.mev_to_j / CODATA.c_m_per_s
-    continuum = 4.0 * math.pi * pc**3 * length**3 / (3.0 * CODATA.h_j_s**3)
-    elapsed = time.monotonic() - t0
-    ratio = count / continuum
-    ok = count > 1e5 and abs(ratio - 1.0) < 0.02
+def test_c07_box_modes_vs_continuum(report_run):
+    rows, values, seconds = report_run
+    count, ratio = values["box-mode-count"], rows["box-count-continuum-ratio"]
+    elapsed = seconds["box_count"]
+    ok = count > 1e5 and passed(ratio)
     print(
         f"criterion 07 {'PASS' if ok else 'FAIL'}: count = {count}, "
-        f"count/continuum = {ratio:.5f}, {elapsed:.2f} s"
+        f"count/continuum = {ratio.computed:.5f}, {elapsed:.2f} s"
     )
     assert elapsed < 10.0
     assert count > 1e5
-    assert abs(ratio - 1.0) < 0.02
+    assert passed(ratio)
 
 
-def test_c08_mean_energy_and_probabilities():
-    rng = np.random.default_rng(808)
-    worst_fd = 0.0
-    for _ in range(50):
-        x = float(rng.uniform(0.05, 30.0))
-        t_k = float(rng.uniform(1.0, 6000.0))
-        state = statmech.ThermalState(t_k)
-        omega = x / (CODATA.hbar_j_s * state.beta_per_j)
-
-        def log_z(beta):
-            y = CODATA.hbar_j_s * omega * beta
-            return -0.5 * y - math.log(-math.expm1(-y))
-
-        beta = state.beta_per_j
-        d_beta = 1e-6 * beta
-        fd = -(log_z(beta + d_beta) - log_z(beta - d_beta)) / (2.0 * d_beta)
-        worst_fd = max(worst_fd, abs(fd / statmech.mean_energy(omega, state) - 1.0))
-
-    worst_sum = 0.0
-    state = statmech.ThermalState(300.0)
-    for x in (0.05, 0.5, 2.0, 10.0):
-        omega = x / (CODATA.hbar_j_s * state.beta_per_j)
-        total = math.fsum(
-            statmech.state_probability(omega, n, state) for n in range(2000)
-        )
-        worst_sum = max(worst_sum, abs(total - 1.0))
-    ok = worst_fd < 1e-6 and worst_sum < 1e-12
+def test_c08_mean_energy_and_probabilities(rows):
+    fd, total = rows["mean-energy-fd-max-rel-dev"], rows["probability-sum-max-dev"]
+    ok = passed(fd, total)
     print(
-        f"criterion 08 {'PASS' if ok else 'FAIL'}: max FD rel dev = {worst_fd:.3e}, "
-        f"max probability-sum dev = {worst_sum:.3e}"
+        f"criterion 08 {'PASS' if ok else 'FAIL'}: max FD rel dev = {fd.computed:.3e}, "
+        f"max probability-sum dev = {total.computed:.3e}"
     )
-    assert worst_fd < 1e-6
-    assert worst_sum < 1e-12
+    assert passed(fd)
+    assert passed(total)
 
 
-def test_c09_analytic_dispersion_coefficients():
-    hc = dispersion.sigma_coefficient(dispersion.LifetimeModel.half_compton()) * 1e15
-    ks = dispersion.sigma_coefficient(dispersion.LifetimeModel.k_scaled()) * 1e15
-    qs = dispersion.sigma_coefficient(dispersion.LifetimeModel.quasistationary()) * 1e9
-    ok = (
-        abs(hc - 1.465) <= 0.05
-        and abs(ks - 0.259) <= 0.01
-        and abs(qs - 0.455) <= 0.02
-    )
+def test_c09_analytic_dispersion_coefficients(rows):
+    hc = rows["sigma-half-compton-fs-per-sqrt-m"]
+    ks = rows["sigma-k-scaled-fs-per-sqrt-m"]
+    qs = rows["sigma-quasistationary-ns-per-sqrt-m"]
+    ok = passed(hc, ks, qs)
     print(
-        f"criterion 09 {'PASS' if ok else 'FAIL'}: sigma = {hc:.4f} fs, "
-        f"{ks:.4f} fs, {qs:.4f} ns per sqrt(m)"
+        f"criterion 09 {'PASS' if ok else 'FAIL'}: sigma = {hc.computed:.4f} fs, "
+        f"{ks.computed:.4f} fs, {qs.computed:.4f} ns per sqrt(m)"
     )
-    assert abs(hc - 1.465) <= 0.05
-    assert abs(ks - 0.259) <= 0.01
-    assert abs(qs - 0.455) <= 0.02
+    assert passed(hc)
+    assert passed(ks)
+    assert passed(qs)
 
 
-def test_c10_monte_carlo_dispersion():
-    t0 = time.monotonic()
-    model = dispersion.LifetimeModel.half_compton()
-    n = 100_000
-    max_z = 0.0
-    log_l, log_sd = [], []
-    for i, length in enumerate((1.0, 4.0, 16.0, 64.0)):
-        config = dispersion.FlightConfig(
-            length_m=length,
-            lifetime_model=model,
-            n_photons=n,
-            seed=1000 + i,
-            n_workers=2,
-        )
-        result = dispersion.simulate_flight(config)
-        se = result.analytic_sigma_s / math.sqrt(2.0 * (n - 1))
-        if length <= 16.0:
-            max_z = max(max_z, abs(result.stddev_delay_s - result.analytic_sigma_s) / se)
-        log_l.append(math.log(length))
-        log_sd.append(math.log(result.stddev_delay_s))
-    exponent = float(np.polyfit(log_l, log_sd, 1)[0])
-
-    # Dual sampling paths at an artificially long lifetime (N ~ 3300 <= 1e4):
-    # the aggregate compound-law draw and the explicit per-interaction loop
-    # must agree within Monte Carlo error.
-    base = dispersion.FlightConfig(
-        length_m=1.0,
-        lifetime_model=dispersion.LifetimeModel.custom(1e-12),
-        n_photons=4000,
-        seed=1100,
-        delay_distribution=dispersion.DelayDistribution.EXPONENTIAL_TAU,
-    )
-    agg = dispersion.simulate_flight(base)
-    loop = dispersion.simulate_flight(
-        dataclasses.replace(
-            base, sampling=dispersion.SamplingMethod.PER_INTERACTION, seed=1101
-        )
-    )
-    sd_se = math.sqrt(2.0) * agg.stddev_delay_s / math.sqrt(2.0 * (base.n_photons - 1))
-    paths_z = abs(agg.stddev_delay_s - loop.stddev_delay_s) / sd_se
-    elapsed = time.monotonic() - t0
-    ok = max_z < 3.0 and abs(exponent - 0.5) <= 0.02 and paths_z < 4.0
+def test_c10_monte_carlo_dispersion(report_run):
+    rows, _, seconds = report_run
+    max_z, exponent = rows["mc-stddev-max-z"], rows["mc-scaling-exponent"]
+    # Aggregate compound-law draw against the explicit per-interaction loop.
+    paths_z = rows["mc-sampling-paths-z"]
+    elapsed = seconds["monte_carlo"]
+    ok = passed(max_z, exponent, paths_z)
     print(
-        f"criterion 10 {'PASS' if ok else 'FAIL'}: max z = {max_z:.2f}, "
-        f"exponent = {exponent:.4f}, dual-path z = {paths_z:.2f}, {elapsed:.1f} s"
+        f"criterion 10 {'PASS' if ok else 'FAIL'}: max z = {max_z.computed:.2f}, "
+        f"exponent = {exponent.computed:.4f}, dual-path z = {paths_z.computed:.2f}, "
+        f"{elapsed:.1f} s"
     )
     assert elapsed < 60.0
-    assert max_z < 3.0
-    assert abs(exponent - 0.5) <= 0.02
-    assert paths_z < 4.0
+    assert passed(max_z)
+    assert passed(exponent)
+    assert passed(paths_z)
 
 
-def test_c11_sensitivity_formula():
-    value = dispersion.experiment_sensitivity(2e-15, 0.01, 1e4) * 1e15
-    ok = abs(value - 0.00284) <= 0.0001
-    print(f"criterion 11 {'PASS' if ok else 'FAIL'}: sigma_min = {value:.6f} fs m^-1/2")
+def test_c11_sensitivity_formula(rows):
+    row = rows["sensitivity-fs-per-sqrt-m"]
+    ok = passed(row)
+    print(f"criterion 11 {'PASS' if ok else 'FAIL'}: sigma_min = {row.computed:.6f} fs m^-1/2")
     assert ok
 
 
-def test_c12_attosecond_broadening(report_rows):
-    fwhm_as = (
-        dispersion.fwhm_from_rms(dispersion.pulse_broadening(0.0, 0.05e-15, 0.13))
-        * 1e18
-    )
-    by_name = {row.quantity: row for row in report_rows}
+def test_c12_attosecond_broadening(rows):
+    fwhm = rows["attosecond-fwhm-13cm-as"]
     unresolved = (
-        by_name["attosecond-fwhm-zero-width-1cm-as"].status == "info"
-        and by_name["attosecond-fwhm-43as-seed-1cm-as"].status == "info"
+        rows["attosecond-fwhm-zero-width-1cm-as"].status == "info"
+        and rows["attosecond-fwhm-43as-seed-1cm-as"].status == "info"
     )
-    ok = abs(fwhm_as - 42.5) <= 0.5 and unresolved
+    ok = passed(fwhm) and unresolved
     print(
-        f"criterion 12 {'PASS' if ok else 'FAIL'}: FWHM(13 cm) = {fwhm_as:.3f} as; "
+        f"criterion 12 {'PASS' if ok else 'FAIL'}: FWHM(13 cm) = {fwhm.computed:.3f} as; "
         "16-as and 57-as figures listed as unresolved info rows"
     )
-    assert abs(fwhm_as - 42.5) <= 0.5
+    assert passed(fwhm)
     assert unresolved
 
 
-def test_c13_quasistationary_excluded():
-    verdict = dispersion.compare_to_limits(dispersion.LifetimeModel.quasistationary())
-    ok = verdict.band_verdict == "excluded"
+def test_c13_quasistationary_excluded(rows):
+    ok = passed(rows["quasistationary-band-excluded"])
+    sigma_fs = rows["sigma-quasistationary-ns-per-sqrt-m"].computed * 1e6
     print(
-        f"criterion 13 {'PASS' if ok else 'FAIL'}: sigma = "
-        f"{verdict.sigma_fs_per_sqrt_m:.3g} fs m^-1/2 vs band "
-        f"{verdict.limit_band_fs_per_sqrt_m}"
+        f"criterion 13 {'PASS' if ok else 'FAIL'}: sigma = {sigma_fs:.3g} fs m^-1/2 "
+        f"vs band {dispersion.LIMIT_BAND_FS_PER_SQRT_M}"
     )
     assert ok
 
 
-def test_c14_report_command(capsys):
+def test_c14_report_command(capsys, rows):
     code1 = main(["report"])
     first = capsys.readouterr().out
     code2 = main(["report"])
     second = capsys.readouterr().out
     payload = json.loads(first)
+    statuses = {row["status"] for row in payload["rows"]}
     ok = code1 == 0 and code2 == 0 and first == second and payload["all_pass"]
     print(
         f"criterion 14 {'PASS' if ok else 'FAIL'}: exit codes ({code1}, {code2}), "
@@ -331,3 +246,15 @@ def test_c14_report_command(capsys):
     assert code1 == 0 and code2 == 0
     assert first == second
     assert payload["all_pass"] is True
+    assert statuses == {"pass", "info"}
+    # The command prints the same table the criteria above assert on.
+    assert [(r["quantity"], r["computed"]) for r in payload["rows"]] == [
+        (row.quantity, row.computed) for row in rows.values()
+    ]
+
+
+def test_report_rows_are_well_formed(rows):
+    names = [spec.quantity for spec in report.TABLE]
+    assert len(set(names)) == len(names) == len(rows)
+    assert all(row.note.strip() for row in rows.values() if row.status == "info")
+    assert {row.provenance for row in rows.values()} <= {"published", "derived", "exact"}

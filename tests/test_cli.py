@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from vacuumpairs import report
 from vacuumpairs.cli import main
 from vacuumpairs.particles import default_registry
 
@@ -241,13 +242,17 @@ class TestReportCommand:
         rows = list(csv.DictReader(out.splitlines()))
         assert {"quantity", "computed", "status"} <= set(rows[0])
 
-    def test_injected_wrong_constant_fails(self, capsys):
-        code, out, err = run(
-            capsys, ["report", "--override", "weighted-degeneracy-sum=9.0"]
-        )
+    def test_injected_wrong_constant_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "weighted_degeneracy_sum", lambda registry: 9.0)
+        code, out, err = run(capsys, ["report"])
         assert code == 1
-        assert "weighted-degeneracy-sum" in err
+        assert "FAIL weighted-degeneracy-sum" in err
         assert json.loads(out)["all_pass"] is False
+
+    def test_unknown_flag_is_usage_error(self, capsys):
+        code, _, err = run(capsys, ["report", "--override", "x=1"])
+        assert code == 2
+        assert "Traceback" not in err
 
     def test_json_round_trip(self, capsys):
         _, out, _ = run(capsys, ["report"])

@@ -18,6 +18,7 @@ from vacuumpairs.dispersion import (
     SamplingMethod,
     analytic_sigma,
     compare_to_limits,
+    compound_moments,
     experiment_sensitivity,
     fwhm_from_rms,
     lifetime,
@@ -92,7 +93,7 @@ class TestSimulateFlight:
         )
         result = simulate_flight(config)
         tau = lifetime(config.lifetime_model)
-        assert result.stddev_delay_s == 0.0
+        assert result.stddev_delay_s == 0.0 == result.analytic_sigma_s
         assert result.mean_delay_s == round(1.0 / (CODATA.c_m_per_s * tau)) * tau
 
     def test_poisson_fixed_tau_matches_analytic(self):
@@ -121,35 +122,51 @@ class TestSimulateFlight:
         assert abs(result.stddev_delay_s - result.analytic_sigma_s) < 3.5 * se
 
     def test_exponential_delays_inflate_by_sqrt_two(self):
-        # Compound Poisson with exponential jumps: Var = lambda * 2 tau^2.
+        # Exponential jumps: Var = 2 lambda tau^2 for a Poisson count, N tau^2
+        # for a fixed count N.
         tau = 1.0 / (CODATA.c_m_per_s * 1e6)
-        config = FlightConfig(
-            length_m=1.0,
-            lifetime_model=LifetimeModel.custom(tau),
-            n_photons=100_000,
-            seed=11,
-            delay_distribution=DelayDistribution.EXPONENTIAL_TAU,
-        )
-        result = simulate_flight(config)
-        expected = math.sqrt(2.0) * result.analytic_sigma_s
-        se = sd_standard_error(expected, config.n_photons)
-        assert abs(result.stddev_delay_s - expected) < 3.5 * se
+        for process, ratio in (
+            (InteractionProcess.POISSON_COUNT, math.sqrt(2.0)),
+            (InteractionProcess.FIXED_COUNT, 1.0),
+        ):
+            config = FlightConfig(
+                length_m=1.0,
+                lifetime_model=LifetimeModel.custom(tau),
+                n_photons=100_000,
+                seed=11,
+                delay_distribution=DelayDistribution.EXPONENTIAL_TAU,
+                interaction_process=process,
+            )
+            result = simulate_flight(config)
+            expected = ratio * math.sqrt(1e6) * tau
+            assert abs(result.analytic_sigma_s / expected - 1.0) < 1e-12
+            se = sd_standard_error(result.analytic_sigma_s, config.n_photons)
+            assert abs(result.stddev_delay_s - result.analytic_sigma_s) < 3.5 * se
 
     def test_uniform_fraction_variant(self):
-        # Mean tau/2 per interaction, variance tau^2/12: sd = analytic/sqrt(3).
+        # Mean tau/2 per interaction, variance tau^2/12: Var = lambda tau^2/3
+        # for a Poisson count, N tau^2/12 for a fixed count N.
         tau = 1.0 / (CODATA.c_m_per_s * 1e6)
-        config = FlightConfig(
-            length_m=1.0,
-            lifetime_model=LifetimeModel.custom(tau),
-            n_photons=100_000,
-            seed=13,
-            delay_distribution=DelayDistribution.UNIFORM_FRACTION,
-        )
-        result = simulate_flight(config)
-        expected = result.analytic_sigma_s / math.sqrt(3.0)
-        se = sd_standard_error(expected, config.n_photons)
-        assert abs(result.stddev_delay_s - expected) < 3.5 * se
-        assert abs(result.mean_delay_s / (0.5e6 * tau) - 1.0) < 1e-3
+        for process, ratio in (
+            (InteractionProcess.POISSON_COUNT, 1.0 / math.sqrt(3.0)),
+            (InteractionProcess.FIXED_COUNT, 1.0 / math.sqrt(12.0)),
+        ):
+            config = FlightConfig(
+                length_m=1.0,
+                lifetime_model=LifetimeModel.custom(tau),
+                n_photons=100_000,
+                seed=13,
+                delay_distribution=DelayDistribution.UNIFORM_FRACTION,
+                interaction_process=process,
+            )
+            result = simulate_flight(config)
+            expected = ratio * math.sqrt(1e6) * tau
+            assert abs(result.analytic_sigma_s / expected - 1.0) < 1e-12
+            se = sd_standard_error(result.analytic_sigma_s, config.n_photons)
+            assert abs(result.stddev_delay_s - result.analytic_sigma_s) < 3.5 * se
+            assert abs(result.mean_delay_s / (0.5e6 * tau) - 1.0) < 1e-3
+            mean, _ = compound_moments(process, config.delay_distribution, 1e6, tau)
+            assert abs(mean / (0.5e6 * tau) - 1.0) < 1e-12
 
     def test_deterministic_across_runs_and_workers(self):
         config = FlightConfig(
@@ -178,10 +195,7 @@ class TestSimulateFlight:
             dataclasses.replace(base, sampling=SamplingMethod.PER_INTERACTION, seed=6)
         )
         n = base.n_photons
-        sd_se = math.hypot(
-            sd_standard_error(agg.analytic_sigma_s * math.sqrt(2), n),
-            sd_standard_error(agg.analytic_sigma_s * math.sqrt(2), n),
-        )
+        sd_se = math.sqrt(2.0) * sd_standard_error(agg.analytic_sigma_s, n)
         mean_se = agg.stddev_delay_s / math.sqrt(n) * math.sqrt(2.0)
         assert abs(agg.stddev_delay_s - loop.stddev_delay_s) < 4.0 * sd_se
         assert abs(agg.mean_delay_s - loop.mean_delay_s) < 4.0 * mean_se

@@ -6,7 +6,6 @@ import pytest
 from vacuumpairs.constants import CODATA
 from vacuumpairs.statmech import (
     ModeCountOverflowError,
-    ModeDensityPoint,
     SpectralSample,
     ThermalState,
     count_box_modes,
@@ -121,11 +120,6 @@ class TestModeDensity:
     def test_vacuum_density_identical(self):
         for p in (0.0, 1e-30, 3.3e-22):
             assert vacuum_density(p) == mode_density(p)
-
-    def test_point_validation(self):
-        with pytest.raises(ValueError):
-            ModeDensityPoint(1.0, 0.0)
-
 
 class TestModeEnergy:
     def test_zero_point_level(self):

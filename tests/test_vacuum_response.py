@@ -238,6 +238,14 @@ class TestFitCutoff:
     def test_mass_proportional_fit(self):
         policy = fit_cutoff(REG, TARGET, PolicyKind.MASS_PROPORTIONAL)
         assert abs(policy.scale_a - 6.478444302297101) < 1e-8
+        # The closed form agrees with a root find on the fixed-gap total.
+        for target in (1.0, TARGET, 1e4):
+            a = fit_cutoff(REG, target, PolicyKind.MASS_PROPORTIONAL).scale_a
+            root = numerics.find_root(
+                lambda v: inverse_alpha_fixed_gap(REG, v) - target,
+                numerics.RootSpec(bracket_lo=0.5 * a, bracket_hi=2.0 * a, x_tol=1e-8),
+            )
+            assert abs(root - a) < 1e-6
 
     def test_monotone_fit_inverse(self):
         # fit is the exact inverse of evaluation within the root tolerance
