@@ -5,9 +5,20 @@ curves and the thermal integral), ``dispersion`` (analytic flight-time
 fluctuations and limit verdicts), ``simulate`` (Monte Carlo photon flights)
 and ``report`` (the full reproduction table).
 
-Exit codes: 0 success, 1 numerical/acceptance failure, 2 usage error.
-Output is deterministic for identical flags; Monte Carlo seeds are always
-explicit flags, never environment variables.
+Each ``cmd_*`` returns ``(payload, rows)``: the JSON payload, and the row
+dicts that ``--format csv`` writes (``None`` when the output has no table,
+as for ``simulate`` and ``planck --integrate``).  ``main`` alone renders
+and writes, and maps errors to exit codes.  Flag values are checked by the
+library that uses them, not a second time here.
+
+Exit codes: 0 success; 1 numerical or acceptance failure (the ``FAILURES``
+classes: an unreadable or invalid species table, a root or quadrature
+that cannot converge, a report row that fails); 2 usage error (argparse
+rejects the flags, or the library rejects a value with any other
+``ValueError``, ``KeyError`` or ``OSError``).  Failures print
+``error: ...`` and never a traceback.  Output is deterministic for
+identical flags; Monte Carlo seeds are always explicit flags, never
+environment variables.
 """
 
 from __future__ import annotations
@@ -18,10 +29,10 @@ import io
 import json
 import sys
 
-from . import dispersion, report, statmech, vacuum_response
+from . import dispersion, numerics, report, statmech, vacuum_response
 from .constants import CODATA
-from .numerics import MaxDepthExceededError, MaxIterExceededError, NoSignChangeError
 from .particles import (
+    EmptyRegistryError,
     RegistryParseError,
     RegistryValidationError,
     SpeciesRegistry,
@@ -29,31 +40,29 @@ from .particles import (
     load_registry,
 )
 
-_MODEL_FLAGS = {
-    "half-compton": dispersion.LifetimeModel.half_compton,
-    "k-scaled": dispersion.LifetimeModel.k_scaled,
-    "quasistationary": dispersion.LifetimeModel.quasistationary,
-}
+#: Numerical or acceptance failures (exit code 1).  Any other ValueError,
+#: KeyError or OSError is a rejected argument (exit code 2).
+FAILURES = (
+    RegistryParseError,
+    RegistryValidationError,
+    EmptyRegistryError,
+    numerics.NoSignChangeError,
+    numerics.MaxIterExceededError,
+    numerics.MaxDepthExceededError,
+    numerics.NonFiniteIntegrandError,
+    statmech.ModeCountOverflowError,
+)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _json_dump(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_dump(rows: list[dict], fields: tuple[str, ...]) -> str:
+def _render(payload: dict, rows: list[dict] | None, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if rows is None:
+        raise ValueError("this output has no table; use --format json")
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k) for k in fields})
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -63,20 +72,16 @@ def _registry_from(args: argparse.Namespace) -> SpeciesRegistry:
     return default_registry()
 
 
-def _model_from(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if args.model == "custom":
-        if args.custom_tau_s is None:
-            parser.error("--model custom requires --custom-tau-s")
-        return dispersion.LifetimeModel.custom(args.custom_tau_s)
-    factory = _MODEL_FLAGS.get(args.model)
-    if factory is None:
-        parser.error(f"unknown model {args.model!r}")
-    if args.model == "k-scaled":
+def _model_from(args: argparse.Namespace) -> dispersion.LifetimeModel:
+    kind = dispersion.LifetimeKind(args.model)
+    if kind is dispersion.LifetimeKind.K_SCALED:
         return dispersion.LifetimeModel.k_scaled(args.k_factor)
-    return factory()
+    if kind is dispersion.LifetimeKind.CUSTOM:
+        return dispersion.LifetimeModel.custom(args.custom_tau_s)
+    return dispersion.LifetimeModel(kind)
 
 
-def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     registry = _registry_from(args)
     target = args.target
     if args.fit:
@@ -89,7 +94,7 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         else:
             policy = vacuum_response.CutoffPolicy.global_constant(args.cutoff_mev)
     else:
-        parser.error("one of --fit or --eval with --cutoff-mev is required")
+        raise ValueError("one of --fit or --eval with --cutoff-mev is required")
     breakdown = vacuum_response.inverse_alpha_total(registry, policy)
     payload = {
         "policy": {
@@ -109,23 +114,11 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             vacuum_response.average_pair_volume(electron, policy.scale_a)
             / CODATA.compton_length_m(electron.mass_mev) ** 3
         )
-    if args.format == "csv":
-        _emit(
-            _csv_dump(
-                payload["species"], ("name", "cutoff_mev", "contribution", "share")
-            ),
-            args.output,
-        )
-    else:
-        _emit(_json_dump(payload), args.output)
-    return 0
+    return payload, payload["species"]
 
 
-def cmd_planck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.temperature_k <= 0:
-        parser.error("--temperature-k must be > 0")
+def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     state = statmech.ThermalState(args.temperature_k)
-    include_zpf = not args.thermal_only
     if args.integrate:
         quad = statmech.integrate_thermal_density(state)
         closed = statmech.stefan_boltzmann_density(state)
@@ -135,10 +128,9 @@ def cmd_planck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "stefan_boltzmann_j_m3": closed,
             "rel_dev": quad / closed - 1.0,
         }
-        _emit(_json_dump(payload), args.output)
-        return 0
+        return payload, None
     samples = statmech.planck_curve(
-        state, x_max=args.x_max, n_points=args.points, include_zero_point=include_zpf
+        state, x_max=args.x_max, n_points=args.points, include_zero_point=not args.thermal_only
     )
     rows = [
         {
@@ -148,32 +140,21 @@ def cmd_planck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         }
         for s in samples
     ]
-    if args.format == "csv":
-        _emit(
-            _csv_dump(
-                rows,
-                ("momentum_kg_m_s", "energy_density_per_momentum", "includes_zero_point"),
-            ),
-            args.output,
-        )
-    else:
-        _emit(_json_dump({"temperature_k": args.temperature_k, "samples": rows}), args.output)
-    return 0
+    return {"temperature_k": args.temperature_k, "samples": rows}, rows
 
 
-def _reference_species(args: argparse.Namespace):
-    registry = _registry_from(args)
-    return registry.get(args.reference_species)
-
-
-def cmd_dispersion(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     if args.all:
-        models = [factory() for factory in _MODEL_FLAGS.values()]
+        models = [
+            dispersion.LifetimeModel(kind)
+            for kind in dispersion.LifetimeKind
+            if kind is not dispersion.LifetimeKind.CUSTOM
+        ]
+    elif args.model is not None:
+        models = [_model_from(args)]
     else:
-        if args.model is None:
-            parser.error("either --model or --all is required")
-        models = [_model_from(args, parser)]
-    species = _reference_species(args)
+        raise ValueError("either --model or --all is required")
+    species = _registry_from(args).get(args.reference_species)
     rows = []
     for model in models:
         verdict = dispersion.compare_to_limits(model, species)
@@ -187,54 +168,27 @@ def cmd_dispersion(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
                 "literature_verdict": verdict.literature_verdict,
             }
         )
-    if args.format == "csv":
-        _emit(
-            _csv_dump(
-                rows,
-                (
-                    "model",
-                    "tau_s",
-                    "sigma_fs_per_sqrt_m",
-                    "sigma_1m_fs",
-                    "band_verdict",
-                    "literature_verdict",
-                ),
-            ),
-            args.output,
-        )
-    else:
-        _emit(
-            _json_dump(
-                {
-                    "limit_band_fs_per_sqrt_m": list(dispersion.LIMIT_BAND_FS_PER_SQRT_M),
-                    "models": rows,
-                }
-            ),
-            args.output,
-        )
-    return 0
+    band = list(dispersion.LIMIT_BAND_FS_PER_SQRT_M)
+    return {"limit_band_fs_per_sqrt_m": band, "models": rows}, rows
 
 
-def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    model = _model_from(args, parser)
-    species = _reference_species(args)
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    model = _model_from(args)
+    species = _registry_from(args).get(args.reference_species)
     if species.name != "e":
         # Flight configs carry a lifetime, not a species; fold the species
         # into an explicit custom lifetime so the echo stays faithful.
         model = dispersion.LifetimeModel.custom(dispersion.lifetime(model, species))
-    try:
-        config = dispersion.FlightConfig(
-            length_m=args.length_m,
-            lifetime_model=model,
-            n_photons=args.photons,
-            seed=args.seed,
-            delay_distribution=dispersion.DelayDistribution(args.delay),
-            interaction_process=dispersion.InteractionProcess(args.process),
-            sampling=dispersion.SamplingMethod(args.sampling),
-            n_workers=args.workers,
-        )
-    except (dispersion.FlightConfigError, ValueError) as exc:
-        parser.error(str(exc))
+    config = dispersion.FlightConfig(
+        length_m=args.length_m,
+        lifetime_model=model,
+        n_photons=args.photons,
+        seed=args.seed,
+        delay_distribution=dispersion.DelayDistribution(args.delay),
+        interaction_process=dispersion.InteractionProcess(args.process),
+        sampling=dispersion.SamplingMethod(args.sampling),
+        n_workers=args.workers,
+    )
     result = dispersion.simulate_flight(config, keep_samples=args.samples_out is not None)
     if args.samples_out:
         with open(args.samples_out, "w", encoding="utf-8") as handle:
@@ -242,27 +196,19 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             writer.writerow(("photon_index", "delay_s"))
             for i, delay in enumerate(result.delays_s):
                 writer.writerow((i, repr(float(delay))))
-    _emit(_json_dump(result.to_dict()), args.output)
-    return 0
+    return result.to_dict(), None
 
 
-def cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_report(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     rows = report.build_report(_registry_from(args), seed=args.seed)
-    passed = report.all_pass(rows)
+    for row in rows:
+        if row.status == "fail":
+            sys.stderr.write(
+                f"FAIL {row.quantity}: computed {row.computed!r}, "
+                f"reference {row.reference!r} +- {row.abs_tol!r}\n"
+            )
     dicts = [row.to_dict() for row in rows]
-    if args.format == "csv":
-        _emit(_csv_dump(dicts, report.CSV_FIELDS), args.output)
-    else:
-        _emit(_json_dump({"seed": args.seed, "all_pass": passed, "rows": dicts}), args.output)
-    if not passed:
-        for row in rows:
-            if row.status == "fail":
-                sys.stderr.write(
-                    f"FAIL {row.quantity}: computed {row.computed!r}, "
-                    f"reference {row.reference!r} +- {row.abs_tol!r}\n"
-                )
-        return 1
-    return 0
+    return {"seed": args.seed, "all_pass": report.all_pass(rows), "rows": dicts}, dicts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,6 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--species-file", help="JSON species table overriding the default")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="output path (default stdout)")
+
+    def lifetime_flags(p: argparse.ArgumentParser, *, required: bool) -> None:
+        p.add_argument(
+            "--model", required=required, choices=[k.value for k in dispersion.LifetimeKind]
+        )
+        p.add_argument("--k-factor", type=float, default=31.9)
+        p.add_argument("--custom-tau-s", type=float, default=None)
+        p.add_argument("--reference-species", default="e")
 
     p_alpha = sub.add_parser("alpha", help="inverse fine-structure fits and evaluations")
     common(p_alpha)
@@ -313,18 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_disp = sub.add_parser("dispersion", help="analytic flight-time fluctuation table")
     common(p_disp)
-    p_disp.add_argument("--model", default=None)
+    lifetime_flags(p_disp, required=False)
     p_disp.add_argument("--all", action="store_true")
-    p_disp.add_argument("--k-factor", type=float, default=31.9)
-    p_disp.add_argument("--custom-tau-s", type=float, default=None)
-    p_disp.add_argument("--reference-species", default="e")
     p_disp.set_defaults(func=cmd_dispersion)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo photon flight ensemble")
     common(p_sim)
-    p_sim.add_argument("--model", required=True)
-    p_sim.add_argument("--k-factor", type=float, default=31.9)
-    p_sim.add_argument("--custom-tau-s", type=float, default=None)
+    lifetime_flags(p_sim, required=True)
     p_sim.add_argument("--length-m", type=float, required=True)
     p_sim.add_argument("--photons", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
@@ -332,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--process", choices=[p.value for p in dispersion.InteractionProcess], default="poisson")
     p_sim.add_argument("--sampling", choices=[s.value for s in dispersion.SamplingMethod], default="aggregate")
     p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--reference-species", default="e")
     p_sim.add_argument("--samples-out", default=None, help="per-photon delay CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -344,25 +292,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
-    except SystemExit as exc:  # parser.error inside a command
-        return int(exc.code or 0)
-    except (
-        RegistryParseError,
-        RegistryValidationError,
-        NoSignChangeError,
-        MaxIterExceededError,
-        MaxDepthExceededError,
-        dispersion.FlightConfigError,
-    ) as exc:
+        payload, rows = args.func(args)
+        text = _render(payload, rows, args.format)
+        if args.output is None or args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except FAILURES as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except (ValueError, KeyError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    # Only the report carries a verdict; a failed row is an acceptance failure.
+    return 0 if payload.get("all_pass", True) else 1
 
 
 def main_entry() -> None:

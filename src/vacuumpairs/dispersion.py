@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -235,6 +236,11 @@ class PhotonFlightResult:
 # exact to double precision there (skewness ~ lambda^-1/2 < 3e-5).
 _POISSON_EXACT_MAX = 1e9
 
+# Per-interaction sampling draws all of a photon's interaction delays at
+# once, 8 bytes each; above this expected count that array would outgrow
+# memory (half-Compton lifetimes give ~5e12 per metre).
+_PER_INTERACTION_MAX = 1e6
+
 
 def _chunk_counts(
     rng: np.random.Generator, config: FlightConfig, expected_n: float, size: int
@@ -303,7 +309,9 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
     Each photon accumulates one delay per interaction with a virtual pair.
     Results are bit-identical for a fixed (seed, n_photons) regardless of
     ``n_workers``, because randomness is derived per chunk from the seed and
-    the chunk index alone.
+    the chunk index alone; at most min(n_workers, chunks, CPUs) threads run.
+    Per-interaction sampling raises ``FlightConfigError`` above
+    ``_PER_INTERACTION_MAX`` expected interactions per photon.
     """
     tau = lifetime(config.lifetime_model)
     expected_n = config.length_m / (CODATA.c_m_per_s * tau)
@@ -313,6 +321,11 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
             "are dominated by photons that never interact",
             DegenerateFlightWarning,
             stacklevel=2,
+        )
+    if config.sampling is SamplingMethod.PER_INTERACTION and expected_n > _PER_INTERACTION_MAX:
+        raise FlightConfigError(
+            f"per-interaction sampling of {expected_n:.3g} interactions per photon "
+            f"exceeds {_PER_INTERACTION_MAX:.0e}; use aggregate sampling"
         )
     _, variance = compound_moments(
         config.interaction_process, config.delay_distribution, expected_n, tau
@@ -327,8 +340,9 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
         index, size = chunk
         return _simulate_chunk(config, expected_n, tau, index, size)
 
-    if config.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
+    workers = min(config.n_workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, chunks))
     else:
         parts = [run(chunk) for chunk in chunks]

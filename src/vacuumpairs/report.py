@@ -88,19 +88,6 @@ class ReportRow:
         }
 
 
-CSV_FIELDS = (
-    "quantity",
-    "computed",
-    "unit",
-    "reference",
-    "abs_tol",
-    "rel_diff",
-    "provenance",
-    "status",
-    "note",
-)
-
-
 # --- stages: each maps quantity names to computed values -------------------
 #
 # A stage may also return intermediate values that no row shows (the box

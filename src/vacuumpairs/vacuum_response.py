@@ -177,9 +177,26 @@ def dipole_time_averaged(
 
 # --- cutoff-regularized inverse-alpha integrals ---------------------------
 
+#: Below this x the difference x - arctan(x) cancels (relative error
+#: ~eps/x^2), so _bracket_term sums its Taylor series instead; ten terms
+#: reach double precision there.
+_BRACKET_SERIES_X = 0.1
+#: 1/(2j+3) for j = 9 .. 0, in Horner order.
+_BRACKET_SERIES = tuple(1.0 / (2 * j + 3) for j in reversed(range(10)))
+
+
 def _bracket_term(x: float) -> float:
-    """x - arctan(x), the closed form of int_0^x t^2/(t^2+1) dt."""
-    return x - math.atan(x)
+    """x - arctan(x), the closed form of int_0^x t^2/(t^2+1) dt.
+
+    For small x: x^3 * sum_j (-x^2)^j / (2j+3), by Horner's rule.
+    """
+    if x >= _BRACKET_SERIES_X:
+        return x - math.atan(x)
+    x2 = x * x
+    series = 0.0
+    for coefficient in _BRACKET_SERIES:
+        series = coefficient - x2 * series
+    return x * x2 * series
 
 
 def inverse_alpha_single(species: ParticleSpecies, cutoff_mev: float) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from vacuumpairs import report
 from vacuumpairs.cli import main
+from vacuumpairs.constants import CODATA
 from vacuumpairs.particles import default_registry
 
 
@@ -258,3 +259,52 @@ class TestReportCommand:
         _, out, _ = run(capsys, ["report"])
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
+
+
+SIMULATE = ["simulate", "--model", "half-compton", "--length-m", "1", "--photons", "100", "--seed", "1"]
+USAGE_ERRORS = {
+    "planck-one-point": ["planck", "--temperature-k", "300", "--points", "1"],
+    "negative-cutoff": ["alpha", "--eval", "--cutoff-mev", "-5"],
+    "negative-custom-tau": ["dispersion", "--model", "custom", "--custom-tau-s", "-1"],
+    "unknown-reference-species": ["dispersion", "--all", "--reference-species", "zz"],
+    "simulate-csv": SIMULATE + ["--format", "csv"],
+    "planck-integrate-csv": ["planck", "--integrate", "--temperature-k", "3", "--format", "csv"],
+    # 2e6 expected interactions per photon, above the per-interaction cap.
+    "per-interaction-cap": [
+        "simulate", "--model", "custom", "--custom-tau-s", repr(1.0 / (CODATA.c_m_per_s * 2e6)),
+        "--length-m", "1", "--photons", "2", "--seed", "1",
+        "--sampling", "per-interaction", "--delay", "exponential",
+    ],
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+    def test_rejected_argument_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir" / "x.json"
+        code, _, err = run(capsys, ["dispersion", "--all", "--output", str(missing)])
+        assert code == 2
+        assert err.startswith("error:")
+        assert not missing.parent.exists()
+
+    def test_unreachable_target_is_failure(self, capsys):
+        code, out, err = run(capsys, ["alpha", "--fit", "--target", "1e6"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_empty_species_file_is_failure(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]", encoding="utf-8")
+        argv = ["alpha", "--fit", "--policy", "mass-proportional", "--species-file", str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: registry has no species\n"

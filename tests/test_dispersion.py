@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from vacuumpairs import dispersion
 from vacuumpairs.constants import CODATA
 from vacuumpairs.dispersion import (
     LIMIT_BAND_FS_PER_SQRT_M,
@@ -199,6 +201,38 @@ class TestSimulateFlight:
         mean_se = agg.stddev_delay_s / math.sqrt(n) * math.sqrt(2.0)
         assert abs(agg.stddev_delay_s - loop.stddev_delay_s) < 4.0 * sd_se
         assert abs(agg.mean_delay_s - loop.mean_delay_s) < 4.0 * mean_se
+
+    def test_thread_count_is_bounded(self, monkeypatch):
+        started = []
+
+        class Recorder(dispersion.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(dispersion, "ThreadPoolExecutor", Recorder)
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.half_compton(),
+            n_photons=3 * dispersion.CHUNK_SIZE,
+            seed=4,
+        )
+        parallel = simulate_flight(dataclasses.replace(config, n_workers=64))
+        assert all(n <= min(3, os.cpu_count() or 1) for n in started)
+        assert parallel.stddev_delay_s == simulate_flight(config).stddev_delay_s
+
+    def test_per_interaction_count_is_bounded(self):
+        # 2e6 expected interactions per photon: above the per-interaction cap.
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.custom(1.0 / (CODATA.c_m_per_s * 2e6)),
+            n_photons=2,
+            seed=3,
+            delay_distribution=DelayDistribution.EXPONENTIAL_TAU,
+            sampling=SamplingMethod.PER_INTERACTION,
+        )
+        with pytest.raises(FlightConfigError, match="per-interaction"):
+            simulate_flight(config)
 
     def test_keep_samples(self):
         config = FlightConfig(

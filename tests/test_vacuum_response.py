@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,6 +118,18 @@ class TestInverseAlphaSingle:
         x = cutoff / ELECTRON.mass_mev
         series = (x**3 / 3.0 - x**5 / 5.0) / (2.0 * math.pi)
         assert abs(inverse_alpha_single(ELECTRON, cutoff) / series - 1.0) < 1e-6
+
+    def test_closed_form_matches_mpmath(self):
+        # x - atan(x) cancels for small x; the closed form must hold full
+        # double precision over the whole cutoff range, x = 1e-12 .. 1e6.
+        mp = mpmath.MPContext()
+        mp.dps = 40
+        for ratio in np.logspace(-12.0, 6.0, 1801):
+            cutoff = float(ratio) * ELECTRON.mass_mev
+            x = mp.mpf(cutoff) / mp.mpf(ELECTRON.mass_mev)
+            exact = (x - mp.atan(x)) / (2 * mp.pi)
+            value = inverse_alpha_single(ELECTRON, cutoff)
+            assert abs(value / exact - 1) < 1e-13, float(x)
 
     def test_quadrature_cross_check(self):
         closed = inverse_alpha_single(ELECTRON, 292.0)
