@@ -15,7 +15,8 @@ Exit codes: 0 success; 1 numerical or acceptance failure (the ``FAILURES``
 classes: an unreadable or invalid species table, a root or quadrature
 that cannot converge, a report row that fails); 2 usage error (argparse
 rejects the flags, or the library rejects a value with any other
-``ValueError``, ``KeyError`` or ``OSError``).  Failures print
+``ValueError``, ``KeyError``, ``OSError`` or ``ArithmeticError``; JSON
+output refuses NaN and infinity with a ``ValueError``).  Failures print
 ``error: ...`` and never a traceback.  Output is deterministic for
 identical flags; Monte Carlo seeds are always explicit flags, never
 environment variables.
@@ -41,7 +42,7 @@ from .particles import (
 )
 
 #: Numerical or acceptance failures (exit code 1).  Any other ValueError,
-#: KeyError or OSError is a rejected argument (exit code 2).
+#: KeyError, OSError or ArithmeticError is a rejected argument (exit code 2).
 FAILURES = (
     RegistryParseError,
     RegistryValidationError,
@@ -56,7 +57,7 @@ FAILURES = (
 
 def _render(payload: dict, rows: list[dict] | None, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if rows is None:
         raise ValueError("this output has no table; use --format json")
     buffer = io.StringIO()
@@ -146,7 +147,7 @@ def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     if args.all:
         models = [
-            dispersion.LifetimeModel(kind)
+            dispersion.LifetimeModel(kind, k_factor=args.k_factor)
             for kind in dispersion.LifetimeKind
             if kind is not dispersion.LifetimeKind.CUSTOM
         ]
@@ -307,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except FAILURES as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     # Only the report carries a verdict; a failed row is an acceptance failure.

@@ -19,12 +19,6 @@ class PhysicalConstants:
     # precision the cutoff fits are quoted at.
     inverse_alpha_target: float = 137.035_999
 
-    def __post_init__(self) -> None:
-        if not 1.0 / 138.0 <= self.alpha_target <= 1.0 / 137.0:
-            raise ValueError(
-                f"alpha_target {self.alpha_target!r} outside [1/138, 1/137]"
-            )
-
     @property
     def hbar_j_s(self) -> float:
         """Reduced Planck constant h/(2*pi) in J*s."""

@@ -52,11 +52,11 @@ class LifetimeModel:
     custom_tau_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is LifetimeKind.K_SCALED and not self.k_factor > 0:
-            raise ValueError("k_factor must be > 0")
+        if self.kind is LifetimeKind.K_SCALED and not 0 < self.k_factor < math.inf:
+            raise ValueError("k_factor must be finite and > 0")
         if self.kind is LifetimeKind.CUSTOM:
-            if self.custom_tau_s is None or not self.custom_tau_s > 0:
-                raise ValueError("custom model needs custom_tau_s > 0")
+            if self.custom_tau_s is None or not 0 < self.custom_tau_s < math.inf:
+                raise ValueError("custom model needs finite custom_tau_s > 0")
 
     @classmethod
     def half_compton(cls) -> "LifetimeModel":
@@ -175,8 +175,8 @@ class FlightConfig:
     n_workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.length_m > 0:
-            raise FlightConfigError("length_m must be > 0")
+        if not 0 < self.length_m < math.inf:
+            raise FlightConfigError("length_m must be finite and > 0")
         if self.n_photons < 2:
             raise FlightConfigError("n_photons must be >= 2")
         if self.seed < 0:
@@ -216,10 +216,6 @@ class PhotonFlightResult:
     config: FlightConfig
     delays_s: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.stddev_delay_s < 0 or self.mean_delay_s < 0:
-            raise ValueError("delay statistics must be >= 0")
-
     def to_dict(self) -> dict:
         return {
             "mean_delay_s": self.mean_delay_s,
@@ -246,7 +242,7 @@ def _chunk_counts(
     rng: np.random.Generator, config: FlightConfig, expected_n: float, size: int
 ) -> np.ndarray:
     if config.interaction_process is InteractionProcess.FIXED_COUNT:
-        return np.full(size, round(expected_n), dtype=np.int64)
+        return np.full(size, np.rint(expected_n))
     if expected_n <= _POISSON_EXACT_MAX:
         return rng.poisson(expected_n, size=size)
     normal = rng.normal(expected_n, math.sqrt(expected_n), size=size)
@@ -310,11 +306,16 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
     Results are bit-identical for a fixed (seed, n_photons) regardless of
     ``n_workers``, because randomness is derived per chunk from the seed and
     the chunk index alone; at most min(n_workers, chunks, CPUs) threads run.
-    Per-interaction sampling raises ``FlightConfigError`` above
-    ``_PER_INTERACTION_MAX`` expected interactions per photon.
+    Raises ``FlightConfigError`` when the expected interaction count per
+    photon is not finite, and for per-interaction sampling above
+    ``_PER_INTERACTION_MAX``.
     """
     tau = lifetime(config.lifetime_model)
     expected_n = config.length_m / (CODATA.c_m_per_s * tau)
+    if not math.isfinite(expected_n):
+        raise FlightConfigError(
+            f"expected interaction count L/(c tau) = {expected_n} is not finite"
+        )
     if expected_n < 1.0:
         warnings.warn(
             f"expected interaction count {expected_n:.3g} < 1; delay statistics "

@@ -36,7 +36,19 @@ REPORT_SEED = 20260810
 
 
 @dataclass(frozen=True)
-class ReportRow:
+class RowSpec:
+    """Everything about a report row except its computed value."""
+
+    quantity: str
+    unit: str
+    provenance: str  # "published", "derived" or "exact"
+    reference: float | None = None
+    abs_tol: float | None = None
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class ReportRow(RowSpec):
     """One computed quantity compared against its reference value.
 
     ``reference`` + ``abs_tol`` gate pass/fail; a row with ``abs_tol`` but no
@@ -44,25 +56,11 @@ class ReportRow:
     a row with neither is informational.
     """
 
-    quantity: str
-    computed: float
-    unit: str
-    provenance: str  # "published", "derived" or "exact"
-    reference: float | None = None
-    abs_tol: float | None = None
-    note: str = ""
-    status: str = field(default="", compare=False)
+    computed: float = field(kw_only=True)
 
-    def __post_init__(self) -> None:
-        if self.provenance not in ("published", "derived", "exact"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if not self.status:
-            object.__setattr__(self, "status", self._evaluate())
-
-    def _evaluate(self) -> str:
+    @property
+    def status(self) -> str:
         if self.reference is not None:
-            if self.abs_tol is None:
-                raise ValueError(f"{self.quantity}: reference without tolerance")
             return "pass" if abs(self.computed - self.reference) <= self.abs_tol else "fail"
         if self.abs_tol is not None:
             return "pass" if self.computed <= self.abs_tol else "fail"
@@ -288,18 +286,6 @@ STAGES = (
 
 
 # --- the table --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RowSpec:
-    """Everything about a report row except its computed value."""
-
-    quantity: str
-    unit: str
-    provenance: str
-    reference: float | None = None
-    abs_tol: float | None = None
-    note: str = ""
 
 
 _QUASISTATIONARY_SIGMA_FS = (

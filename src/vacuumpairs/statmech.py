@@ -30,8 +30,8 @@ class ThermalState:
     beta_per_j: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.temperature_k > 0:
-            raise ValueError("temperature_k must be > 0")
+        if not 0 < self.temperature_k < math.inf:
+            raise ValueError("temperature_k must be finite and > 0")
         kt = CODATA.k_boltzmann_j_per_k * self.temperature_k
         if self.beta_per_j == 0.0:
             object.__setattr__(self, "beta_per_j", 1.0 / kt)
@@ -285,8 +285,8 @@ def planck_curve(
     include_zero_point: bool = True,
 ) -> list[SpectralSample]:
     """Sampled Planck curve on an even grid of x = pc/(kT) in [0, x_max]."""
-    if x_max <= 0 or n_points < 2:
-        raise ValueError("x_max must be > 0 and n_points >= 2")
+    if not 0 < x_max < math.inf or n_points < 2:
+        raise ValueError("x_max must be finite and > 0, and n_points >= 2")
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
     p_scale = kt / CODATA.c_m_per_s
     samples = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import numerics
@@ -53,13 +53,13 @@ class CutoffPolicy:
 
     def __post_init__(self) -> None:
         if self.kind is PolicyKind.GLOBAL_CONSTANT:
-            if self.cutoff_mev is None or not self.cutoff_mev > 0:
-                raise ValueError("global-constant policy needs cutoff_mev > 0")
+            if self.cutoff_mev is None or not 0 < self.cutoff_mev < math.inf:
+                raise ValueError("global-constant policy needs finite cutoff_mev > 0")
         elif self.kind is PolicyKind.PER_SPECIES:
             if not self.per_species_mev or any(
-                not a > 0 for a in self.per_species_mev.values()
+                not 0 < a < math.inf for a in self.per_species_mev.values()
             ):
-                raise ValueError("per-species policy needs positive cutoffs")
+                raise ValueError("per-species policy needs finite positive cutoffs")
             object.__setattr__(
                 self, "per_species_mev", dict(self.per_species_mev)
             )
@@ -90,6 +90,14 @@ class CutoffPolicy:
                 raise KeyError(f"policy has no cutoff for species {species.name!r}")
         return float(self.scale_a) * species.mass_mev
 
+    @property
+    def oscillator(self) -> OscillatorModel:
+        """The oscillator this policy pairs with: the fixed gap for
+        mass-proportional cutoffs, the mode quantum otherwise."""
+        if self.kind is PolicyKind.MASS_PROPORTIONAL:
+            return OscillatorModel.FIXED_GAP
+        return OscillatorModel.MODE_QUANTUM
+
 
 @dataclass(frozen=True)
 class AlphaBreakdown:
@@ -97,33 +105,25 @@ class AlphaBreakdown:
 
     per_species: dict[str, float]
     cutoffs_mev: dict[str, float]
-    total_inverse_alpha: float = field(default=0.0)
 
-    def __post_init__(self) -> None:
-        total = math.fsum(self.per_species.values())
-        if self.total_inverse_alpha == 0.0:
-            object.__setattr__(self, "total_inverse_alpha", total)
-        elif abs(self.total_inverse_alpha - total) > 1e-12 * abs(total):
-            raise ValueError("total_inverse_alpha inconsistent with contributions")
-        if any(v < 0 for v in self.per_species.values()):
-            raise ValueError("contributions must be >= 0")
+    @property
+    def total_inverse_alpha(self) -> float:
+        return math.fsum(self.per_species.values())
 
     def ranked(self) -> list[tuple[str, float]]:
         """Species and contributions, largest first."""
         return sorted(self.per_species.items(), key=lambda kv: -kv[1])
 
-    def share(self, name: str) -> float:
-        return self.per_species[name] / self.total_inverse_alpha
-
     def to_dict(self) -> dict:
+        total = self.total_inverse_alpha
         return {
-            "total_inverse_alpha": self.total_inverse_alpha,
+            "total_inverse_alpha": total,
             "species": [
                 {
                     "name": name,
                     "cutoff_mev": self.cutoffs_mev[name],
                     "contribution": value,
-                    "share": value / self.total_inverse_alpha,
+                    "share": value / total,
                 }
                 for name, value in self.per_species.items()
             ],
@@ -134,7 +134,6 @@ class AlphaBreakdown:
         return cls(
             per_species={r["name"]: r["contribution"] for r in data["species"]},
             cutoffs_mev={r["name"]: r["cutoff_mev"] for r in data["species"]},
-            total_inverse_alpha=data["total_inverse_alpha"],
         )
 
 
@@ -143,12 +142,6 @@ class AlphaBreakdown:
 def fixed_gap_omega(mass_energy_mev: float) -> float:
     """Angular frequency of the fixed-gap oscillator, hbar*omega = 2 m c^2."""
     return 2.0 * mass_energy_mev * CODATA.mev_to_j / CODATA.hbar_j_s
-
-
-def mode_quantum_omega(mass_energy_mev: float, pc_mev: float) -> float:
-    """Angular frequency with hbar*omega = 2*sqrt((mc^2)^2 + (pc)^2)."""
-    gap = 2.0 * math.hypot(mass_energy_mev, pc_mev)
-    return gap * CODATA.mev_to_j / CODATA.hbar_j_s
 
 
 def dipole_max(mass_energy_mev: float, omega_rad_per_s: float) -> float:
@@ -199,15 +192,24 @@ def _bracket_term(x: float) -> float:
     return x * x2 * series
 
 
-def inverse_alpha_single(species: ParticleSpecies, cutoff_mev: float) -> float:
+def inverse_alpha_single(
+    species: ParticleSpecies,
+    cutoff_mev: float,
+    oscillator: OscillatorModel = OscillatorModel.MODE_QUANTUM,
+) -> float:
     """One species' contribution to 1/alpha with cutoff A (closed form).
 
-    (1/2pi) * Q^2 c (g/2) * [A/mc^2 - arctan(A/mc^2)].
+    (1/2pi) * Q^2 c (g/2) * F(x) with x = A/mc^2: F(x) = x - arctan(x) for
+    the MODE_QUANTUM oscillator and F(x) = x^3/3 for the FIXED_GAP one.
     """
-    if cutoff_mev <= 0:
-        raise ValueError("cutoff_mev must be > 0")
+    if not 0 < cutoff_mev < math.inf:
+        raise ValueError("cutoff_mev must be finite and > 0")
     x = cutoff_mev / species.mass_mev
-    return float(species.charge_weight) * _bracket_term(x) / _TWO_PI
+    if oscillator is OscillatorModel.MODE_QUANTUM:
+        term = _bracket_term(x)
+    else:
+        term = x**3 / 3.0
+    return float(species.charge_weight) * term / _TWO_PI
 
 
 def inverse_alpha_single_quadrature(
@@ -241,27 +243,21 @@ def inverse_alpha_total(
 ) -> AlphaBreakdown:
     """Per-species 1/alpha contributions under a cutoff policy.
 
-    Global-constant and per-species policies use the relativistic
-    (mode-quantum) closed form; the mass-proportional policy uses the
-    fixed-gap quadratic integrand, for which each species contributes
-    (1/2pi) * Q^2 c (g/2) * a^3/3 regardless of mass.
+    Each species contributes ``inverse_alpha_single`` at the policy's cutoff
+    for it, with the policy's oscillator (``CutoffPolicy.oscillator``).
 
     ``charge_scale`` optionally rescales individual species charges
     (unscreened-charge variant); the default multiplier is 1.
     """
+    oscillator = policy.oscillator
     contributions: dict[str, float] = {}
     cutoffs: dict[str, float] = {}
     for species in registry:
         scale = 1.0 if charge_scale is None else float(charge_scale.get(species.name, 1.0))
-        weight_scale = scale * scale
         cutoffs[species.name] = policy.cutoff_for(species)
-        if policy.kind is PolicyKind.MASS_PROPORTIONAL:
-            value = (
-                float(species.charge_weight) * policy.scale_a**3 / 3.0 / _TWO_PI
-            )
-        else:
-            value = inverse_alpha_single(species, cutoffs[species.name])
-        contributions[species.name] = weight_scale * value
+        contributions[species.name] = scale * scale * inverse_alpha_single(
+            species, cutoffs[species.name], oscillator
+        )
     return AlphaBreakdown(per_species=contributions, cutoffs_mev=cutoffs)
 
 
@@ -284,8 +280,8 @@ def fit_cutoff(
     Global-constant: bracketed root find on A (tolerance 1e-4 MeV).
     Mass-proportional: closed form a = cbrt(6 pi target / S).
     """
-    if target_inverse_alpha <= 0:
-        raise ValueError("target_inverse_alpha must be > 0")
+    if not 0 < target_inverse_alpha < math.inf:
+        raise ValueError("target_inverse_alpha must be finite and > 0")
     kind = PolicyKind(policy_kind)
     if kind is PolicyKind.GLOBAL_CONSTANT:
         def objective(a_mev: float) -> float:

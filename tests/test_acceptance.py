@@ -258,3 +258,4 @@ def test_report_rows_are_well_formed(rows):
     assert len(set(names)) == len(names) == len(rows)
     assert all(row.note.strip() for row in rows.values() if row.status == "info")
     assert {row.provenance for row in rows.values()} <= {"published", "derived", "exact"}
+    assert all(row.abs_tol is not None for row in rows.values() if row.reference is not None)

@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vacuumpairs import report
+from vacuumpairs import dispersion, report
 from vacuumpairs.cli import main
 from vacuumpairs.constants import CODATA
 from vacuumpairs.particles import default_registry
@@ -156,6 +161,12 @@ class TestDispersionCommand:
         kinds = [row["model"] for row in payload["models"]]
         assert kinds == ["half-compton", "k-scaled", "quasistationary"]
 
+    def test_all_models_honour_k_factor(self, capsys):
+        _, out, _ = run(capsys, ["dispersion", "--all", "--k-factor", "10"])
+        rows = {row["model"]: row for row in json.loads(out)["models"]}
+        _, single, _ = run(capsys, ["dispersion", "--model", "k-scaled", "--k-factor", "10"])
+        assert rows["k-scaled"] == json.loads(single)["models"][0]
+
     def test_quasistationary_excluded(self, capsys):
         code, out, _ = run(capsys, ["dispersion", "--model", "quasistationary"])
         assert code == 0
@@ -211,6 +222,18 @@ class TestSimulateCommand:
         rows = list(csv.DictReader(path.read_text().splitlines()))
         assert len(rows) == 50
         assert float(rows[0]["delay_s"]) > 0
+
+    def test_fixed_count_beyond_int64(self, capsys):
+        # ~5e20 interactions per photon, more than an int64 holds.
+        argv = ["simulate", "--model", "half-compton", "--length-m", "1e8",
+                "--photons", "10", "--seed", "1", "--process", "fixed"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        tau = dispersion.lifetime(dispersion.LifetimeModel.half_compton())
+        expected = np.rint(1e8 / (CODATA.c_m_per_s * tau)) * tau
+        assert payload["stddev_delay_s"] == 0.0
+        assert abs(payload["mean_delay_s"] / expected - 1.0) < 1e-12
 
     def test_single_photon_is_usage_error(self, capsys):
         code, _, _ = run(
@@ -275,6 +298,20 @@ USAGE_ERRORS = {
         "--length-m", "1", "--photons", "2", "--seed", "1",
         "--sampling", "per-interaction", "--delay", "exponential",
     ],
+    # Non-finite values, and values that overflow or underflow to 0.
+    "infinite-length": ["simulate", "--model", "half-compton", "--length-m", "inf",
+                        "--photons", "100", "--seed", "1"],
+    "infinite-interaction-count": ["simulate", "--model", "half-compton", "--length-m", "1e300",
+                                   "--photons", "100", "--seed", "1"],
+    "infinite-temperature": ["planck", "--temperature-k", "inf"],
+    "infinite-x-max": ["planck", "--temperature-k", "300", "--x-max", "inf"],
+    "infinite-custom-tau": ["dispersion", "--model", "custom", "--custom-tau-s", "inf"],
+    "infinite-cutoff": ["alpha", "--eval", "--cutoff-mev", "inf"],
+    "nan-target": ["alpha", "--fit", "--target", "nan"],
+    "zero-stefan-boltzmann-density": ["planck", "--temperature-k", "1e-300", "--integrate"],
+    "zero-temperature-energy": ["planck", "--temperature-k", "1e-320"],
+    "overflowing-temperature": ["planck", "--temperature-k", "1e300"],
+    "zero-inverse-alpha": ["alpha", "--eval", "--cutoff-mev", "1e-320"],
 }
 
 
@@ -308,3 +345,72 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: registry has no species\n"
+
+
+# --- argv fuzzing -----------------------------------------------------------
+
+EXTREME = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e-300", "1e300", "junk")
+FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "csv"]])
+
+
+def flag(name, *typical, required=False):
+    """``[name, value]`` with the value drawn from extremes and typical values."""
+    drawn = st.sampled_from(EXTREME + typical).map(lambda value: [name, value])
+    return drawn if required else st.just([]) | drawn
+
+
+def choice(*options):
+    return st.sampled_from([list(o) for o in options])
+
+
+def argv_of(head, *parts):
+    return st.tuples(*parts).map(lambda drawn: [head] + [a for part in drawn for a in part])
+
+
+MODEL = choice(*[["--model", k.value] for k in dispersion.LifetimeKind])
+LIFETIME = (
+    flag("--k-factor", "31.9", "10"),
+    flag("--custom-tau-s", "1e-12", "1e-21"),
+    choice([], ["--reference-species", "mu"], ["--reference-species", "zz"]),
+)
+ARGV = st.one_of(
+    argv_of(
+        "alpha", FORMAT, choice([], ["--fit"], ["--eval"]),
+        choice([], ["--policy", "mass-proportional"]),
+        flag("--cutoff-mev", "292", "0.511"),
+        flag("--chiral-quark-cutoff-mev", "100"),
+        flag("--target", "137.036", "100"),
+    ),
+    argv_of(
+        "planck", FORMAT, flag("--temperature-k", "300", "2.725", required=True),
+        choice([], ["--thermal-only"], ["--with-zpf"]), choice([], ["--integrate"]),
+        flag("--x-max", "15", "40"),
+        choice([], *[["--points", p] for p in ("-1", "0", "1", "2", "50")]),
+    ),
+    argv_of("dispersion", FORMAT, MODEL | choice([], ["--all"]), *LIFETIME),
+    argv_of(
+        "simulate", FORMAT, MODEL, *LIFETIME,
+        flag("--length-m", "1", "0.5", required=True),
+        choice(*[["--photons", n] for n in ("-1", "1", "2", "10", "100")]),
+        choice(*[["--seed", n] for n in ("-1", "0", "7")]),
+        choice(*[["--delay", d.value] for d in dispersion.DelayDistribution]),
+        choice(*[["--process", p.value] for p in dispersion.InteractionProcess]),
+        choice([], *[["--workers", w] for w in ("0", "1", "2")]),
+    ),
+)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(argv=ARGV)
+def test_fuzzed_argv_keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and "csv" not in argv:
+        json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -234,6 +234,14 @@ class TestSimulateFlight:
         with pytest.raises(FlightConfigError, match="per-interaction"):
             simulate_flight(config)
 
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(FlightConfigError):
+            FlightConfig(math.inf, LifetimeModel.half_compton(), n_photons=2, seed=1)
+        # Finite length and lifetime whose ratio L/(c tau) overflows.
+        config = FlightConfig(1.0, LifetimeModel.custom(1e-320), n_photons=2, seed=1)
+        with pytest.raises(FlightConfigError, match="not finite"):
+            simulate_flight(config)
+
     def test_keep_samples(self):
         config = FlightConfig(
             length_m=1.0,

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacuumpairs import numerics, statmech
 from vacuumpairs.constants import CODATA
@@ -209,6 +211,27 @@ class TestInverseAlphaTotal:
         assert abs(scaled.per_species["e"] / base.per_species["e"] - 4.0) < 1e-12
         assert scaled.per_species["u"] == base.per_species["u"]
 
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(
+        cutoff_mev=st.floats(1e-12, 1e6),
+        kind=st.sampled_from(PolicyKind),
+    )
+    def test_contributions_finite_nonnegative_and_summed(self, cutoff_mev, kind):
+        # cutoff_mev is the electron's cutoff under each policy.
+        policy = {
+            PolicyKind.GLOBAL_CONSTANT: CutoffPolicy.global_constant(cutoff_mev),
+            PolicyKind.PER_SPECIES: CutoffPolicy.per_species(
+                {s.name: cutoff_mev * (i + 1) for i, s in enumerate(REG)}
+            ),
+            PolicyKind.MASS_PROPORTIONAL: CutoffPolicy.mass_proportional(
+                cutoff_mev / ELECTRON.mass_mev
+            ),
+        }[kind]
+        breakdown = inverse_alpha_total(REG, policy)
+        values = list(breakdown.per_species.values())
+        assert all(math.isfinite(v) and v >= 0 for v in values)
+        assert breakdown.total_inverse_alpha == math.fsum(values)
+
     def test_breakdown_json_round_trip(self):
         breakdown = inverse_alpha_total(REG, CutoffPolicy.global_constant(292.0))
         restored = AlphaBreakdown.from_dict(json.loads(json.dumps(breakdown.to_dict())))
@@ -390,6 +413,22 @@ class TestCutoffPolicy:
             CutoffPolicy.mass_proportional(-1.0)
         with pytest.raises(ValueError):
             CutoffPolicy.per_species({})
+
+    def test_non_finite_cutoffs_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CutoffPolicy.global_constant(bad)
+            with pytest.raises(ValueError):
+                CutoffPolicy.per_species({"e": bad})
+            with pytest.raises(ValueError):
+                inverse_alpha_single(ELECTRON, bad)
+            with pytest.raises(ValueError):
+                fit_cutoff(REG, bad)
+
+    def test_oscillator_follows_kind(self):
+        assert CutoffPolicy.mass_proportional(6.5).oscillator is OscillatorModel.FIXED_GAP
+        assert CutoffPolicy.global_constant(292.0).oscillator is OscillatorModel.MODE_QUANTUM
+        assert CutoffPolicy.per_species({"e": 1.0}).oscillator is OscillatorModel.MODE_QUANTUM
 
     def test_cutoff_for(self):
         assert CutoffPolicy.global_constant(292.0).cutoff_for(ELECTRON) == 292.0
