@@ -237,6 +237,10 @@ _POISSON_EXACT_MAX = 1e9
 # memory (half-Compton lifetimes give ~5e12 per metre).
 _PER_INTERACTION_MAX = 1e6
 
+# Uniform-fraction photons with at most this many interactions get their
+# uniforms summed exactly, 8 bytes per photon and slot.
+_UNIFORM_EXACT_MAX = 16
+
 
 def _chunk_counts(
     rng: np.random.Generator, config: FlightConfig, expected_n: float, size: int
@@ -262,12 +266,22 @@ def _chunk_delays_aggregate(
         if np.any(positive):
             delays[positive] = rng.gamma(counts[positive].astype(np.float64), tau)
         return delays
-    # Uniform fractions: Irwin-Hall has no practical closed sampler, so use
-    # the conditional normal with the exact mean N*tau/2 and variance
-    # N*tau^2/12; accurate for the large counts this path is meant for.
+    # Uniform fractions: a sum of N uniforms is Irwin-Hall.  Up to
+    # _UNIFORM_EXACT_MAX the uniforms are summed exactly in one masked draw;
+    # above it the normal with the exact mean N*tau/2 and variance N*tau^2/12
+    # stands in.  Its clip at 0 sits sqrt(3N) > 6.9 standard deviations below
+    # the mean there, so it moves the mean by less than 1e-13 of itself.
     mean = counts * (0.5 * tau)
     sigma = np.sqrt(counts / 12.0) * tau
-    return np.clip(rng.normal(mean, sigma), 0.0, None)
+    small = counts <= _UNIFORM_EXACT_MAX
+    delays = np.empty(counts.shape, dtype=np.float64)
+    small_counts = counts[small]
+    uniforms = rng.random((small_counts.size, _UNIFORM_EXACT_MAX))
+    drawn = np.arange(_UNIFORM_EXACT_MAX) < small_counts[:, None]
+    delays[small] = np.where(drawn, uniforms, 0.0).sum(axis=1) * tau
+    large = ~small
+    delays[large] = np.clip(rng.normal(mean[large], sigma[large]), 0.0, None)
+    return delays
 
 
 def _chunk_delays_loop(
@@ -299,22 +313,70 @@ def _simulate_chunk(
     return _chunk_delays_loop(rng, config, counts, tau)
 
 
+def _chunk_moments(delays: np.ndarray) -> tuple[int, float, float, float]:
+    """(count, first delay, mean offset from it, sum of squared deviations).
+
+    Offsets from the chunk's own first delay keep the statistics shift
+    invariant, and give exactly zero spread for a constant chunk instead of
+    summation noise.
+    """
+    base = float(delays[0])
+    deviations = delays - base
+    offset_mean = float(deviations.sum()) / delays.size
+    deviations -= offset_mean
+    np.square(deviations, out=deviations)
+    return delays.size, base, offset_mean, float(deviations.sum())
+
+
+def _merge_moments(
+    chunks: list[tuple[int, float, float, float]],
+) -> tuple[float, float]:
+    """Mean and sample standard deviation of the chunks taken together.
+
+    Merges in the given order with the pairwise update of Chan, Golub and
+    LeVeque (1979), on offsets from the first chunk's first delay, so the
+    result depends on the chunks alone, not on which worker drew them.
+    """
+    shift = chunks[0][1]
+    count, mean, m2 = 0, 0.0, 0.0
+    for size, base, offset_mean, chunk_m2 in chunks:
+        total = count + size
+        delta = (base - shift) + offset_mean - mean
+        mean += delta * size / total
+        m2 += chunk_m2 + delta * delta * count * size / total
+        count = total
+    return shift + mean, math.sqrt(m2 / (count - 1))
+
+
 def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> PhotonFlightResult:
     """Simulate photon delays over length L and aggregate their statistics.
 
     Each photon accumulates one delay per interaction with a virtual pair.
-    Results are bit-identical for a fixed (seed, n_photons) regardless of
+    Each chunk of ``CHUNK_SIZE`` photons is reduced to its moments as soon
+    as it is drawn, so memory is O(``CHUNK_SIZE``) per worker; only
+    ``keep_samples`` keeps every delay, in ``delays_s``.  Results are
+    bit-identical for a fixed (seed, n_photons) regardless of
     ``n_workers``, because randomness is derived per chunk from the seed and
-    the chunk index alone; at most min(n_workers, chunks, CPUs) threads run.
-    Raises ``FlightConfigError`` when the expected interaction count per
-    photon is not finite, and for per-interaction sampling above
+    the chunk index alone and chunks are merged in index order; at most
+    min(n_workers, chunks, CPUs) threads run.  Raises ``FlightConfigError``
+    when the expected interaction count per photon or the moments of the
+    compound law are not finite, and for per-interaction sampling above
     ``_PER_INTERACTION_MAX``.
     """
     tau = lifetime(config.lifetime_model)
     expected_n = config.length_m / (CODATA.c_m_per_s * tau)
     if not math.isfinite(expected_n):
         raise FlightConfigError(
-            f"expected interaction count L/(c tau) = {expected_n} is not finite"
+            f"expected interaction count L/(c tau) = {expected_n} is not finite "
+            f"for length_m = {config.length_m} and lifetime tau = {tau} s"
+        )
+    mean, variance = compound_moments(
+        config.interaction_process, config.delay_distribution, expected_n, tau
+    )
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise FlightConfigError(
+            f"total delay mean {mean} s or variance {variance} s^2 is not finite "
+            f"for length_m = {config.length_m} and lifetime tau = {tau} s"
         )
     if expected_n < 1.0:
         warnings.warn(
@@ -328,18 +390,16 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
             f"per-interaction sampling of {expected_n:.3g} interactions per photon "
             f"exceeds {_PER_INTERACTION_MAX:.0e}; use aggregate sampling"
         )
-    _, variance = compound_moments(
-        config.interaction_process, config.delay_distribution, expected_n, tau
-    )
     n = config.n_photons
-    chunks = [
-        (index, min(CHUNK_SIZE, n - start))
-        for index, start in enumerate(range(0, n, CHUNK_SIZE))
-    ]
+    chunks = list(enumerate(range(0, n, CHUNK_SIZE)))
+    samples = np.empty(n, dtype=np.float64) if keep_samples else None
 
-    def run(chunk: tuple[int, int]) -> np.ndarray:
-        index, size = chunk
-        return _simulate_chunk(config, expected_n, tau, index, size)
+    def run(chunk: tuple[int, int]) -> tuple[int, float, float, float]:
+        index, start = chunk
+        delays = _simulate_chunk(config, expected_n, tau, index, min(CHUNK_SIZE, n - start))
+        if samples is not None:
+            samples[start : start + delays.size] = delays
+        return _chunk_moments(delays)
 
     workers = min(config.n_workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
@@ -347,18 +407,14 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
             parts = list(pool.map(run, chunks))
     else:
         parts = [run(chunk) for chunk in chunks]
-    delays = np.concatenate(parts)
-    # Statistics on offset data: shift invariant, and exactly zero spread for
-    # degenerate (constant) ensembles instead of summation noise.
-    base = float(delays[0])
-    centered = delays - base
+    mean_delay, stddev_delay = _merge_moments(parts)
     return PhotonFlightResult(
-        mean_delay_s=base + float(centered.mean()),
-        stddev_delay_s=float(centered.std(ddof=1)),
+        mean_delay_s=mean_delay,
+        stddev_delay_s=stddev_delay,
         n_photons=n,
         analytic_sigma_s=math.sqrt(variance),
         config=config,
-        delays_s=delays if keep_samples else None,
+        delays_s=samples,
     )
 
 

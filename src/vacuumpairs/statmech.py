@@ -6,6 +6,7 @@ density and the non-thermal mode density behind the virtual-pair picture.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,6 +290,11 @@ def planck_curve(
         raise ValueError("x_max must be finite and > 0, and n_points >= 2")
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
     p_scale = kt / CODATA.c_m_per_s
+    if not sys.float_info.min <= p_scale < math.inf:
+        raise ValueError(
+            f"temperature_k = {state.temperature_k} gives a momentum scale kT/c = "
+            f"{p_scale} kg*m/s that underflows double precision"
+        )
     samples = []
     for x in np.linspace(0.0, x_max, n_points):
         p = float(x) * p_scale

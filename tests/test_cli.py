@@ -337,6 +337,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, quantity", [
+        # c*tau overflows, so L/(c tau) is 0.0 and the variance 0*inf.
+        (["simulate", "--model", "custom", "--custom-tau-s", "1e300", "--length-m", "1",
+          "--photons", "10", "--seed", "1"], "lifetime"),
+        # kT/c underflows to 0.0, so every momentum would read 0.0.
+        (["planck", "--temperature-k", "1e-300"], "temperature_k"),
+    ], ids=["overflowing-lifetime", "underflowing-momentum-scale"])
+    def test_degenerate_value_names_its_quantity(self, capsys, argv, quantity):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and quantity in err
+
     def test_empty_species_file_is_failure(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]", encoding="utf-8")

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -93,10 +95,14 @@ class TestSimulateFlight:
             seed=3,
             interaction_process=InteractionProcess.FIXED_COUNT,
         )
-        result = simulate_flight(config)
         tau = lifetime(config.lifetime_model)
-        assert result.stddev_delay_s == 0.0 == result.analytic_sigma_s
-        assert result.mean_delay_s == round(1.0 / (CODATA.c_m_per_s * tau)) * tau
+        # One chunk, two, and several merged by two workers.
+        for n_photons, n_workers in ((2, 1), (5000, 1), (3 * dispersion.CHUNK_SIZE + 7, 2)):
+            result = simulate_flight(
+                dataclasses.replace(config, n_photons=n_photons, n_workers=n_workers)
+            )
+            assert result.stddev_delay_s == 0.0 == result.analytic_sigma_s
+            assert result.mean_delay_s == round(1.0 / (CODATA.c_m_per_s * tau)) * tau
 
     def test_poisson_fixed_tau_matches_analytic(self):
         # lambda = 1e6: exercises the exact Poisson branch of the sampler.
@@ -182,6 +188,83 @@ class TestSimulateFlight:
         parallel = simulate_flight(dataclasses.replace(config, n_workers=4))
         assert first.mean_delay_s == second.mean_delay_s == parallel.mean_delay_s
         assert first.stddev_delay_s == second.stddev_delay_s == parallel.stddev_delay_s
+        # 20,000 photons is no multiple of CHUNK_SIZE: the short last chunk
+        # is merged in the same place whichever worker draws it.
+        assert config.n_photons % dispersion.CHUNK_SIZE
+        runs = [
+            simulate_flight(dataclasses.replace(config, n_workers=w), keep_samples=True)
+            for w in (1, 2, 3)
+        ]
+        for run in runs[1:]:
+            assert (run.mean_delay_s, run.stddev_delay_s) == (first.mean_delay_s, first.stddev_delay_s)
+            assert np.array_equal(run.delays_s, runs[0].delays_s)
+
+    @pytest.mark.parametrize("process", list(InteractionProcess))
+    @pytest.mark.parametrize("delay", list(DelayDistribution))
+    def test_streamed_moments_match_two_pass(self, delay, process):
+        # lambda = 1e4: exact Poisson counts; 3 chunks and a short one.
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.custom(1.0 / (CODATA.c_m_per_s * 1e4)),
+            n_photons=3 * dispersion.CHUNK_SIZE + 123,
+            seed=21,
+            delay_distribution=delay,
+            interaction_process=process,
+        )
+        result = simulate_flight(config, keep_samples=True)
+        delays = result.delays_s
+        centered = delays - delays[0]
+        mean = float(delays[0]) + float(centered.mean())
+        sd = float(centered.std(ddof=1))
+        assert abs(result.mean_delay_s - mean) <= 1e-12 * mean
+        assert abs(result.stddev_delay_s - sd) <= 1e-12 * sd
+
+    @pytest.mark.parametrize("keep_samples", [False, True])
+    def test_memory_is_bounded_by_chunk(self, keep_samples):
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.half_compton(),
+            n_photons=1_000_000,
+            seed=8,
+        )
+        # Warm numpy's lazily built state so only the ensemble is measured.
+        simulate_flight(dataclasses.replace(config, n_photons=2))
+        tracemalloc.start()
+        try:
+            simulate_flight(config, keep_samples=keep_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The delays take 8 MB, held once and only when they are kept.
+        kept = 8 * config.n_photons if keep_samples else 0
+        assert peak < kept + 2 * 2**20
+
+    @pytest.mark.parametrize("expected_n", [0.5, 1.0, 3.0])
+    def test_uniform_fraction_exact_at_small_counts(self, expected_n):
+        # A normal clipped at 0 in place of the Irwin-Hall sum biases the
+        # mean by +0.6% at lambda = 0.5, which is z ~ 5.6 at 2e6 photons.
+        n = 2_000_000
+        tau = 1.0 / (CODATA.c_m_per_s * expected_n)
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.custom(tau),
+            n_photons=n,
+            seed=17,
+            delay_distribution=DelayDistribution.UNIFORM_FRACTION,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateFlightWarning)
+            result = simulate_flight(config)
+        mean, variance = compound_moments(
+            config.interaction_process, config.delay_distribution, expected_n, tau
+        )
+        # Compound Poisson: fourth cumulant lambda*E[X^4], E[X^4] = tau^4/5,
+        # so the sample sd has variance (kappa_4 + 2 sigma^4) / (4 n sigma^2).
+        kappa4 = expected_n * tau**4 / 5.0
+        sd_se = math.sqrt((kappa4 + 2.0 * variance**2) / (4.0 * n * variance))
+        z_mean = abs(result.mean_delay_s - mean) / math.sqrt(variance / n)
+        z_sd = abs(result.stddev_delay_s - math.sqrt(variance)) / sd_se
+        assert z_mean < 4.0 and z_sd < 4.0, (z_mean, z_sd)
 
     def test_sampling_paths_agree(self):
         # N ~ 3300 per photon: small enough for the explicit loop.

@@ -1,0 +1,156 @@
+"""Benchmark the working tree against a parent revision; write one BENCH file.
+
+Usage (from the repository root):
+
+    python3 tools/bench.py --parent REV --out BENCH_<n>.json
+
+For every workload of perfbench it runs PAIRS pairs of
+``perfbench/run.py --seconds SECONDS --trace 0``: one run on the working
+tree and one on a clean export of REV (``git archive``, unpacked in a
+temporary directory), alternating which tree runs first and cycling the
+seed through SEEDS.  Then it runs each workload traced once per tree, at
+the first seed, for the per-layer metrics.  The output holds every run's
+end-to-end metrics, their median and quartiles per tree, in how many pairs
+the change was better (by the direction ``BENCHMARK.json`` declares), the
+failed-operation counts, the per-layer metrics, the provenance of both
+trees (commit, ``src/`` line count and hash) and of the host.  A gain is
+claimed only when the change is better in at least nine of ten pairs and
+its median beats the parent's by more than the parent's quartile spread.
+Both trees run with the same interpreter, so the comparison isolates the code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("cli_session", "alpha_scan", "mc_flight")
+SEEDS = (3, 4, 5)
+PAIRS = 10
+SECONDS = 25
+LOWER_IS_BETTER = {
+    m["name"]: m["better"] == "lower"
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export(rev: str, into: Path) -> None:
+    """Unpack the committed files of ``rev`` into ``into``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+
+
+def run(side: str, tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run on ``tree``; its result file as a dict."""
+    argv = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
+    ]
+    print(f"[{side}] {' '.join(argv[1:])}", file=sys.stderr, flush=True)
+    subprocess.run(argv, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    result = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(trees: dict[str, Path]) -> dict:
+    workloads = {}
+    for w_index, workload in enumerate(WORKLOADS):
+        runs: dict[str, list[dict]] = {side: [] for side in trees}
+        for pair in range(PAIRS):
+            order = list(trees) if (w_index + pair) % 2 == 0 else list(reversed(trees))
+            for side in order:
+                runs[side].append(run(side, trees[side], workload, SEEDS[pair % len(SEEDS)], 0))
+        traced = {side: run(side, tree, workload, SEEDS[0], trace=1) for side, tree in trees.items()}
+        end_to_end = {}
+        for name, first in runs["parent"][0]["metrics"].items():
+            values = {
+                side: [r["metrics"][name]["value"] for r in side_runs]
+                for side, side_runs in runs.items()
+            }
+            sign = 1 if LOWER_IS_BETTER[name] else -1
+            end_to_end[name] = {
+                "unit": first["unit"],
+                "parent": summary(values["parent"]),
+                "change": summary(values["change"]),
+                "change_better_pairs": sum(
+                    sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])
+                ),
+            }
+        workloads[workload] = {
+            "end_to_end": end_to_end,
+            "failed": {
+                side: [f"{r['failed']}/{r['attempted']}" for r in side_runs]
+                for side, side_runs in runs.items()
+            },
+            "per_layer": {
+                name: {"unit": first["unit"]} | {
+                    side: traced[side]["metrics"][name]["value"] for side in trees
+                }
+                for name, first in traced["parent"]["metrics"].items()
+            },
+            "provenance": {side: runs[side][0]["provenance"] for side in trees},
+        }
+    return workloads
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
+    args = parser.parse_args(argv)
+    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp)
+        export(parent_commit, parent_tree)
+        workloads = compare({"parent": parent_tree, "change": ROOT})
+    provenance = workloads[WORKLOADS[0]]["provenance"]
+    record = {
+        "command": f"python3 tools/bench.py --parent {args.parent} --out {args.out.name}",
+        "seeds": list(SEEDS),
+        "pairs": PAIRS,
+        "seconds": SECONDS,
+        "parent": {"rev": args.parent, "commit": parent_commit},
+        "change": {
+            "base_commit": git("rev-parse", "HEAD"),
+            "uncommitted_changes": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+        },
+        "host": {k: provenance["change"][k] for k in ("python", "numpy", "nproc", "cpu_model")},
+        "src_lines": {side: p["src_lines"] for side, p in provenance.items()},
+        "src_sha256": {side: p["src_sha256"] for side, p in provenance.items()},
+        "workloads": {
+            name: {k: v for k, v in w.items() if k != "provenance"} for name, w in workloads.items()
+        },
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for name, w in record["workloads"].items():
+        for metric, m in w["end_to_end"].items():
+            print(f"{name:12s} {metric:12s} {m['parent']['median']:>12.6g} -> "
+                  f"{m['change']['median']:>12.6g} {m['unit']:5s} "
+                  f"better in {m['change_better_pairs']}/{PAIRS} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
