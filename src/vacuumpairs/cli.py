@@ -195,8 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         with open(args.samples_out, "w", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(("photon_index", "delay_s"))
-            for i, delay in enumerate(result.delays_s):
-                writer.writerow((i, repr(float(delay))))
+            writer.writerows(enumerate(map(repr, result.delays_s.tolist())))
     return result.to_dict(), None
 
 

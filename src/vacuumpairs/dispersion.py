@@ -17,11 +17,15 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import CODATA
 from .particles import ParticleSpecies
+
+# numpy is imported inside the functions that build arrays, so the
+# closed-form commands start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FlightConfigError(ValueError):
@@ -245,6 +249,8 @@ _UNIFORM_EXACT_MAX = 16
 def _chunk_counts(
     rng: np.random.Generator, config: FlightConfig, expected_n: float, size: int
 ) -> np.ndarray:
+    import numpy as np
+
     if config.interaction_process is InteractionProcess.FIXED_COUNT:
         return np.full(size, np.rint(expected_n))
     if expected_n <= _POISSON_EXACT_MAX:
@@ -256,6 +262,8 @@ def _chunk_counts(
 def _chunk_delays_aggregate(
     rng: np.random.Generator, config: FlightConfig, counts: np.ndarray, tau: float
 ) -> np.ndarray:
+    import numpy as np
+
     dist = config.delay_distribution
     if dist is DelayDistribution.FIXED_TAU:
         return counts.astype(np.float64) * tau
@@ -287,6 +295,8 @@ def _chunk_delays_aggregate(
 def _chunk_delays_loop(
     rng: np.random.Generator, config: FlightConfig, counts: np.ndarray, tau: float
 ) -> np.ndarray:
+    import numpy as np
+
     dist = config.delay_distribution
     delays = np.empty(counts.shape, dtype=np.float64)
     for i, n in enumerate(counts):
@@ -305,6 +315,8 @@ def _chunk_delays_loop(
 def _simulate_chunk(
     config: FlightConfig, expected_n: float, tau: float, chunk_index: int, size: int
 ) -> np.ndarray:
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
     rng = np.random.default_rng(seq)
     counts = _chunk_counts(rng, config, expected_n, size)
@@ -324,7 +336,7 @@ def _chunk_moments(delays: np.ndarray) -> tuple[int, float, float, float]:
     deviations = delays - base
     offset_mean = float(deviations.sum()) / delays.size
     deviations -= offset_mean
-    np.square(deviations, out=deviations)
+    deviations *= deviations
     return delays.size, base, offset_mean, float(deviations.sum())
 
 
@@ -363,6 +375,8 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
     compound law are not finite, and for per-interaction sampling above
     ``_PER_INTERACTION_MAX``.
     """
+    import numpy as np
+
     tau = lifetime(config.lifetime_model)
     expected_n = config.length_m / (CODATA.c_m_per_s * tau)
     if not math.isfinite(expected_n):

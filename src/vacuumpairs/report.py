@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from . import dispersion, statmech, vacuum_response
 from .constants import CODATA
 from .numerics import QuadratureSpec
@@ -89,7 +87,9 @@ class ReportRow(RowSpec):
 # --- stages: each maps quantity names to computed values -------------------
 #
 # A stage may also return intermediate values that no row shows (the box
-# mode count); the acceptance suite checks those directly.
+# mode count); the acceptance suite checks those directly.  Stages that draw
+# random numbers or fit arrays import numpy themselves, so importing the
+# report does not.
 
 
 def alpha_fits(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
@@ -138,6 +138,8 @@ def alpha_fits(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
 
 def thermal_checks(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
     """Planck integral, Wien peak, mean energy and occupation probabilities."""
+    import numpy as np
+
     sb_devs = []
     for t_k in (2.725, 300.0, 6000.0):
         state = statmech.ThermalState(t_k)
@@ -190,6 +192,8 @@ def box_count(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
 
 def quadrature_sweep(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
     """Quadrature against the closed form over random masses and cutoffs."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     spec = QuadratureSpec(rel_tol=1e-12)
     charge = default_registry().get("e").charge_q
@@ -234,6 +238,8 @@ def dispersion_closed_forms(registry: SpeciesRegistry, seed: int) -> dict[str, f
 def monte_carlo(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
     """Simulated stddev against the compound law, its L scaling, and the
     aggregate against the per-interaction sampling path."""
+    import numpy as np
+
     model = dispersion.LifetimeModel.half_compton()
     n = 100_000
     max_z = 0.0

@@ -9,10 +9,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics
 from .constants import CODATA
+
+# numpy is imported inside the mode counts, the only functions here that
+# build arrays, so the Planck commands start without it.
 
 
 class ModeCountOverflowError(RuntimeError):
@@ -100,6 +101,8 @@ def _lattice_radii(
 
 
 def _count_octant(radii: tuple[float, float, float]) -> int:
+    import numpy as np
+
     rx, ry, rz = radii
     count = 0
     for lx in range(int(rx) + 1):
@@ -153,6 +156,8 @@ def count_box_modes_periodic(
     the (2)^3 denser momentum lattice over the full sphere is numerically
     equal to the octant count above.  Cross-check variant.
     """
+    import numpy as np
+
     radii = _lattice_radii(box_lengths_m, energy_max_mev, mass_energy_mev, 1.0)
     rx, ry, rz = radii
     estimate = 4.0 * math.pi / 3.0 * rx * ry * rz
@@ -285,7 +290,14 @@ def planck_curve(
     n_points: int = 200,
     include_zero_point: bool = True,
 ) -> list[SpectralSample]:
-    """Sampled Planck curve on an even grid of x = pc/(kT) in [0, x_max]."""
+    """Sampled Planck curve on an even grid of x = pc/(kT) in [0, x_max].
+
+    The grid is ``numpy.linspace(0, x_max, n_points)`` bit for bit: i times
+    the step x_max/(n_points - 1), with x_max itself as the last point.
+    Raises ``ValueError`` when the density is not finite somewhere on the
+    grid: it overflows at the top for temperatures beyond ~1e96 K, and at
+    grid points below ~1e-308 its occupation 1/x does.
+    """
     if not 0 < x_max < math.inf or n_points < 2:
         raise ValueError("x_max must be finite and > 0, and n_points >= 2")
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
@@ -295,14 +307,19 @@ def planck_curve(
             f"temperature_k = {state.temperature_k} gives a momentum scale kT/c = "
             f"{p_scale} kg*m/s that underflows double precision"
         )
-    samples = []
-    for x in np.linspace(0.0, x_max, n_points):
-        p = float(x) * p_scale
-        samples.append(
-            SpectralSample(
-                abscissa=p,
-                value=planck_energy_density(p, state, include_zero_point),
-                includes_zero_point=include_zero_point,
-            )
+    step = x_max / (n_points - 1)
+    grid = [i * step for i in range(n_points - 1)] + [x_max]
+    try:
+        values = [planck_energy_density(x * p_scale, state, include_zero_point) for x in grid]
+    except OverflowError:  # p**2 in the mode density
+        values = [math.inf]
+    if not all(value < math.inf for value in values):
+        raise ValueError(
+            f"temperature_k = {state.temperature_k} with x_max = {x_max} gives a "
+            f"spectral energy density that is not finite on the grid (momenta up "
+            f"to {x_max * p_scale} kg*m/s)"
         )
-    return samples
+    return [
+        SpectralSample(abscissa=x * p_scale, value=value, includes_zero_point=include_zero_point)
+        for x, value in zip(grid, values)
+    ]

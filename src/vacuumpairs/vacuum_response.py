@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import numerics
 from .constants import CODATA
@@ -116,6 +117,11 @@ class AlphaBreakdown:
 
     def to_dict(self) -> dict:
         total = self.total_inverse_alpha
+        if total == 0.0:
+            raise ValueError(
+                f"every 1/alpha contribution underflows to 0.0 at cutoff_mev up to "
+                f"{max(self.cutoffs_mev.values())!r}, so no species has a share"
+            )
         return {
             "total_inverse_alpha": total,
             "species": [
@@ -273,32 +279,77 @@ def fit_cutoff(
     target_inverse_alpha: float,
     policy_kind: PolicyKind | str = PolicyKind.GLOBAL_CONSTANT,
     *,
-    bracket_mev: tuple[float, float] = (1.0, 5000.0),
+    bracket_mev: tuple[float, float] | None = None,
 ) -> CutoffPolicy:
     """Fit the cutoff so the total 1/alpha matches the target.
 
-    Global-constant: bracketed root find on A (tolerance 1e-4 MeV).
+    Global-constant: bracketed root find on A (tolerance 1e-4 MeV) in
+    ``bracket_mev``, which raises ``NoSignChangeError`` when it misses the
+    root.  The default bracket, (1, 5000) MeV, is instead moved by
+    ``_widen_bracket`` until it holds the root, which is then found to
+    1e-12 of the new lower end, so fits far below 1 MeV keep their relative
+    precision.
     Mass-proportional: closed form a = cbrt(6 pi target / S).
     """
     if not 0 < target_inverse_alpha < math.inf:
         raise ValueError("target_inverse_alpha must be finite and > 0")
     kind = PolicyKind(policy_kind)
     if kind is PolicyKind.GLOBAL_CONSTANT:
-        def objective(a_mev: float) -> float:
-            total = inverse_alpha_total(
+        def total(a_mev: float) -> float:
+            return inverse_alpha_total(
                 registry, CutoffPolicy.global_constant(a_mev)
             ).total_inverse_alpha
-            return total - target_inverse_alpha
 
-        root_spec = numerics.RootSpec(
-            bracket_lo=bracket_mev[0], bracket_hi=bracket_mev[1], x_tol=1e-4
-        )
-        return CutoffPolicy.global_constant(numerics.find_root(objective, root_spec))
+        def objective(a_mev: float) -> float:
+            return total(a_mev) - target_inverse_alpha
+
+        lo, hi = bracket_mev or (1.0, 5000.0)
+        try:
+            root = numerics.find_root(objective, numerics.RootSpec(lo, hi, x_tol=1e-4))
+        except numerics.NoSignChangeError:
+            if bracket_mev is not None:
+                raise
+            lo, hi = _widen_bracket(total, target_inverse_alpha, lo, hi)
+            root = numerics.find_root(
+                objective, numerics.RootSpec(lo, hi, x_tol=1e-12 * lo)
+            )
+        return CutoffPolicy.global_constant(root)
     if kind is PolicyKind.MASS_PROPORTIONAL:
         s = weighted_degeneracy_sum(registry)
         a = (6.0 * math.pi * target_inverse_alpha / s) ** (1.0 / 3.0)
         return CutoffPolicy.mass_proportional(a)
     raise ValueError(f"cannot fit policy kind {kind}")
+
+
+def _widen_bracket(
+    total: Callable[[float], float], target: float, lo: float, hi: float
+) -> tuple[float, float]:
+    """Halve or double the cutoff bracket until ``total`` crosses ``target``.
+
+    The total 1/alpha rises monotonically with the cutoff, from 0 towards
+    infinity, so the bracket steps down while ``total(lo)`` exceeds the
+    target and up while ``total(hi)`` falls short of it.  Raises
+    ``ValueError`` naming the reachable range when the target lies beyond
+    the totals of normal, finite cutoffs.
+    """
+    while total(lo) > target:
+        if lo < 2.0 * sys.float_info.min:
+            raise ValueError(
+                f"target_inverse_alpha = {target!r} is out of reach: normal "
+                f"cutoffs give total 1/alpha in [{total(lo)!r}, inf)"
+            )
+        lo, hi = 0.5 * lo, lo
+    reach = total(hi)
+    while reach < target:
+        wider = 2.0 * hi
+        wider_total = total(wider) if wider < math.inf else math.inf
+        if not wider_total < math.inf:
+            raise ValueError(
+                f"target_inverse_alpha = {target!r} is out of reach: finite "
+                f"cutoffs give total 1/alpha in (0, {reach!r}]"
+            )
+        lo, hi, reach = hi, wider, wider_total
+    return lo, hi
 
 
 def chiral_cutoff_policy(

@@ -2,12 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vacuumpairs
 from vacuumpairs import dispersion, report
 from vacuumpairs.cli import main
 from vacuumpairs.constants import CODATA
@@ -102,6 +107,13 @@ class TestAlphaCommand:
     def test_missing_mode_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["alpha"])
         assert code == 2
+
+    @pytest.mark.parametrize("target", ["1e6", "1e-3"])
+    def test_fit_beyond_the_default_bracket(self, capsys, target):
+        # The roots lie near 2.1e6 MeV and 0.135 MeV, outside (1, 5000) MeV.
+        code, out, _ = run(capsys, ["alpha", "--fit", "--target", target])
+        assert code == 0
+        assert abs(json.loads(out)["ratio_to_target"] - 1.0) < 1e-10
 
     def test_bad_species_file_is_failure(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -284,6 +296,57 @@ class TestReportCommand:
         assert json.loads(json.dumps(payload)) == payload
 
 
+# --- imports ----------------------------------------------------------------
+
+NUMPY_FREE = {
+    "fit-global": ["alpha", "--fit"],
+    "fit-mass-proportional": ["alpha", "--fit", "--policy", "mass-proportional"],
+    "eval": ["alpha", "--eval", "--cutoff-mev", "292"],
+    "eval-species-file": ["alpha", "--eval", "--cutoff-mev", "292", "--species-file", "{species}"],
+    "dispersion-all": ["dispersion", "--all"],
+    "dispersion-custom": ["dispersion", "--model", "custom", "--custom-tau-s", "1e-20"],
+    "planck-csv": ["planck", "--temperature-k", "300", "--format", "csv"],
+    "planck-integrate": ["planck", "--temperature-k", "300", "--integrate"],
+}
+NUMPY_USERS = {
+    "simulate": ["simulate", "--model", "half-compton", "--length-m", "1", "--photons", "100",
+                 "--seed", "1"],
+    "report": ["report"],
+}
+# Runs each argv through cli.main in one fresh interpreter, then reports the
+# exit codes and whether numpy was imported.
+IMPORT_PROBE = """\
+import contextlib, io, json, sys
+from vacuumpairs import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def probe_imports(argvs):
+    src = str(Path(vacuumpairs.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestImports:
+    def test_closed_form_commands_never_import_numpy(self, tmp_path):
+        species = str(electron_only_file(tmp_path))
+        argvs = [[a.format(species=species) for a in argv] for argv in NUMPY_FREE.values()]
+        result = probe_imports(argvs)
+        assert result == {"codes": [0] * len(argvs), "numpy": False}
+
+    @pytest.mark.parametrize("argv", NUMPY_USERS.values(), ids=NUMPY_USERS.keys())
+    def test_array_commands_import_numpy(self, argv):
+        assert probe_imports([argv]) == {"codes": [0], "numpy": True}
+
+
 SIMULATE = ["simulate", "--model", "half-compton", "--length-m", "1", "--photons", "100", "--seed", "1"]
 USAGE_ERRORS = {
     "planck-one-point": ["planck", "--temperature-k", "300", "--points", "1"],
@@ -332,10 +395,11 @@ class TestExitCodes:
         assert not missing.parent.exists()
 
     def test_unreachable_target_is_failure(self, capsys):
-        code, out, err = run(capsys, ["alpha", "--fit", "--target", "1e6"])
-        assert code == 1
+        # No finite cutoff gives a total 1/alpha above ~2.6e307.
+        code, out, err = run(capsys, ["alpha", "--fit", "--target", "1e308"])
+        assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and "target" in err and "out of reach" in err
 
     @pytest.mark.parametrize("argv, quantity", [
         # c*tau overflows, so L/(c tau) is 0.0 and the variance 0*inf.
@@ -343,7 +407,12 @@ class TestExitCodes:
           "--photons", "10", "--seed", "1"], "lifetime"),
         # kT/c underflows to 0.0, so every momentum would read 0.0.
         (["planck", "--temperature-k", "1e-300"], "temperature_k"),
-    ], ids=["overflowing-lifetime", "underflowing-momentum-scale"])
+        # p**2 in the mode density overflows at the largest momentum.
+        (["planck", "--temperature-k", "1e300"], "temperature_k"),
+        # Every contribution underflows, so the species shares divide by 0.0.
+        (["alpha", "--eval", "--cutoff-mev", "1e-300"], "cutoff_mev"),
+    ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "overflowing-mode-density",
+            "underflowing-inverse-alpha"])
     def test_degenerate_value_names_its_quantity(self, capsys, argv, quantity):
         code, out, err = run(capsys, argv)
         assert code == 2

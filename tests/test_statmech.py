@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacuumpairs.constants import CODATA
 from vacuumpairs.statmech import (
@@ -297,6 +299,46 @@ class TestPlanckLaw:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             SpectralSample(1.0, -1.0, False)
+
+    @pytest.mark.parametrize("temperature_k, x_max", [
+        # every factor is finite but the density overflows to inf
+        (1e100, 15.0),
+        # the squared momentum in the mode density overflows
+        (1e300, 15.0),
+        # the occupation 1/x overflows at grid points below ~1e-308
+        (1e31, 1e-320),
+    ])
+    @pytest.mark.parametrize("include_zero_point", [True, False])
+    def test_non_finite_curve_is_refused(self, temperature_k, x_max, include_zero_point):
+        with pytest.raises(ValueError, match="temperature_k .* x_max"):
+            planck_curve(
+                ThermalState(temperature_k), x_max=x_max, include_zero_point=include_zero_point
+            )
+
+
+# At T = c/k the momentum scale kT/c is exactly 1.0, so the abscissas of a
+# curve are its grid of x = pc/(kT) itself.
+UNIT_SCALE = ThermalState(CODATA.c_m_per_s / CODATA.k_boltzmann_j_per_k)
+
+
+def curve_grid(x_max, n_points):
+    assert CODATA.k_boltzmann_j_per_k * UNIT_SCALE.temperature_k / CODATA.c_m_per_s == 1.0
+    return [s.abscissa for s in planck_curve(UNIT_SCALE, x_max=x_max, n_points=n_points)]
+
+
+class TestPlanckGrid:
+    @pytest.mark.parametrize("n_points", [2, 3, 200, 1001])
+    @pytest.mark.parametrize("x_max", [15.0, 13.7, 0.1, 1e20, 1e-300])
+    def test_grid_is_linspace_bit_for_bit(self, x_max, n_points):
+        assert curve_grid(x_max, n_points) == np.linspace(0.0, x_max, n_points).tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        x_max=st.floats(min_value=1e-300, max_value=1e30),
+        n_points=st.integers(min_value=2, max_value=1001),
+    )
+    def test_grid_is_linspace_everywhere(self, x_max, n_points):
+        assert curve_grid(x_max, n_points) == np.linspace(0.0, x_max, n_points).tolist()
 
 
 class TestThermalState:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from vacuumpairs import numerics, statmech
 from vacuumpairs.constants import CODATA
-from vacuumpairs.particles import default_registry
+from vacuumpairs.particles import ParticleSpecies, SpeciesRegistry, default_registry
 from vacuumpairs.vacuum_response import (
     AlphaBreakdown,
     CutoffPolicy,
@@ -237,6 +237,12 @@ class TestInverseAlphaTotal:
         restored = AlphaBreakdown.from_dict(json.loads(json.dumps(breakdown.to_dict())))
         assert restored == breakdown
 
+    def test_underflowed_total_has_no_shares(self):
+        breakdown = inverse_alpha_total(REG, CutoffPolicy.global_constant(1e-300))
+        assert breakdown.total_inverse_alpha == 0.0
+        with pytest.raises(ValueError, match="cutoff_mev"):
+            breakdown.to_dict()
+
 
 class TestFixedGap:
     def test_closed_form_vs_quadrature(self):
@@ -293,6 +299,34 @@ class TestFitCutoff:
     def test_bad_bracket_raises(self):
         with pytest.raises(numerics.NoSignChangeError):
             fit_cutoff(REG, TARGET, bracket_mev=(1000.0, 2000.0))
+
+    @pytest.mark.parametrize("target", [1.0, 50.0, TARGET, 1500.0])
+    def test_default_bracket_fit_is_the_plain_root_find(self, target):
+        # A root inside (1, 5000) MeV is found by the plain root find on that
+        # bracket, evaluating the same points, so widening never moves it.
+        def objective(a_mev):
+            policy = CutoffPolicy.global_constant(a_mev)
+            return inverse_alpha_total(REG, policy).total_inverse_alpha - target
+
+        root = numerics.find_root(objective, numerics.RootSpec(1.0, 5000.0, x_tol=1e-4))
+        assert fit_cutoff(REG, target).cutoff_mev == root
+
+    @pytest.mark.parametrize("target", [1e-300, 1e-3, 1e6, 1e300])
+    def test_default_bracket_widens_to_the_root(self, target):
+        policy = fit_cutoff(REG, target)
+        total = inverse_alpha_total(REG, policy).total_inverse_alpha
+        assert abs(total / target - 1.0) < 1e-10
+
+    def test_target_above_every_finite_cutoff_names_the_range(self):
+        with pytest.raises(ValueError, match=r"target_inverse_alpha .* out of reach.*\(0, "):
+            fit_cutoff(REG, 1e308)
+
+    def test_target_below_every_normal_cutoff_names_the_range(self):
+        # Mass 1e-300 MeV: at the smallest normal cutoff x = A/mc^2 is still
+        # ~2e-8, so the total cannot fall below ~1e-24.
+        feather = SpeciesRegistry((ParticleSpecies("f", 1e-300, -1.0, 1, 2),))
+        with pytest.raises(ValueError, match=r"target_inverse_alpha .* out of reach.*\[.*, inf\)"):
+            fit_cutoff(feather, 1e-30)
 
 
 class TestAveragePairVolume:
