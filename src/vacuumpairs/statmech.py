@@ -35,6 +35,11 @@ class ThermalState:
         if not 0 < self.temperature_k < math.inf:
             raise ValueError("temperature_k must be finite and > 0")
         kt = CODATA.k_boltzmann_j_per_k * self.temperature_k
+        if kt == 0.0 or not 1.0 / kt < math.inf:
+            raise ValueError(
+                f"temperature_k = {self.temperature_k} gives kT = {kt} J, whose "
+                f"inverse beta is not finite"
+            )
         if self.beta_per_j == 0.0:
             object.__setattr__(self, "beta_per_j", 1.0 / kt)
         elif abs(self.beta_per_j * kt - 1.0) > 1e-12:
@@ -100,20 +105,61 @@ def _lattice_radii(
     )
 
 
-def _count_octant(radii: tuple[float, float, float]) -> int:
+#: Most lattice columns one numpy block of ``_lattice_sum`` holds.
+_BLOCK = 1 << 14
+
+
+def _lattice_sum(radii: tuple[float, float, float], column) -> int:
+    """Sum of ``column(lx, ly, F)`` over the lattice columns l_x, l_y >= 0
+    inside the ellipse of radii (r_x, r_y).
+
+    Row l_x reaches l_y <= int(r_y sqrt(rem)), rem = 1 - (l_x/r_x)^2, and its
+    column l_y holds the F = floor(r_z sqrt(max(rem - (l_y/r_y)^2, 0))) layers
+    l_z = 1..F of the ellipsoid above it.  Blocks of rows and columns hold at
+    most ``_BLOCK`` columns whatever the radii; ``column`` gets l_x as a
+    (rows, 1) array, l_y as a (columns,) array and F as a (rows, columns)
+    array it may overwrite, and must return exact integers in floating point.
+    """
     import numpy as np
 
     rx, ry, rz = radii
-    count = 0
-    for lx in range(int(rx) + 1):
-        rem = 1.0 - (lx / rx) ** 2
-        if rem < 0:
-            break
-        ly = np.arange(0, int(ry * math.sqrt(rem)) + 1)
-        rem2 = rem - (ly / ry) ** 2
-        rem2[rem2 < 0] = 0.0
-        count += int(np.sum(np.floor(rz * np.sqrt(rem2))) + ly.size)
-    return count
+    n_rows = int(rx) + 1
+    total = 0
+    for x0 in range(0, n_rows, _BLOCK):
+        lx = np.arange(x0, min(x0 + _BLOCK, n_rows))[:, None]
+        # Python's float power on purpose: x**2 differs from numpy's x*x in
+        # the last bit for about one x in a thousand.
+        rem = np.array([1.0 - (i / rx) ** 2 for i in range(x0, x0 + len(lx))])[:, None]
+        ly_max = (ry * np.sqrt(rem)).astype(np.int64)
+        row = 0
+        while row < len(lx):
+            width = int(ly_max[row, 0]) + 1  # rows narrow as l_x grows
+            rows = slice(row, row + max(1, _BLOCK // width))
+            for y0 in range(0, width, _BLOCK):
+                ly = np.arange(y0, min(y0 + _BLOCK, width))
+                # floor(rz * sqrt(max(rem2, 0))), in place.
+                layers = rem[rows] - (ly / ry) ** 2
+                np.maximum(layers, 0.0, out=layers)
+                np.sqrt(layers, out=layers)
+                layers *= rz
+                np.floor(layers, out=layers)
+                total += int(
+                    np.sum(column(lx[rows], ly, layers), where=ly <= ly_max[rows])
+                )
+            row = rows.stop
+    return total
+
+
+def _octant_column(lx, ly, layers):
+    """Lattice points l_z = 0..F of column (l_x, l_y), in place of F."""
+    layers += 1.0
+    return layers
+
+
+def _signed_column(lx, ly, layers):
+    """Lattice points l_z = -F..F of column (l_x, l_y) and of its mirror
+    images (+-l_x, +-l_y)."""
+    return (2.0 * layers + 1.0) * (2.0 - (lx == 0)) * (2.0 - (ly == 0))
 
 
 def count_box_modes(
@@ -140,7 +186,7 @@ def count_box_modes(
         raise ModeCountOverflowError(
             f"estimated {estimate:.3g} modes exceeds max_count={max_count}"
         )
-    return _count_octant(radii) - 1  # drop the origin
+    return _lattice_sum(radii, _octant_column) - 1  # drop the origin
 
 
 def count_box_modes_periodic(
@@ -156,25 +202,13 @@ def count_box_modes_periodic(
     the (2)^3 denser momentum lattice over the full sphere is numerically
     equal to the octant count above.  Cross-check variant.
     """
-    import numpy as np
-
     radii = _lattice_radii(box_lengths_m, energy_max_mev, mass_energy_mev, 1.0)
-    rx, ry, rz = radii
-    estimate = 4.0 * math.pi / 3.0 * rx * ry * rz
+    estimate = 4.0 * math.pi / 3.0 * radii[0] * radii[1] * radii[2]
     if estimate > max_count:
         raise ModeCountOverflowError(
             f"estimated {estimate:.3g} modes exceeds max_count={max_count}"
         )
-    count = 0
-    for lx in range(-int(rx), int(rx) + 1):
-        rem = 1.0 - (lx / rx) ** 2
-        if rem < 0:
-            continue
-        ly = np.arange(-int(ry * math.sqrt(rem)), int(ry * math.sqrt(rem)) + 1)
-        rem2 = rem - (ly / ry) ** 2
-        rem2[rem2 < 0] = 0.0
-        count += int(np.sum(2.0 * np.floor(rz * np.sqrt(rem2))) + ly.size)
-    return count - 1
+    return _lattice_sum(radii, _signed_column) - 1
 
 
 def mode_energy(omega_rad_per_s: float, n: int) -> float:

@@ -409,10 +409,13 @@ class TestExitCodes:
         (["planck", "--temperature-k", "1e-300"], "temperature_k"),
         # p**2 in the mode density overflows at the largest momentum.
         (["planck", "--temperature-k", "1e300"], "temperature_k"),
+        # kT underflows to 0.0, so beta = 1/kT does not exist.
+        (["planck", "--temperature-k", "1e-320"], "temperature_k"),
+        (["planck", "--temperature-k", "5e-324"], "temperature_k"),
         # Every contribution underflows, so the species shares divide by 0.0.
         (["alpha", "--eval", "--cutoff-mev", "1e-300"], "cutoff_mev"),
     ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "overflowing-mode-density",
-            "underflowing-inverse-alpha"])
+            "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha"])
     def test_degenerate_value_names_its_quantity(self, capsys, argv, quantity):
         code, out, err = run(capsys, argv)
         assert code == 2

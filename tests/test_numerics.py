@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vacuumpairs import numerics
 from vacuumpairs.numerics import (
     DEFAULT_QUADRATURE,
     MaxDepthExceededError,
@@ -29,8 +30,9 @@ class TestIntegrate:
         assert abs(value / exact - 1.0) < 1e-8
 
     def test_planck_tail_on_half_line(self):
+        # x^3/(e^x - 1), written so that it does not overflow at large x.
         value = integrate_half_line(
-            lambda x: x**3 / math.expm1(x) if x > 0 else 0.0, 0.0
+            lambda x: x**3 * math.exp(-x) / -math.expm1(-x) if x > 0 else 0.0, 0.0
         )
         assert abs(value / (math.pi**4 / 15.0) - 1.0) < 1e-8
 
@@ -66,6 +68,38 @@ class TestIntegrate:
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_depth=2)
         with pytest.raises(MaxDepthExceededError):
             integrate(lambda x: math.sin(50.0 * x) * math.exp(x), 0.0, 10.0, spec)
+
+    def test_unreachable_tolerance_stops_at_the_panel_cap(self):
+        # Below rounding no panel is ever accepted; the breadth-first
+        # refinement must stop instead of doubling its panels 48 times.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.exp(x)
+
+        with pytest.raises(MaxDepthExceededError):
+            integrate(f, 0.0, 1.0, QuadratureSpec(rel_tol=1e-300))
+        # 15 nodes per panel, at most _MAX_PANELS panels on the last level
+        # and as many on all levels before it, plus f(a) and f(b).
+        assert len(calls) <= 15 * 2 * numerics._MAX_PANELS + 2
+
+    def test_gauss_kronrod_weights(self):
+        # K15 integrates x^p exactly up to degree 22, G7 up to degree 13;
+        # the odd null rule vanishes on x^p up to degree 12, and is scaled
+        # to the Euclidean norm of K15 - G7.
+        def rule(weights, p):
+            return math.fsum(w * x**p for w, x in zip(weights, numerics._NODES))
+
+        for p in range(23):
+            assert abs(rule(numerics._KRONROD, p) - (1 + (-1) ** p) / (p + 1)) < 1e-15
+        for p in range(14):
+            assert abs(rule(numerics._KRONROD_MINUS_GAUSS, p)) < 1e-15
+        for p in range(13):
+            assert abs(rule(numerics._ODD, p)) < 1e-15
+        assert abs(rule(numerics._ODD, 13)) > 1e-5
+        norm = math.hypot(*numerics._KRONROD_MINUS_GAUSS)
+        assert abs(math.hypot(*numerics._ODD) / norm - 1.0) < 1e-15
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vacuumpairs import statmech
 from vacuumpairs.constants import CODATA
 from vacuumpairs.statmech import (
     ModeCountOverflowError,
@@ -105,6 +107,74 @@ class TestBoxModes:
         box = (self.LENGTH, self.LENGTH, self.LENGTH)
         with pytest.raises(ModeCountOverflowError):
             count_box_modes(box, self.energy_for_radius(100.0), max_count=1000)
+
+
+def row_loop_octant(radii):
+    """The per-row octant count the blocked lattice sum replaced."""
+    rx, ry, rz = radii
+    count = 0
+    for lx in range(int(rx) + 1):
+        rem = 1.0 - (lx / rx) ** 2
+        if rem < 0:
+            break
+        ly = np.arange(0, int(ry * math.sqrt(rem)) + 1)
+        rem2 = rem - (ly / ry) ** 2
+        rem2[rem2 < 0] = 0.0
+        count += int(np.sum(np.floor(rz * np.sqrt(rem2))) + ly.size)
+    return count
+
+
+def row_loop_signed(radii):
+    """The per-row signed-lattice count the blocked lattice sum replaced."""
+    rx, ry, rz = radii
+    count = 0
+    for lx in range(-int(rx), int(rx) + 1):
+        rem = 1.0 - (lx / rx) ** 2
+        if rem < 0:
+            continue
+        ly = np.arange(-int(ry * math.sqrt(rem)), int(ry * math.sqrt(rem)) + 1)
+        rem2 = rem - (ly / ry) ** 2
+        rem2[rem2 < 0] = 0.0
+        count += int(np.sum(2.0 * np.floor(rz * np.sqrt(rem2))) + ly.size)
+    return count
+
+
+# A lattice radius anywhere in (0.05, 40], or within 1e-9 of an integer,
+# where floor and int() decide whole rows and columns.
+RADIUS = st.one_of(
+    st.floats(0.05, 40.0),
+    st.integers(1, 40).flatmap(lambda n: st.floats(n - 1e-9, n + 1e-9)),
+)
+
+
+class TestLatticeSum:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(radii=st.tuples(RADIUS, RADIUS, RADIUS))
+    # Row l_x = 48 of r_x = 108.5: Python's (l_x/r_x)**2 and numpy's x*x
+    # differ in the last bit, which decides F(48, 0): 1 with the row loop's
+    # power, 0 with x*x.
+    @example(radii=(108.5, 0.5, 1.115051381008146))
+    def test_blocked_sum_equals_the_row_loop(self, radii):
+        assert statmech._lattice_sum(radii, statmech._octant_column) == row_loop_octant(radii)
+        assert statmech._lattice_sum(radii, statmech._signed_column) == row_loop_signed(radii)
+
+    def test_blocks_span_rows_and_columns(self):
+        # Radii past the block size in each direction, so rows and columns
+        # are both split into several blocks.
+        for radii in ((300.5, 75.25, 20.0), (2.5, 40000.5, 3.0), (40000.5, 2.5, 3.0)):
+            assert statmech._lattice_sum(radii, statmech._octant_column) == row_loop_octant(radii)
+
+    def test_degenerate_box_stays_within_the_block_bound(self):
+        # One 1e7-column row; the row loop allocated all of it at once.
+        tracemalloc.start()
+        try:
+            count = statmech._lattice_sum((1.0, 1e7, 0.5), statmech._octant_column)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Rows l_x = 0 (l_y = 0..1e7) and l_x = 1 (l_y = 0), each one layer.
+        assert count == 10_000_002
+        assert peak < 16 * 8 * statmech._BLOCK
 
 
 class TestModeDensity:

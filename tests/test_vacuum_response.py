@@ -149,6 +149,33 @@ class TestInverseAlphaSingle:
             quad = inverse_alpha_single_quadrature(probe, cutoff, spec=spec)
             assert abs(quad / closed - 1.0) < 1e-8
 
+    def test_quadrature_meets_rel_tol_on_a_dense_grid(self):
+        # x = A/mc^2 on a log grid over 0.1 .. 1e4, plus +-0.1% windows
+        # around 306.04 * 2^k, where a rule that compares two estimates of
+        # one panel was seen to accept a panel whose estimates agree by
+        # coincidence (adaptive Simpson: 1e4 x rel_tol at x = 612.088;
+        # K15 - G7 alone: 8.5 x rel_tol at x = 684.8966).
+        mp = mpmath.MPContext()
+        mp.dps = 30
+        xs = list(np.logspace(-1.0, 4.0, 241)) + [612.088, 684.8965838077139]
+        for k in range(6):
+            xs += list(306.04 * 2**k * np.linspace(0.999, 1.001, 41))
+        oscillators = {
+            OscillatorModel.MODE_QUANTUM: lambda x: x - mp.atan(x),
+            OscillatorModel.FIXED_GAP: lambda x: x**3 / 3,
+        }
+        for species in (ELECTRON, REG.get("mu")):
+            for x in xs:
+                cutoff = float(x) * species.mass_mev
+                x_exact = mp.mpf(cutoff) / mp.mpf(species.mass_mev)
+                for oscillator, core in oscillators.items():
+                    exact = float(species.charge_weight) * core(x_exact) / (2 * mp.pi)
+                    for rel_tol in (1e-6, 1e-8, 1e-10, 1e-12):
+                        spec = numerics.QuadratureSpec(rel_tol=rel_tol)
+                        got = inverse_alpha_single_quadrature(species, cutoff, oscillator, spec)
+                        err = abs(got / exact - 1)
+                        assert err <= rel_tol, (species.name, oscillator, float(x), rel_tol, float(err))
+
     def test_monotone_in_cutoff(self):
         values = [inverse_alpha_single(ELECTRON, a) for a in (10.0, 50.0, 292.0, 900.0)]
         assert values == sorted(values)
