@@ -192,10 +192,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     )
     result = dispersion.simulate_flight(config, keep_samples=args.samples_out is not None)
     if args.samples_out:
+        # The rows csv.writer would give, as no field needs quoting, streamed
+        # so that memory stays that of the delays.
         with open(args.samples_out, "w", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("photon_index", "delay_s"))
-            writer.writerows(enumerate(map(repr, result.delays_s.tolist())))
+            handle.write("photon_index,delay_s\n")
+            handle.writelines(f"{i},{x!r}\n" for i, x in enumerate(result.delays_s.tolist()))
     return result.to_dict(), None
 
 

@@ -99,8 +99,11 @@ def _lattice_radii(
         raise ValueError("energy_max_mev must be >= mass_energy_mev")
     pc_max = math.sqrt(energy_max_mev**2 - mass_energy_mev**2)
     # Momentum per lattice step along axis i: h*c/(spacing_factor*L_i) in MeV.
+    # A radius that is 0 (energy equal to the mass) or underflows to it is
+    # kept at the least positive float, which admits l_i = 0 alone and keeps
+    # the lattice sum from dividing by zero.
     return tuple(
-        pc_max * (spacing_factor * length) / CODATA.h_c_mev_m
+        max(pc_max * (spacing_factor * length) / CODATA.h_c_mev_m, math.ulp(0.0))
         for length in box_lengths_m
     )
 
@@ -282,9 +285,21 @@ def planck_energy_density(
 
 
 def stefan_boltzmann_density(state: ThermalState) -> float:
-    """Closed-form thermal energy density (pi^2/15) (kT)^4 / (hbar c)^3."""
+    """Closed-form thermal energy density (pi^2/15) (kT)^4 / (hbar c)^3.
+
+    Formed as (pi^2/15) (kT/(hbar c))^3 kT: (kT)^4 alone underflows below
+    ~1e-57 K, while this product holds wherever the density is a normal
+    float.  Raises ``ValueError`` where it is not, below ~7e-74 K.
+    """
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
-    return math.pi**2 / 15.0 * kt**4 / (CODATA.hbar_j_s * CODATA.c_m_per_s) ** 3
+    wavenumber = kt / (CODATA.hbar_j_s * CODATA.c_m_per_s)
+    density = math.pi**2 / 15.0 * wavenumber**3 * kt
+    if density < sys.float_info.min:
+        raise ValueError(
+            f"temperature_k = {state.temperature_k} gives a Stefan-Boltzmann density "
+            f"{density} J/m^3 that underflows double precision"
+        )
+    return density
 
 
 def integrate_thermal_density(

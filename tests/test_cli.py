@@ -235,6 +235,24 @@ class TestSimulateCommand:
         assert len(rows) == 50
         assert float(rows[0]["delay_s"]) > 0
 
+    def test_samples_file_is_what_csv_writer_gives(self, capsys, tmp_path):
+        path = tmp_path / "delays.csv"
+        argv = ["simulate", "--model", "half-compton", "--length-m", "1",
+                "--photons", "10000", "--seed", "3", "--samples-out", str(path)]
+        assert run(capsys, argv)[0] == 0
+        config = dispersion.FlightConfig(
+            length_m=1.0,
+            lifetime_model=dispersion.LifetimeModel.half_compton(),
+            n_photons=10_000,
+            seed=3,
+        )
+        delays = dispersion.simulate_flight(config, keep_samples=True).delays_s
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("photon_index", "delay_s"))
+        writer.writerows(enumerate(map(repr, delays.tolist())))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_fixed_count_beyond_int64(self, capsys):
         # ~5e20 interactions per photon, more than an int64 holds.
         argv = ["simulate", "--model", "half-compton", "--length-m", "1e8",
@@ -414,13 +432,22 @@ class TestExitCodes:
         (["planck", "--temperature-k", "5e-324"], "temperature_k"),
         # Every contribution underflows, so the species shares divide by 0.0.
         (["alpha", "--eval", "--cutoff-mev", "1e-300"], "cutoff_mev"),
+        # The Stefan-Boltzmann density itself underflows.
+        (["planck", "--temperature-k", "1e-280", "--integrate"], "temperature_k"),
     ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "overflowing-mode-density",
-            "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha"])
+            "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha",
+            "underflowing-stefan-boltzmann-density"])
     def test_degenerate_value_names_its_quantity(self, capsys, argv, quantity):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and quantity in err
+
+    def test_stefan_boltzmann_density_below_kt_fourth_underflow(self, capsys):
+        # (kT)^4 underflows at 1e-60 K; the density, ~7.6e-256 J/m^3, does not.
+        code, out, _ = run(capsys, ["planck", "--temperature-k", "1e-60", "--integrate"])
+        assert code == 0
+        assert abs(json.loads(out)["rel_dev"]) < 1e-6
 
     def test_empty_species_file_is_failure(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

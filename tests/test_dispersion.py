@@ -304,6 +304,43 @@ class TestSimulateFlight:
         assert all(n <= min(3, os.cpu_count() or 1) for n in started)
         assert parallel.stddev_delay_s == simulate_flight(config).stddev_delay_s
 
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize(
+        "n_photons",
+        [dispersion.CHUNK_SIZE + 1, 3 * dispersion.CHUNK_SIZE + 7, 20_000],
+    )
+    def test_one_task_per_thread(self, monkeypatch, n_photons, n_workers):
+        started, submitted = [], []
+
+        class Recorder(dispersion.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.half_compton(),
+            n_photons=n_photons,
+            seed=12,
+        )
+        serial = simulate_flight(config, keep_samples=True)
+        monkeypatch.setattr(dispersion, "ThreadPoolExecutor", Recorder)
+        # Four CPUs whatever the host has, so the pool runs as configured.
+        monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
+        parallel = simulate_flight(
+            dataclasses.replace(config, n_workers=n_workers), keep_samples=True
+        )
+        assert started and len(submitted) <= sum(started)
+        assert (parallel.mean_delay_s, parallel.stddev_delay_s) == (
+            serial.mean_delay_s,
+            serial.stddev_delay_s,
+        )
+        assert np.array_equal(parallel.delays_s, serial.delays_s)
+
     def test_per_interaction_count_is_bounded(self):
         # 2e6 expected interactions per photon: above the per-interaction cap.
         config = FlightConfig(

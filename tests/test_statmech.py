@@ -103,6 +103,27 @@ class TestBoxModes:
         with pytest.raises(ValueError):
             count_box_modes((1.0, 1.0, 1.0), 1.0, 2.0)
 
+    def test_energy_at_the_mass_has_no_modes(self):
+        # Every lattice radius is 0: only the excluded origin is left.
+        box = (self.LENGTH, self.LENGTH, self.LENGTH)
+        assert count_box_modes(box, 0.5, 0.5) == 0
+        assert count_box_modes_periodic(box, 0.5, 0.5) == 0
+
+    def test_underflowing_radius_leaves_the_zero_plane(self):
+        # r_x underflows to 0 for the least positive side; only l_x = 0 fits,
+        # as for a 1e-300 m side (r_x ~ 1e-289), and the count is the plane's.
+        energy = self.energy_for_radius(16.5)
+
+        def disk(low):
+            side = range(low, 17)
+            return sum(1 for ly in side for lz in side if ly * ly + lz * lz <= 16.5**2) - 1
+
+        for side in (5e-324, 1e-300):
+            box = (side, self.LENGTH, self.LENGTH)
+            assert count_box_modes(box, energy) == disk(0)
+            # Periodic boundaries halve the radii at a given energy.
+            assert count_box_modes_periodic(box, 2.0 * energy) == disk(-16)
+
     def test_overflow_guard(self):
         box = (self.LENGTH, self.LENGTH, self.LENGTH)
         with pytest.raises(ModeCountOverflowError):
