@@ -53,7 +53,6 @@ from .vacuum_response import (
     dipole_max,
     dipole_time_averaged,
     fit_cutoff,
-    inverse_alpha_fixed_gap,
     inverse_alpha_single,
     inverse_alpha_total,
     landau_energy,

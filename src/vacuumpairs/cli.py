@@ -111,9 +111,8 @@ def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     }
     if policy.kind is vacuum_response.PolicyKind.MASS_PROPORTIONAL:
         electron = registry.get("e")
-        payload["pair_volume_compton_units"] = (
-            vacuum_response.average_pair_volume(electron, policy.scale_a)
-            / CODATA.compton_length_m(electron.mass_mev) ** 3
+        payload["pair_volume_compton_units"] = vacuum_response.pair_volume_compton_units(
+            electron, policy.scale_a
         )
     return payload, payload["species"]
 

@@ -126,10 +126,9 @@ def alpha_fits(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
             electron, 861.0 * electron.mass_mev
         ),
         "mass-proportional-scale-a": mass_policy.scale_a,
-        "pair-volume-compton-units": vacuum_response.average_pair_volume(
+        "pair-volume-compton-units": vacuum_response.pair_volume_compton_units(
             electron, mass_policy.scale_a
-        )
-        / CODATA.compton_length_m(electron.mass_mev) ** 3,
+        ),
         "inverse-alpha-ratio-at-electron-mass-cutoff": at_electron_mass.total_inverse_alpha
         / target,
         "global-cutoff-shift-per-half-unit-of-inverse-alpha": shift,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from . import numerics
 from .constants import CODATA
 
-# numpy is imported inside the mode counts, the only functions here that
-# build arrays, so the Planck commands start without it.
+# numpy is imported inside the lattice sum, the only function here that
+# builds arrays, so the Planck commands start without it.
 
 
 class ModeCountOverflowError(RuntimeError):
@@ -91,19 +91,18 @@ def _lattice_radii(
     box_lengths_m: tuple[float, float, float],
     energy_max_mev: float,
     mass_energy_mev: float,
-    spacing_factor: float,
 ) -> tuple[float, float, float]:
     if any(length <= 0 for length in box_lengths_m):
         raise ValueError("box lengths must be > 0")
     if energy_max_mev < mass_energy_mev:
         raise ValueError("energy_max_mev must be >= mass_energy_mev")
     pc_max = math.sqrt(energy_max_mev**2 - mass_energy_mev**2)
-    # Momentum per lattice step along axis i: h*c/(spacing_factor*L_i) in MeV.
-    # A radius that is 0 (energy equal to the mass) or underflows to it is
-    # kept at the least positive float, which admits l_i = 0 alone and keeps
-    # the lattice sum from dividing by zero.
+    # Momentum per lattice step along axis i: h*c/(2*L_i) in MeV.  A radius
+    # that is 0 (energy equal to the mass) or underflows to it is kept at the
+    # least positive float, which admits l_i = 0 alone and keeps the lattice
+    # sum from dividing by zero.
     return tuple(
-        max(pc_max * (spacing_factor * length) / CODATA.h_c_mev_m, math.ulp(0.0))
+        max(pc_max * (2.0 * length) / CODATA.h_c_mev_m, math.ulp(0.0))
         for length in box_lengths_m
     )
 
@@ -111,21 +110,29 @@ def _lattice_radii(
 #: Most lattice columns one numpy block of ``_lattice_sum`` holds.
 _BLOCK = 1 << 14
 
+_OVERFLOW = "more than {} lattice points lie inside radii {}"
 
-def _lattice_sum(radii: tuple[float, float, float], column) -> int:
-    """Sum of ``column(lx, ly, F)`` over the lattice columns l_x, l_y >= 0
-    inside the ellipse of radii (r_x, r_y).
+
+def _lattice_sum(radii: tuple[float, float, float], max_count: int) -> int:
+    """Number of lattice points l_x, l_y, l_z >= 0 inside the ellipsoid of
+    radii (r_x, r_y, r_z), the origin included.
 
     Row l_x reaches l_y <= int(r_y sqrt(rem)), rem = 1 - (l_x/r_x)^2, and its
-    column l_y holds the F = floor(r_z sqrt(max(rem - (l_y/r_y)^2, 0))) layers
-    l_z = 1..F of the ellipsoid above it.  Blocks of rows and columns hold at
-    most ``_BLOCK`` columns whatever the radii; ``column`` gets l_x as a
-    (rows, 1) array, l_y as a (columns,) array and F as a (rows, columns)
-    array it may overwrite, and must return exact integers in floating point.
+    column l_y holds the F + 1 points l_z = 0..F, F = floor(r_z sqrt(max(rem
+    - (l_y/r_y)^2, 0))).  Blocks of rows and columns hold at most ``_BLOCK``
+    columns whatever the radii.
+
+    Raises ``ModeCountOverflowError`` exactly when the count exceeds
+    ``max_count``: at once when some floor(r_i) does, since the axis points
+    l_i = 0..floor(r_i) all lie inside, and otherwise after the block whose
+    columns take the running total past it.  Every column holds at least one
+    point, so no more than about ``max_count`` columns are walked.
     """
     import numpy as np
 
     rx, ry, rz = radii
+    if max(radii) >= max_count + 1:  # some floor(r_i) > max_count
+        raise ModeCountOverflowError(_OVERFLOW.format(max_count, radii))
     n_rows = int(rx) + 1
     total = 0
     for x0 in range(0, n_rows, _BLOCK):
@@ -140,29 +147,18 @@ def _lattice_sum(radii: tuple[float, float, float], column) -> int:
             rows = slice(row, row + max(1, _BLOCK // width))
             for y0 in range(0, width, _BLOCK):
                 ly = np.arange(y0, min(y0 + _BLOCK, width))
-                # floor(rz * sqrt(max(rem2, 0))), in place.
-                layers = rem[rows] - (ly / ry) ** 2
-                np.maximum(layers, 0.0, out=layers)
-                np.sqrt(layers, out=layers)
-                layers *= rz
-                np.floor(layers, out=layers)
-                total += int(
-                    np.sum(column(lx[rows], ly, layers), where=ly <= ly_max[rows])
-                )
+                # floor(rz * sqrt(max(rem2, 0))) + 1, in place.
+                points = rem[rows] - (ly / ry) ** 2
+                np.maximum(points, 0.0, out=points)
+                np.sqrt(points, out=points)
+                points *= rz
+                np.floor(points, out=points)
+                points += 1.0
+                total += int(np.sum(points, where=ly <= ly_max[rows]))
+                if total > max_count:
+                    raise ModeCountOverflowError(_OVERFLOW.format(max_count, radii))
             row = rows.stop
     return total
-
-
-def _octant_column(lx, ly, layers):
-    """Lattice points l_z = 0..F of column (l_x, l_y), in place of F."""
-    layers += 1.0
-    return layers
-
-
-def _signed_column(lx, ly, layers):
-    """Lattice points l_z = -F..F of column (l_x, l_y) and of its mirror
-    images (+-l_x, +-l_y)."""
-    return (2.0 * layers + 1.0) * (2.0 - (lx == 0)) * (2.0 - (ly == 0))
 
 
 def count_box_modes(
@@ -180,38 +176,12 @@ def count_box_modes(
     are the (1,0,0)-type lowest modes, and the continuum comparison absorbs
     the resulting O(1/R) boundary layer.
 
-    Raises ``ModeCountOverflowError`` when the continuum estimate exceeds
-    ``max_count``.
+    Raises ``ModeCountOverflowError`` if and only if the count exceeds
+    ``max_count``, after walking at most about ``max_count`` lattice columns
+    whatever the box's shape.
     """
-    radii = _lattice_radii(box_lengths_m, energy_max_mev, mass_energy_mev, 2.0)
-    estimate = math.pi / 6.0 * radii[0] * radii[1] * radii[2]
-    if estimate > max_count:
-        raise ModeCountOverflowError(
-            f"estimated {estimate:.3g} modes exceeds max_count={max_count}"
-        )
-    return _lattice_sum(radii, _octant_column) - 1  # drop the origin
-
-
-def count_box_modes_periodic(
-    box_lengths_m: tuple[float, float, float],
-    energy_max_mev: float,
-    mass_energy_mev: float = 0.0,
-    *,
-    max_count: int = 50_000_000,
-) -> int:
-    """Mode count under periodic boundaries psi(0)=psi(L).
-
-    Signed integer triples with full-wavelength multiples, p_i = h*l_i/L_i;
-    the (2)^3 denser momentum lattice over the full sphere is numerically
-    equal to the octant count above.  Cross-check variant.
-    """
-    radii = _lattice_radii(box_lengths_m, energy_max_mev, mass_energy_mev, 1.0)
-    estimate = 4.0 * math.pi / 3.0 * radii[0] * radii[1] * radii[2]
-    if estimate > max_count:
-        raise ModeCountOverflowError(
-            f"estimated {estimate:.3g} modes exceeds max_count={max_count}"
-        )
-    return _lattice_sum(radii, _signed_column) - 1
+    radii = _lattice_radii(box_lengths_m, energy_max_mev, mass_energy_mev)
+    return _lattice_sum(radii, max_count + 1) - 1  # the origin is no mode
 
 
 def mode_energy(omega_rad_per_s: float, n: int) -> float:

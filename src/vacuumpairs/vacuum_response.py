@@ -267,13 +267,6 @@ def inverse_alpha_total(
     return AlphaBreakdown(per_species=contributions, cutoffs_mev=cutoffs)
 
 
-def inverse_alpha_fixed_gap(registry: SpeciesRegistry, scale_a: float) -> float:
-    """Total 1/alpha for per-species cutoffs A = a*mc^2 and fixed gap."""
-    return inverse_alpha_total(
-        registry, CutoffPolicy.mass_proportional(scale_a)
-    ).total_inverse_alpha
-
-
 def fit_cutoff(
     registry: SpeciesRegistry,
     target_inverse_alpha: float,
@@ -383,6 +376,14 @@ def average_pair_volume(species: ParticleSpecies, scale_a: float) -> float:
         raise ValueError("scale_a must be > 0")
     lam = CODATA.compton_length_m(species.mass_mev)
     return 6.0 * math.pi**2 / scale_a**3 * lam**3
+
+
+def pair_volume_compton_units(species: ParticleSpecies, scale_a: float) -> float:
+    """``average_pair_volume`` in units of the cubed reduced Compton length."""
+    return (
+        average_pair_volume(species, scale_a)
+        / CODATA.compton_length_m(species.mass_mev) ** 3
+    )
 
 
 @dataclass(frozen=True)

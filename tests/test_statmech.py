@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from vacuumpairs.statmech import (
     SpectralSample,
     ThermalState,
     count_box_modes,
-    count_box_modes_periodic,
     dispersion_energy,
     integrate_thermal_density,
     mean_energy,
@@ -80,10 +80,13 @@ class TestBoxModes:
         assert abs(count / continuum - 1.0) < 0.04
 
     def test_periodic_variant_matches_octant(self):
+        # Periodic boundaries, p_i = h*l_i/L_i over signed triples, halve the
+        # radii at a given energy and count about as many modes.
         box = (self.LENGTH, self.LENGTH, self.LENGTH)
         energy = self.energy_for_radius(60.0)
         octant = count_box_modes(box, energy)
-        periodic = count_box_modes_periodic(box, energy)
+        radii = statmech._lattice_radii(box, energy, 0.0)
+        periodic = row_loop_signed(tuple(r / 2.0 for r in radii)) - 1
         assert abs(periodic / octant - 1.0) < 0.08
 
     def test_monotone_in_energy_and_length(self):
@@ -107,27 +110,35 @@ class TestBoxModes:
         # Every lattice radius is 0: only the excluded origin is left.
         box = (self.LENGTH, self.LENGTH, self.LENGTH)
         assert count_box_modes(box, 0.5, 0.5) == 0
-        assert count_box_modes_periodic(box, 0.5, 0.5) == 0
 
     def test_underflowing_radius_leaves_the_zero_plane(self):
         # r_x underflows to 0 for the least positive side; only l_x = 0 fits,
         # as for a 1e-300 m side (r_x ~ 1e-289), and the count is the plane's.
         energy = self.energy_for_radius(16.5)
 
-        def disk(low):
-            side = range(low, 17)
-            return sum(1 for ly in side for lz in side if ly * ly + lz * lz <= 16.5**2) - 1
-
+        disk = sum(1 for ly in range(17) for lz in range(17) if ly * ly + lz * lz <= 16.5**2)
         for side in (5e-324, 1e-300):
             box = (side, self.LENGTH, self.LENGTH)
-            assert count_box_modes(box, energy) == disk(0)
-            # Periodic boundaries halve the radii at a given energy.
-            assert count_box_modes_periodic(box, 2.0 * energy) == disk(-16)
+            assert count_box_modes(box, energy) == disk - 1
 
     def test_overflow_guard(self):
         box = (self.LENGTH, self.LENGTH, self.LENGTH)
         with pytest.raises(ModeCountOverflowError):
             count_box_modes(box, self.energy_for_radius(100.0), max_count=1000)
+
+    @pytest.mark.parametrize("box", [
+        # plates: one side far below a lattice step, so pi/6*r_x*r_y*r_z ~ 0
+        (1e-300, 1e-8, 1e-8),
+        (1e-300, 1e-3, 1e-3),
+        (1e-3, 1e-3, 1e-300),
+        # a rod: ~1.6e9 axis modes on one side alone
+        (1e-3, 1e-300, 1e-300),
+    ])
+    def test_flat_and_rod_boxes_overflow_fast(self, box):
+        start = time.perf_counter()
+        with pytest.raises(ModeCountOverflowError):
+            count_box_modes(box, 1.0)
+        assert time.perf_counter() - start < 1.0
 
 
 def row_loop_octant(radii):
@@ -146,7 +157,8 @@ def row_loop_octant(radii):
 
 
 def row_loop_signed(radii):
-    """The per-row signed-lattice count the blocked lattice sum replaced."""
+    """Signed lattice points inside the ellipsoid, the origin included: the
+    mode count under periodic boundaries."""
     rx, ry, rz = radii
     count = 0
     for lx in range(-int(rx), int(rx) + 1):
@@ -167,6 +179,9 @@ RADIUS = st.one_of(
     st.integers(1, 40).flatmap(lambda n: st.floats(n - 1e-9, n + 1e-9)),
 )
 
+#: A ``max_count`` no lattice sum in these tests reaches.
+NO_LIMIT = 10**12
+
 
 class TestLatticeSum:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -176,20 +191,30 @@ class TestLatticeSum:
     # power, 0 with x*x.
     @example(radii=(108.5, 0.5, 1.115051381008146))
     def test_blocked_sum_equals_the_row_loop(self, radii):
-        assert statmech._lattice_sum(radii, statmech._octant_column) == row_loop_octant(radii)
-        assert statmech._lattice_sum(radii, statmech._signed_column) == row_loop_signed(radii)
+        assert statmech._lattice_sum(radii, NO_LIMIT) == row_loop_octant(radii)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(radii=st.tuples(RADIUS, RADIUS, RADIUS))
+    def test_guard_raises_exactly_past_max_count(self, radii):
+        count = row_loop_octant(radii)
+        for max_count in (count - 1, count, count + 1):
+            if count > max_count:
+                with pytest.raises(ModeCountOverflowError):
+                    statmech._lattice_sum(radii, max_count)
+            else:
+                assert statmech._lattice_sum(radii, max_count) == count
 
     def test_blocks_span_rows_and_columns(self):
         # Radii past the block size in each direction, so rows and columns
         # are both split into several blocks.
         for radii in ((300.5, 75.25, 20.0), (2.5, 40000.5, 3.0), (40000.5, 2.5, 3.0)):
-            assert statmech._lattice_sum(radii, statmech._octant_column) == row_loop_octant(radii)
+            assert statmech._lattice_sum(radii, NO_LIMIT) == row_loop_octant(radii)
 
     def test_degenerate_box_stays_within_the_block_bound(self):
         # One 1e7-column row; the row loop allocated all of it at once.
         tracemalloc.start()
         try:
-            count = statmech._lattice_sum((1.0, 1e7, 0.5), statmech._octant_column)
+            count = statmech._lattice_sum((1.0, 1e7, 0.5), NO_LIMIT)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

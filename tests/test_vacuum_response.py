@@ -23,7 +23,6 @@ from vacuumpairs.vacuum_response import (
     dipole_time_averaged,
     fit_cutoff,
     fixed_gap_omega,
-    inverse_alpha_fixed_gap,
     inverse_alpha_single,
     inverse_alpha_single_quadrature,
     inverse_alpha_total,
@@ -216,11 +215,6 @@ class TestInverseAlphaTotal:
         }
         values = list(per_weight.values())
         assert max(values) - min(values) < 1e-15 * values[0]
-        assert abs(
-            breakdown.total_inverse_alpha
-            / inverse_alpha_fixed_gap(REG, 6.478)
-            - 1.0
-        ) < 1e-12
 
     def test_chiral_policy_reports_deficit(self):
         policy = chiral_cutoff_policy(REG, 100.0, 292.0)
@@ -281,15 +275,18 @@ class TestFixedGap:
                 )
                 for s in REG
             )
-            assert abs(total / inverse_alpha_fixed_gap(REG, a) - 1.0) < 1e-10
+            fixed_gap = inverse_alpha_total(REG, CutoffPolicy.mass_proportional(a))
+            assert abs(total / fixed_gap.total_inverse_alpha - 1.0) < 1e-10
 
     def test_vanishes_with_cutoff(self):
-        assert inverse_alpha_fixed_gap(REG, 1e-6) < 1e-17
+        policy = CutoffPolicy.mass_proportional(1e-6)
+        assert inverse_alpha_total(REG, policy).total_inverse_alpha < 1e-17
 
     def test_inversion_recovers_target(self):
         # Frozen closed-form inversion oracle: a* = cbrt(6*pi*target/9.5).
         a_star = 6.478444302297101
-        assert abs(inverse_alpha_fixed_gap(REG, a_star) / TARGET - 1.0) < 1e-3
+        policy = CutoffPolicy.mass_proportional(a_star)
+        assert abs(inverse_alpha_total(REG, policy).total_inverse_alpha / TARGET - 1.0) < 1e-3
 
 
 class TestFitCutoff:
@@ -311,7 +308,10 @@ class TestFitCutoff:
         for target in (1.0, TARGET, 1e4):
             a = fit_cutoff(REG, target, PolicyKind.MASS_PROPORTIONAL).scale_a
             root = numerics.find_root(
-                lambda v: inverse_alpha_fixed_gap(REG, v) - target,
+                lambda v: inverse_alpha_total(
+                    REG, CutoffPolicy.mass_proportional(v)
+                ).total_inverse_alpha
+                - target,
                 numerics.RootSpec(bracket_lo=0.5 * a, bracket_hi=2.0 * a, x_tol=1e-8),
             )
             assert abs(root - a) < 1e-6

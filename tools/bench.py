@@ -8,7 +8,9 @@ For every workload of perfbench it runs PAIRS pairs of
 ``perfbench/run.py --seconds SECONDS --trace 0``: one run on the working
 tree and one on a clean export of REV (``git archive``, unpacked in a
 temporary directory), alternating which tree runs first and cycling the
-seed through SEEDS.  Then it runs each workload traced once per tree, at
+seed through SEEDS.  Before the first pair it byte-compiles ``src`` and
+``perfbench`` in both trees, so neither recompiles its modules on every
+process start.  Then it runs each workload traced once per tree, at
 the first seed, for the per-layer metrics.  The output holds every run's
 end-to-end metrics, their median and quartiles per tree, in how many pairs
 the change was better (by the direction ``BENCHMARK.json`` declares), the
@@ -75,6 +77,12 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(trees: dict[str, Path]) -> dict:
+    # A fresh export has no bytecode, and under PYTHONDONTWRITEBYTECODE=1 it
+    # would recompile every module in each process it starts (~10 ms each).
+    for tree in trees.values():
+        subprocess.run(
+            [sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True
+        )
     workloads = {}
     for w_index, workload in enumerate(WORKLOADS):
         runs: dict[str, list[dict]] = {side: [] for side in trees}
