@@ -1,63 +1,46 @@
 """Zero-point mode statistics, virtual-pair vacuum response and photon
-flight-time dispersion toolkit."""
+flight-time dispersion toolkit.
 
-from .constants import CODATA, PhysicalConstants
-from .dispersion import (
-    DelayDistribution,
-    FlightConfig,
-    InteractionProcess,
-    LifetimeKind,
-    LifetimeModel,
-    LimitComparison,
-    PhotonFlightResult,
-    SamplingMethod,
-    analytic_sigma,
-    compare_to_limits,
-    experiment_sensitivity,
-    fwhm_from_rms,
-    lifetime,
-    pulse_broadening,
-    rms_from_fwhm,
-    sigma_coefficient,
-    simulate_flight,
-)
-from .numerics import QuadratureSpec, RootSpec, find_root, integrate, integrate_half_line
-from .particles import (
-    ParticleSpecies,
-    SpeciesRegistry,
-    default_registry,
-    load_registry,
-    weighted_degeneracy_sum,
-)
-from .statmech import (
-    SpectralSample,
-    ThermalState,
-    count_box_modes,
-    dispersion_energy,
-    mean_energy,
-    mean_occupation,
-    mode_density,
-    mode_energy,
-    partition_function,
-    planck_energy_density,
-    state_probability,
-    vacuum_density,
-)
-from .vacuum_response import (
-    AlphaBreakdown,
-    CutoffPolicy,
-    LandauMode,
-    OscillatorModel,
-    PolicyKind,
-    average_pair_volume,
-    dipole_max,
-    dipole_time_averaged,
-    fit_cutoff,
-    inverse_alpha_single,
-    inverse_alpha_total,
-    landau_energy,
-    permeability_from_alpha,
-    relativistic_magnetic_moment,
-)
+The names below resolve on first use (PEP 562): ``import vacuumpairs``
+imports no submodule, and ``vacuumpairs.simulate_flight`` imports
+``vacuumpairs.dispersion`` and returns its function.
+"""
 
+from importlib import import_module
+
+#: Public name -> the submodule that defines it.
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "constants": "CODATA PhysicalConstants",
+        "dispersion": "DelayDistribution FlightConfig InteractionProcess LifetimeKind"
+        " LifetimeModel LimitComparison PhotonFlightResult SamplingMethod analytic_sigma"
+        " compare_to_limits experiment_sensitivity fwhm_from_rms lifetime pulse_broadening"
+        " rms_from_fwhm sigma_coefficient simulate_flight",
+        "numerics": "QuadratureSpec RootSpec find_root integrate integrate_half_line",
+        "particles": "ParticleSpecies SpeciesRegistry default_registry load_registry"
+        " weighted_degeneracy_sum",
+        "statmech": "SpectralSample ThermalState count_box_modes dispersion_energy mean_energy"
+        " mean_occupation mode_density mode_energy partition_function planck_energy_density"
+        " state_probability vacuum_density",
+        "vacuum_response": "AlphaBreakdown CutoffPolicy LandauMode OscillatorModel PolicyKind"
+        " average_pair_volume dipole_max dipole_time_averaged fit_cutoff inverse_alpha_single"
+        " inverse_alpha_total landau_energy permeability_from_alpha relativistic_magnetic_moment",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = list(_SUBMODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULE:
+        return getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    if name in _SUBMODULE.values():
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULE, *_SUBMODULE.values()})

@@ -15,7 +15,6 @@ import enum
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -425,6 +424,8 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
             chunks[len(chunks) * k // workers : len(chunks) * (k + 1) // workers]
             for k in range(workers)
         ]
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = pool.map(lambda block: [run(chunk) for chunk in block], blocks)
             parts = [part for block in done for part in block]

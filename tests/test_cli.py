@@ -67,6 +67,12 @@ class TestAlphaCommand:
         assert code == 0
         assert json.loads(out)["ratio_to_target"] < 0.01
 
+    @pytest.mark.parametrize("flag", ["--cutoff-mev", "--chiral-quark-cutoff-mev"])
+    def test_fit_names_an_ignored_flag(self, capsys, flag):
+        code, out, err = run(capsys, ["alpha", "--fit", flag, "300"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and flag in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, ["alpha", "--eval", "--cutoff-mev", "292", "--format", "csv"]
@@ -331,14 +337,17 @@ NUMPY_USERS = {
                  "--seed", "1"],
     "report": ["report"],
 }
-# Runs each argv through cli.main in one fresh interpreter, then reports the
-# exit codes and whether numpy was imported.
+# Imports vacuumpairs in one fresh interpreter and runs each argv, if any,
+# through cli.main, then reports the exit codes and every module loaded.
 IMPORT_PROBE = """\
 import contextlib, io, json, sys
-from vacuumpairs import cli
+import vacuumpairs
+argvs = json.loads(sys.argv[1])
+if argvs:
+    from vacuumpairs import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
@@ -358,11 +367,39 @@ class TestImports:
         species = str(electron_only_file(tmp_path))
         argvs = [[a.format(species=species) for a in argv] for argv in NUMPY_FREE.values()]
         result = probe_imports(argvs)
-        assert result == {"codes": [0] * len(argvs), "numpy": False}
+        assert result["codes"] == [0] * len(argvs)
+        assert "numpy" not in result["modules"]
 
     @pytest.mark.parametrize("argv", NUMPY_USERS.values(), ids=NUMPY_USERS.keys())
     def test_array_commands_import_numpy(self, argv):
-        assert probe_imports([argv]) == {"codes": [0], "numpy": True}
+        result = probe_imports([argv])
+        assert result["codes"] == [0]
+        assert "numpy" in result["modules"]
+
+    def test_package_import_loads_no_submodule(self):
+        result = probe_imports([])
+        assert [m for m in result["modules"] if m.startswith("vacuumpairs.")] == []
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+    def test_closed_form_commands_skip_report_and_thread_pool(self, tmp_path, argv):
+        species = str(electron_only_file(tmp_path))
+        result = probe_imports([[a.format(species=species) for a in argv]])
+        assert result["codes"] == [0]
+        assert not {"vacuumpairs.report", "concurrent.futures"} & set(result["modules"])
+
+    def test_serial_simulate_skips_thread_pool(self):
+        result = probe_imports([NUMPY_USERS["simulate"]])
+        assert result["codes"] == [0]
+        assert "concurrent.futures" not in result["modules"]
+
+    def test_package_names_resolve_to_their_submodule_objects(self):
+        for name in vacuumpairs.__all__:
+            value = getattr(vacuumpairs, name)
+            module = sys.modules[f"vacuumpairs.{vacuumpairs._SUBMODULE[name]}"]
+            assert value is getattr(module, name)
+        assert set(vacuumpairs.__all__) <= set(dir(vacuumpairs))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            vacuumpairs.no_such_name
 
 
 SIMULATE = ["simulate", "--model", "half-compton", "--length-m", "1", "--photons", "100", "--seed", "1"]
@@ -393,6 +430,9 @@ USAGE_ERRORS = {
     "zero-temperature-energy": ["planck", "--temperature-k", "1e-320"],
     "overflowing-temperature": ["planck", "--temperature-k", "1e300"],
     "zero-inverse-alpha": ["alpha", "--eval", "--cutoff-mev", "1e-320"],
+    # --fit would ignore either cutoff.
+    "fit-with-cutoff": ["alpha", "--fit", "--cutoff-mev", "5"],
+    "fit-with-chiral-cutoff": ["alpha", "--fit", "--chiral-quark-cutoff-mev", "300"],
 }
 
 

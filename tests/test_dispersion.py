@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -288,12 +289,12 @@ class TestSimulateFlight:
     def test_thread_count_is_bounded(self, monkeypatch):
         started = []
 
-        class Recorder(dispersion.ThreadPoolExecutor):
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(dispersion, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
         config = FlightConfig(
             length_m=1.0,
             lifetime_model=LifetimeModel.half_compton(),
@@ -312,7 +313,7 @@ class TestSimulateFlight:
     def test_one_task_per_thread(self, monkeypatch, n_photons, n_workers):
         started, submitted = [], []
 
-        class Recorder(dispersion.ThreadPoolExecutor):
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
@@ -328,7 +329,7 @@ class TestSimulateFlight:
             seed=12,
         )
         serial = simulate_flight(config, keep_samples=True)
-        monkeypatch.setattr(dispersion, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
         # Four CPUs whatever the host has, so the pool runs as configured.
         monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
         parallel = simulate_flight(

@@ -19,6 +19,11 @@ trees (commit, ``src/`` line count and hash) and of the host.  A gain is
 claimed only when the change is better in at least nine of ten pairs and
 its median beats the parent's by more than the parent's quartile spread.
 Both trees run with the same interpreter, so the comparison isolates the code.
+``host.calibration`` records the host's speed once before the first pair
+and once after the last, so that BENCH files from other hosts or days can
+be normalised: ns per iteration of an empty Python loop and ns per
+``numpy.random.Generator.standard_normal`` draw, each the best of
+CALIBRATION_REPEATS timings.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +44,7 @@ WORKLOADS = ("cli_session", "alpha_scan", "mc_flight")
 SEEDS = (3, 4, 5)
 PAIRS = 10
 SECONDS = 25
+CALIBRATION_REPEATS = 5
 LOWER_IS_BETTER = {
     m["name"]: m["better"] == "lower"
     for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
@@ -69,6 +76,24 @@ def run(side: str, tree: Path, workload: str, seed: int, trace: int) -> dict:
     subprocess.run(argv, cwd=tree, check=True, stdout=subprocess.DEVNULL)
     result = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(result.read_text(encoding="utf-8"))
+
+
+def calibrate() -> dict:
+    """Host speed: best ns per empty-loop iteration and per normal draw."""
+    import numpy as np
+
+    n = 1_000_000
+    rng = np.random.default_rng(0)
+    loop_s, draw_s = [], []
+    for _ in range(CALIBRATION_REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(n):
+            pass
+        loop_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        rng.standard_normal(n)
+        draw_s.append(time.perf_counter() - t0)
+    return {"loop_ns_per_iter": min(loop_s) / n * 1e9, "normal_ns_per_draw": min(draw_s) / n * 1e9}
 
 
 def summary(values: list[float]) -> dict:
@@ -132,7 +157,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         export(parent_commit, parent_tree)
+        calibration = {"before": calibrate()}
         workloads = compare({"parent": parent_tree, "change": ROOT})
+        calibration["after"] = calibrate()
     provenance = workloads[WORKLOADS[0]]["provenance"]
     record = {
         "command": f"python3 tools/bench.py --parent {args.parent} --out {args.out.name}",
@@ -144,7 +171,8 @@ def main(argv: list[str] | None = None) -> int:
             "base_commit": git("rev-parse", "HEAD"),
             "uncommitted_changes": bool(git("status", "--porcelain", "--", "src", "perfbench")),
         },
-        "host": {k: provenance["change"][k] for k in ("python", "numpy", "nproc", "cpu_model")},
+        "host": {k: provenance["change"][k] for k in ("python", "numpy", "nproc", "cpu_model")}
+        | {"calibration": calibration},
         "src_lines": {side: p["src_lines"] for side, p in provenance.items()},
         "src_sha256": {side: p["src_sha256"] for side, p in provenance.items()},
         "workloads": {
