@@ -74,6 +74,20 @@ def _registry_from(args: argparse.Namespace) -> SpeciesRegistry:
     return default_registry()
 
 
+def _refuse_flags(
+    args: argparse.Namespace, mode: str, dests: tuple[str, ...], hint: str = ""
+) -> None:
+    """Reject a flag that ``mode`` would ignore, naming it (a usage error).
+
+    A flag counts as given when its value is neither ``None`` nor ``False``,
+    so each of ``dests`` has one of those as its parser default.
+    """
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            raise ValueError(f"{mode} takes no --{dest.replace('_', '-')}{hint}")
+
+
 def _model_from(args: argparse.Namespace) -> dispersion.LifetimeModel:
     kind = dispersion.LifetimeKind(args.model)
     if kind is dispersion.LifetimeKind.K_SCALED:
@@ -86,13 +100,14 @@ def _model_from(args: argparse.Namespace) -> dispersion.LifetimeModel:
 def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     from . import vacuum_response
 
-    for dest in ("cutoff_mev", "chiral_quark_cutoff_mev"):
-        if args.fit and getattr(args, dest) is not None:
-            raise ValueError(f"--fit takes no --{dest.replace('_', '-')}; use --eval")
+    if args.fit:
+        _refuse_flags(args, "--fit", ("cutoff_mev", "chiral_quark_cutoff_mev"), "; use --eval")
+    elif args.cutoff_mev is not None:
+        _refuse_flags(args, "--eval", ("policy",), "; use --fit")
     registry = _registry_from(args)
     target = args.target
     if args.fit:
-        policy = vacuum_response.fit_cutoff(registry, target, args.policy)
+        policy = vacuum_response.fit_cutoff(registry, target, args.policy or "global-constant")
     elif args.cutoff_mev is not None:
         if args.chiral_quark_cutoff_mev is not None:
             policy = vacuum_response.chiral_cutoff_policy(
@@ -126,6 +141,7 @@ def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     state = statmech.ThermalState(args.temperature_k)
     if args.integrate:
+        _refuse_flags(args, "--integrate", ("with_zpf", "points", "x_max"))
         quad = statmech.integrate_thermal_density(state)
         closed = statmech.stefan_boltzmann_density(state)
         payload = {
@@ -135,8 +151,11 @@ def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
             "rel_dev": quad / closed - 1.0,
         }
         return payload, None
+    grid = {"x_max": args.x_max, "n_points": args.points}
     samples = statmech.planck_curve(
-        state, x_max=args.x_max, n_points=args.points, include_zero_point=not args.thermal_only
+        state,
+        include_zero_point=not args.thermal_only,
+        **{name: value for name, value in grid.items() if value is not None},
     )
     rows = [
         {
@@ -151,6 +170,7 @@ def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 
 def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     if args.all:
+        _refuse_flags(args, "--all", ("model", "custom_tau_s"))
         models = [
             dispersion.LifetimeModel(kind, k_factor=args.k_factor)
             for kind in dispersion.LifetimeKind
@@ -248,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_alpha.add_mutually_exclusive_group()
     mode.add_argument("--fit", action="store_true", help="fit the cutoff to the target")
     mode.add_argument("--eval", action="store_true", help="evaluate at --cutoff-mev")
+    # The default, global-constant, is filled in by cmd_alpha, so that
+    # --eval can tell a given --policy from the default.
     p_alpha.add_argument(
-        "--policy",
-        choices=("global-constant", "mass-proportional"),
-        default="global-constant",
+        "--policy", choices=("global-constant", "mass-proportional"), default=None
     )
     p_alpha.add_argument("--cutoff-mev", type=float, default=None)
     p_alpha.add_argument(
@@ -270,8 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     zpf.add_argument("--thermal-only", action="store_true")
     zpf.add_argument("--with-zpf", action="store_true")
     p_planck.add_argument("--integrate", action="store_true")
-    p_planck.add_argument("--x-max", type=float, default=15.0)
-    p_planck.add_argument("--points", type=int, default=200)
+    # planck_curve supplies the defaults (15.0 and 200), so that --integrate
+    # can tell a given --x-max or --points from the default.
+    p_planck.add_argument("--x-max", type=float, default=None)
+    p_planck.add_argument("--points", type=int, default=None)
     p_planck.set_defaults(func=cmd_planck)
 
     p_disp = sub.add_parser("dispersion", help="analytic flight-time fluctuation table")

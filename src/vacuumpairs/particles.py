@@ -10,7 +10,7 @@ use PDG central values.  Any table can be swapped in via ``load_registry``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -63,6 +63,9 @@ class ParticleSpecies:
     ``mass_mev`` is the rest-mass energy m*c^2, ``charge_q`` the charge in
     units of q_e, ``color_factor`` the colour degeneracy (3 for quarks) and
     ``spin_degeneracy`` 2 for fermions or 3 for the spin-1 W pair.
+    ``charge_weight`` is Q^2 * c * g/2, the exact species weight in
+    polarisation sums, and ``charge_weight_float`` its float; both are
+    formed once, when the species is made.
     """
 
     name: str
@@ -70,6 +73,8 @@ class ParticleSpecies:
     charge_q: Fraction
     color_factor: int
     spin_degeneracy: int
+    charge_weight: Fraction = field(init=False, repr=False, compare=False)
+    charge_weight_float: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -83,28 +88,29 @@ class ParticleSpecies:
             raise RegistryValidationError(
                 f"{self.name}: spin_degeneracy must be 2 or 3"
             )
-
-    @property
-    def charge_weight(self) -> Fraction:
-        """Q^2 * c * g/2, the exact species weight in polarisation sums."""
-        return (
-            self.charge_q**2
-            * self.color_factor
-            * Fraction(self.spin_degeneracy, 2)
-        )
+        weight = self.charge_q**2 * self.color_factor * Fraction(self.spin_degeneracy, 2)
+        object.__setattr__(self, "charge_weight", weight)
+        object.__setattr__(self, "charge_weight_float", float(weight))
 
 
 @dataclass(frozen=True)
 class SpeciesRegistry:
-    """Ordered, immutable collection of uniquely named species."""
+    """Ordered, immutable collection of uniquely named species.
+
+    ``charge_weight_sum`` is the exact sum of the species' ``charge_weight``,
+    formed once, when the registry is made.
+    """
 
     species: tuple[ParticleSpecies, ...]
+    charge_weight_sum: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [s.name for s in self.species]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise RegistryValidationError(f"duplicate species names: {dupes}")
+        total = sum((s.charge_weight for s in self.species), start=Fraction(0))
+        object.__setattr__(self, "charge_weight_sum", total)
 
     def __iter__(self) -> Iterator[ParticleSpecies]:
         return iter(self.species)
@@ -192,9 +198,9 @@ def default_registry() -> SpeciesRegistry:
 def weighted_degeneracy_sum(registry: SpeciesRegistry) -> float:
     """Sum of Q_i^2 * c_i * g_i/2 over the registry (9.5 for the default).
 
-    Computed in exact rational arithmetic before the final float conversion,
-    so dyadic results such as 9.5 are exact.
+    The exact ``registry.charge_weight_sum`` converted to float, so dyadic
+    results such as 9.5 are exact.
     """
     if len(registry) == 0:
         raise EmptyRegistryError("registry has no species")
-    return float(sum((s.charge_weight for s in registry), start=Fraction(0)))
+    return float(registry.charge_weight_sum)

@@ -215,7 +215,7 @@ def inverse_alpha_single(
         term = _bracket_term(x)
     else:
         term = x**3 / 3.0
-    return float(species.charge_weight) * term / _TWO_PI
+    return species.charge_weight_float * term / _TWO_PI
 
 
 def inverse_alpha_single_quadrature(
@@ -239,7 +239,7 @@ def inverse_alpha_single_quadrature(
         ) / m
     else:
         integral = numerics.integrate(lambda t: t * t, 0.0, cutoff_mev, spec) / m**3
-    return float(species.charge_weight) * integral / _TWO_PI
+    return species.charge_weight_float * integral / _TWO_PI
 
 
 def inverse_alpha_total(

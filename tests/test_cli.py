@@ -138,6 +138,15 @@ class TestPlanckCommand:
         assert code == 0
         assert abs(json.loads(out)["rel_dev"]) < 1e-6
 
+    def test_integrate_takes_thermal_only(self, capsys):
+        # The thermal integral has no zero-point term, so --thermal-only is
+        # consistent with it, unlike --with-zpf, --points and --x-max.
+        _, plain, _ = run(capsys, ["planck", "--temperature-k", "300", "--integrate"])
+        code, out, _ = run(
+            capsys, ["planck", "--temperature-k", "300", "--integrate", "--thermal-only"]
+        )
+        assert (code, out) == (0, plain)
+
     def test_cold_zpf_curve_is_cubic(self, capsys):
         # Beyond the Wien tail (x = pc/kT >= 10) the zero-point term carries
         # the curve and w scales as p^3.
@@ -433,6 +442,23 @@ USAGE_ERRORS = {
     # --fit would ignore either cutoff.
     "fit-with-cutoff": ["alpha", "--fit", "--cutoff-mev", "5"],
     "fit-with-chiral-cutoff": ["alpha", "--fit", "--chiral-quark-cutoff-mev", "300"],
+    # --eval, --all and --integrate would ignore these flags.
+    "eval-with-policy": ["alpha", "--eval", "--cutoff-mev", "292", "--policy", "mass-proportional"],
+    "all-with-model": ["dispersion", "--all", "--model", "half-compton"],
+    "all-with-custom-tau": ["dispersion", "--all", "--custom-tau-s", "1e-20"],
+    "integrate-with-zpf": ["planck", "--integrate", "--temperature-k", "300", "--with-zpf"],
+    "integrate-with-points": ["planck", "--integrate", "--temperature-k", "300", "--points", "50"],
+    "integrate-with-x-max": ["planck", "--integrate", "--temperature-k", "300", "--x-max", "10"],
+}
+#: The flag that each row above for --eval, --all or --integrate names in
+#: its error (TestAlphaCommand checks the --fit rows).
+IGNORED_FLAGS = {
+    "eval-with-policy": "--policy",
+    "all-with-model": "--model",
+    "all-with-custom-tau": "--custom-tau-s",
+    "integrate-with-zpf": "--with-zpf",
+    "integrate-with-points": "--points",
+    "integrate-with-x-max": "--x-max",
 }
 
 
@@ -444,6 +470,11 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row, flag", IGNORED_FLAGS.items(), ids=IGNORED_FLAGS.keys())
+    def test_ignored_flag_is_named(self, capsys, row, flag):
+        _, _, err = run(capsys, USAGE_ERRORS[row])
+        assert err.startswith("error:") and flag in err
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "no-such-dir" / "x.json"

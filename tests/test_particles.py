@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from vacuumpairs import vacuum_response
 from vacuumpairs.constants import CODATA
 from vacuumpairs.particles import (
+    ALLOWED_CHARGES,
     EmptyRegistryError,
     ParticleSpecies,
     RegistryParseError,
@@ -163,3 +167,72 @@ class TestSpeciesValidation:
     def test_charge_weight(self):
         s = ParticleSpecies("x", 1.0, Fraction(-1, 3), 3, 2)
         assert s.charge_weight == Fraction(1, 3)
+
+
+def exact_weight(charge, color, spin):
+    """Q^2 * c * g/2, formed here independently of the library."""
+    return Fraction(charge) ** 2 * color * Fraction(spin, 2)
+
+
+class TestStoredWeights:
+    """Each species' weight and each registry's sum are formed once, exactly."""
+
+    @pytest.mark.parametrize("charge", ALLOWED_CHARGES, ids=str)
+    @pytest.mark.parametrize("color", (1, 3))
+    @pytest.mark.parametrize("spin", (2, 3))
+    def test_every_allowed_combination(self, charge, color, spin):
+        s = ParticleSpecies("x", 1.0, charge, color, spin)
+        assert s.charge_weight == exact_weight(charge, color, spin)
+        assert s.charge_weight_float == float(exact_weight(charge, color, spin))
+
+    def test_every_subset_of_the_default_registry(self):
+        reg = default_registry()
+        target = CODATA.inverse_alpha_target
+        subsets = 0
+        for size in range(1, len(reg) + 1):
+            for names in itertools.combinations(reg.names, size):
+                sub = reg.subset(names)
+                exact = sum(
+                    (exact_weight(s.charge_q, s.color_factor, s.spin_degeneracy) for s in sub),
+                    start=Fraction(0),
+                )
+                assert weighted_degeneracy_sum(sub) == float(exact)
+                fit = vacuum_response.fit_cutoff(sub, target, "mass-proportional")
+                assert fit.scale_a == (6.0 * math.pi * target / float(exact)) ** (1.0 / 3.0)
+                subsets += 1
+        assert subsets == 1023
+
+    def test_replaced_species_has_fresh_weights(self):
+        e = default_registry().get("e")
+        w_pair = dataclasses.replace(e, spin_degeneracy=3)
+        assert w_pair.charge_weight == Fraction(3, 2)
+        assert w_pair.charge_weight_float == 1.5
+        assert e.charge_weight == 1 and e.charge_weight_float == 1.0
+        assert weighted_degeneracy_sum(SpeciesRegistry((w_pair,))) == 1.5
+        down_like = dataclasses.replace(default_registry().get("u"), charge_q=Fraction(-1, 3))
+        assert down_like.charge_weight == Fraction(1, 3)
+        assert down_like.charge_weight_float == float(Fraction(1, 3))
+
+    def test_mass_scaled_table_has_fresh_weights(self, tmp_path):
+        # Doubling every mass is exact, so at a doubled cutoff each species'
+        # x = A/mc^2, and with it its 1/alpha term, is bit for bit the same.
+        records = registry_records()
+        for rec in records:
+            rec["mass_mev"] *= 2.0
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+        heavy = load_registry(path)
+        assert heavy.charge_weight_sum == default_registry().charge_weight_sum == Fraction(19, 2)
+        for light, scaled in zip(default_registry(), heavy):
+            assert scaled.mass_mev == 2.0 * light.mass_mev
+            assert scaled.charge_weight == light.charge_weight
+            assert scaled.charge_weight_float == light.charge_weight_float
+            assert vacuum_response.inverse_alpha_single(
+                scaled, 584.0
+            ) == vacuum_response.inverse_alpha_single(light, 292.0)
+
+    def test_weight_is_formed_once(self):
+        s = ParticleSpecies("x", 1.0, Fraction(2, 3), 3, 2)
+        assert s.charge_weight is s.charge_weight
+        reg = default_registry()
+        assert reg.charge_weight_sum is reg.charge_weight_sum

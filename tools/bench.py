@@ -23,7 +23,10 @@ Both trees run with the same interpreter, so the comparison isolates the code.
 and once after the last, so that BENCH files from other hosts or days can
 be normalised: ns per iteration of an empty Python loop and ns per
 ``numpy.random.Generator.standard_normal`` draw, each the best of
-CALIBRATION_REPEATS timings.
+CALIBRATION_REPEATS timings.  ``host.calibration_ratios`` holds after/before
+for each reading, and ``host.drift`` is true when either ratio is more than
+DRIFT_LIMIT away from 1.  Then the host changed speed during the pairs, so
+the medians mix two speeds, and the tool prints a warning.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ SEEDS = (3, 4, 5)
 PAIRS = 10
 SECONDS = 25
 CALIBRATION_REPEATS = 5
+DRIFT_LIMIT = 0.10
 LOWER_IS_BETTER = {
     m["name"]: m["better"] == "lower"
     for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
@@ -94,6 +98,13 @@ def calibrate() -> dict:
         rng.standard_normal(n)
         draw_s.append(time.perf_counter() - t0)
     return {"loop_ns_per_iter": min(loop_s) / n * 1e9, "normal_ns_per_draw": min(draw_s) / n * 1e9}
+
+
+def drift(calibration: dict) -> tuple[bool, dict[str, float]]:
+    """Whether the host drifted, and the after/before ratio of each reading."""
+    before, after = calibration["before"], calibration["after"]
+    ratios = {name: after[name] / before[name] for name in before}
+    return any(abs(r - 1.0) > DRIFT_LIMIT for r in ratios.values()), ratios
 
 
 def summary(values: list[float]) -> dict:
@@ -160,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         calibration = {"before": calibrate()}
         workloads = compare({"parent": parent_tree, "change": ROOT})
         calibration["after"] = calibrate()
+    drifted, ratios = drift(calibration)
     provenance = workloads[WORKLOADS[0]]["provenance"]
     record = {
         "command": f"python3 tools/bench.py --parent {args.parent} --out {args.out.name}",
@@ -172,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             "uncommitted_changes": bool(git("status", "--porcelain", "--", "src", "perfbench")),
         },
         "host": {k: provenance["change"][k] for k in ("python", "numpy", "nproc", "cpu_model")}
-        | {"calibration": calibration},
+        | {"calibration": calibration, "calibration_ratios": ratios, "drift": drifted},
         "src_lines": {side: p["src_lines"] for side, p in provenance.items()},
         "src_sha256": {side: p["src_sha256"] for side, p in provenance.items()},
         "workloads": {
@@ -185,6 +197,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:12s} {metric:12s} {m['parent']['median']:>12.6g} -> "
                   f"{m['change']['median']:>12.6g} {m['unit']:5s} "
                   f"better in {m['change_better_pairs']}/{PAIRS} pairs")
+    if drifted:
+        readings = ", ".join(f"{name} x{r:.2f}" for name, r in ratios.items())
+        print(f"warning: the host's speed drifted during the pairs (after/before: {readings});"
+              f" medians mix two speeds", file=sys.stderr)
     return 0
 
 
