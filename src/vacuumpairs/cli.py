@@ -88,13 +88,26 @@ def _refuse_flags(
             raise ValueError(f"{mode} takes no --{dest.replace('_', '-')}{hint}")
 
 
+def _lifetime_model(
+    args: argparse.Namespace, kind: dispersion.LifetimeKind
+) -> dispersion.LifetimeModel:
+    """The ``kind`` model from the lifetime flags given; ``LifetimeModel``
+    supplies the default of each flag left out (``None``)."""
+    given = {
+        dest: getattr(args, dest)
+        for dest in ("k_factor", "custom_tau_s")
+        if getattr(args, dest) is not None
+    }
+    return dispersion.LifetimeModel(kind, **given)
+
+
 def _model_from(args: argparse.Namespace) -> dispersion.LifetimeModel:
     kind = dispersion.LifetimeKind(args.model)
-    if kind is dispersion.LifetimeKind.K_SCALED:
-        return dispersion.LifetimeModel.k_scaled(args.k_factor)
-    if kind is dispersion.LifetimeKind.CUSTOM:
-        return dispersion.LifetimeModel.custom(args.custom_tau_s)
-    return dispersion.LifetimeModel(kind)
+    if kind is not dispersion.LifetimeKind.K_SCALED:
+        _refuse_flags(args, f"--model {kind.value}", ("k_factor",))
+    if kind is not dispersion.LifetimeKind.CUSTOM:
+        _refuse_flags(args, f"--model {kind.value}", ("custom_tau_s",))
+    return _lifetime_model(args, kind)
 
 
 def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
@@ -172,7 +185,7 @@ def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     if args.all:
         _refuse_flags(args, "--all", ("model", "custom_tau_s"))
         models = [
-            dispersion.LifetimeModel(kind, k_factor=args.k_factor)
+            _lifetime_model(args, kind)
             for kind in dispersion.LifetimeKind
             if kind is not dispersion.LifetimeKind.CUSTOM
         ]
@@ -201,7 +214,7 @@ def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     model = _model_from(args)
     species = _registry_from(args).get(args.reference_species)
-    if species.name != "e":
+    if species != default_registry().get("e"):
         # Flight configs carry a lifetime, not a species; fold the species
         # into an explicit custom lifetime so the echo stays faithful.
         model = dispersion.LifetimeModel.custom(dispersion.lifetime(model, species))
@@ -251,20 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--species-file", help="JSON species table overriding the default")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="output path (default stdout)")
+
+    def table_common(p: argparse.ArgumentParser) -> None:
+        """``common`` for the subcommands that read the species table."""
+        p.add_argument("--species-file", help="JSON species table overriding the default")
+        common(p)
 
     def lifetime_flags(p: argparse.ArgumentParser, *, required: bool) -> None:
         p.add_argument(
             "--model", required=required, choices=[k.value for k in dispersion.LifetimeKind]
         )
-        p.add_argument("--k-factor", type=float, default=31.9)
+        # LifetimeModel supplies the default, so that a model other than
+        # k-scaled can tell a given --k-factor from the default.
+        p.add_argument("--k-factor", type=float, default=None)
         p.add_argument("--custom-tau-s", type=float, default=None)
         p.add_argument("--reference-species", default="e")
 
     p_alpha = sub.add_parser("alpha", help="inverse fine-structure fits and evaluations")
-    common(p_alpha)
+    table_common(p_alpha)
     mode = p_alpha.add_mutually_exclusive_group()
     mode.add_argument("--fit", action="store_true", help="fit the cutoff to the target")
     mode.add_argument("--eval", action="store_true", help="evaluate at --cutoff-mev")
@@ -297,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_planck.set_defaults(func=cmd_planck)
 
     p_disp = sub.add_parser("dispersion", help="analytic flight-time fluctuation table")
-    common(p_disp)
+    table_common(p_disp)
     lifetime_flags(p_disp, required=False)
     p_disp.add_argument("--all", action="store_true")
     p_disp.set_defaults(func=cmd_dispersion)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo photon flight ensemble")
-    common(p_sim)
+    table_common(p_sim)
     lifetime_flags(p_sim, required=True)
     p_sim.add_argument("--length-m", type=float, required=True)
     p_sim.add_argument("--photons", type=int, required=True)
@@ -316,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_report = sub.add_parser("report", help="full reproduction table with pass/fail")
-    common(p_report)
+    table_common(p_report)
     # The default, report.REPORT_SEED, is filled in by cmd_report, so that
     # parsing the flags does not import the report.
     p_report.add_argument("--seed", type=int, default=None)

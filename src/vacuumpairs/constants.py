@@ -14,7 +14,6 @@ class PhysicalConstants:
     c_m_per_s: float = 299_792_458.0  # speed of light (exact)
     k_boltzmann_j_per_k: float = 1.380_649e-23  # Boltzmann constant (exact)
     q_e_coulomb: float = 1.602_176_634e-19  # elementary charge (exact)
-    electron_mass_energy_mev: float = 0.510_998_95
     # Fit target for the inverse fine-structure constant, truncated to the
     # precision the cutoff fits are quoted at.
     inverse_alpha_target: float = 137.035_999
@@ -23,11 +22,6 @@ class PhysicalConstants:
     def hbar_j_s(self) -> float:
         """Reduced Planck constant h/(2*pi) in J*s."""
         return self.h_j_s / (2.0 * math.pi)
-
-    @property
-    def hbar_ev_s(self) -> float:
-        """Reduced Planck constant in eV*s."""
-        return self.hbar_j_s / self.q_e_coulomb
 
     @property
     def alpha_target(self) -> float:

@@ -15,11 +15,11 @@ import enum
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from .constants import CODATA
-from .particles import ParticleSpecies
+from .particles import ParticleSpecies, default_registry
 
 # numpy is imported inside the functions that build arrays, so the
 # closed-form commands start without it.
@@ -35,10 +35,14 @@ class DegenerateFlightWarning(UserWarning):
     """Expected interaction count below one; statistics are degenerate."""
 
 
+#: Fitted K of the k-scaled lifetime rule.
+DEFAULT_K_FACTOR = 31.9
+
+
 class LifetimeKind(str, enum.Enum):
     #: tau = hbar / (2 m c^2): half the Compton time of the pair gap.
     HALF_COMPTON = "half-compton"
-    #: tau = hbar / (K * 2 m c^2) with fitted K (31.9 by default).
+    #: tau = hbar / (K * 2 m c^2) with fitted K (DEFAULT_K_FACTOR by default).
     K_SCALED = "k-scaled"
     #: tau = hbar / (alpha^5 m c^2): quasi-stationary pair-photon state.
     QUASISTATIONARY = "quasistationary"
@@ -51,7 +55,7 @@ class LifetimeModel:
     """A named virtual-pair lifetime rule tau(m)."""
 
     kind: LifetimeKind
-    k_factor: float = 31.9
+    k_factor: float = DEFAULT_K_FACTOR
     custom_tau_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -66,7 +70,7 @@ class LifetimeModel:
         return cls(LifetimeKind.HALF_COMPTON)
 
     @classmethod
-    def k_scaled(cls, k_factor: float = 31.9) -> "LifetimeModel":
+    def k_scaled(cls, k_factor: float = DEFAULT_K_FACTOR) -> "LifetimeModel":
         return cls(LifetimeKind.K_SCALED, k_factor=k_factor)
 
     @classmethod
@@ -79,11 +83,11 @@ class LifetimeModel:
 
 
 def lifetime(model: LifetimeModel, species: ParticleSpecies | None = None) -> float:
-    """Virtual-pair lifetime in seconds for the given species (electron default)."""
-    mass_mev = (
-        CODATA.electron_mass_energy_mev if species is None else species.mass_mev
-    )
-    gap_j = 2.0 * mass_mev * CODATA.mev_to_j
+    """Virtual-pair lifetime in seconds for the given species (by default the
+    built-in table's electron)."""
+    if species is None:
+        species = default_registry().get("e")
+    gap_j = 2.0 * species.mass_mev * CODATA.mev_to_j
     if model.kind is LifetimeKind.HALF_COMPTON:
         return CODATA.hbar_j_s / gap_j
     if model.kind is LifetimeKind.K_SCALED:
@@ -187,22 +191,6 @@ class FlightConfig:
         if self.n_workers < 1:
             raise FlightConfigError("n_workers must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "length_m": self.length_m,
-            "lifetime_model": {
-                "kind": self.lifetime_model.kind.value,
-                "k_factor": self.lifetime_model.k_factor,
-                "custom_tau_s": self.lifetime_model.custom_tau_s,
-            },
-            "n_photons": self.n_photons,
-            "seed": self.seed,
-            "delay_distribution": self.delay_distribution.value,
-            "interaction_process": self.interaction_process.value,
-            "sampling": self.sampling.value,
-            "n_workers": self.n_workers,
-        }
-
 
 @dataclass(frozen=True)
 class PhotonFlightResult:
@@ -225,7 +213,8 @@ class PhotonFlightResult:
             "stddev_delay_s": self.stddev_delay_s,
             "n_photons": self.n_photons,
             "analytic_sigma_s": self.analytic_sigma_s,
-            "config": self.config.to_dict(),
+            # The enums are str subclasses, so they serialise as their values.
+            "config": asdict(self.config),
         }
 
 
@@ -500,20 +489,9 @@ _LITERATURE_VERDICTS = {
 class LimitComparison:
     """One lifetime model against the astrophysical jitter limit band."""
 
-    model_kind: str
     sigma_fs_per_sqrt_m: float
-    limit_band_fs_per_sqrt_m: tuple[float, float]
     band_verdict: str  # "excluded" iff sigma exceeds the upper band edge
     literature_verdict: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "sigma_fs_per_sqrt_m": self.sigma_fs_per_sqrt_m,
-            "limit_band_fs_per_sqrt_m": list(self.limit_band_fs_per_sqrt_m),
-            "band_verdict": self.band_verdict,
-            "literature_verdict": self.literature_verdict,
-        }
 
 
 def compare_to_limits(
@@ -523,9 +501,7 @@ def compare_to_limits(
     sigma_fs = sigma_coefficient(model, species) * 1e15
     excluded = sigma_fs > LIMIT_BAND_FS_PER_SQRT_M[1]
     return LimitComparison(
-        model_kind=model.kind.value,
         sigma_fs_per_sqrt_m=sigma_fs,
-        limit_band_fs_per_sqrt_m=LIMIT_BAND_FS_PER_SQRT_M,
         band_verdict="excluded" if excluded else "viable",
         literature_verdict=_LITERATURE_VERDICTS.get(model.kind),
     )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import numerics
 from .constants import CODATA
@@ -29,7 +29,7 @@ class ThermalState:
     """
 
     temperature_k: float
-    beta_per_j: float = 0.0
+    beta_per_j: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.temperature_k < math.inf:
@@ -40,10 +40,7 @@ class ThermalState:
                 f"temperature_k = {self.temperature_k} gives kT = {kt} J, whose "
                 f"inverse beta is not finite"
             )
-        if self.beta_per_j == 0.0:
-            object.__setattr__(self, "beta_per_j", 1.0 / kt)
-        elif abs(self.beta_per_j * kt - 1.0) > 1e-12:
-            raise ValueError("beta_per_j inconsistent with temperature_k")
+        object.__setattr__(self, "beta_per_j", 1.0 / kt)
 
     def hw_over_kt(self, omega_rad_per_s: float) -> float:
         """Dimensionless mode energy hbar*omega/(kT)."""
@@ -57,10 +54,6 @@ class SpectralSample:
     abscissa: float
     value: float
     includes_zero_point: bool
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("spectral density must be >= 0")
 
 
 def dispersion_energy(mass_energy_mev: float, pc_mev: float) -> float:

@@ -135,13 +135,6 @@ class AlphaBreakdown:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AlphaBreakdown":
-        return cls(
-            per_species={r["name"]: r["contribution"] for r in data["species"]},
-            cutoffs_mev={r["name"]: r["cutoff_mev"] for r in data["species"]},
-        )
-
 
 # --- oscillator dipole moments -------------------------------------------
 
@@ -242,26 +235,18 @@ def inverse_alpha_single_quadrature(
     return species.charge_weight_float * integral / _TWO_PI
 
 
-def inverse_alpha_total(
-    registry: SpeciesRegistry,
-    policy: CutoffPolicy,
-    charge_scale: Mapping[str, float] | None = None,
-) -> AlphaBreakdown:
+def inverse_alpha_total(registry: SpeciesRegistry, policy: CutoffPolicy) -> AlphaBreakdown:
     """Per-species 1/alpha contributions under a cutoff policy.
 
     Each species contributes ``inverse_alpha_single`` at the policy's cutoff
     for it, with the policy's oscillator (``CutoffPolicy.oscillator``).
-
-    ``charge_scale`` optionally rescales individual species charges
-    (unscreened-charge variant); the default multiplier is 1.
     """
     oscillator = policy.oscillator
     contributions: dict[str, float] = {}
     cutoffs: dict[str, float] = {}
     for species in registry:
-        scale = 1.0 if charge_scale is None else float(charge_scale.get(species.name, 1.0))
         cutoffs[species.name] = policy.cutoff_for(species)
-        contributions[species.name] = scale * scale * inverse_alpha_single(
+        contributions[species.name] = inverse_alpha_single(
             species, cutoffs[species.name], oscillator
         )
     return AlphaBreakdown(per_species=contributions, cutoffs_mev=cutoffs)

@@ -1,4 +1,4 @@
-"""The host-drift flag of ``tools/bench.py``."""
+"""The host-drift flag and the metric verdicts of ``tools/bench.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -32,3 +32,35 @@ def test_readings_within_ten_percent_do_not_drift(bench):
 @pytest.mark.parametrize("loop_after, draw_after", [(17.9, 16.0), (20.0, 17.7), (14.2, 13.3)])
 def test_either_reading_beyond_ten_percent_drifts(bench, loop_after, draw_after):
     assert bench.drift(calibration(loop_after, draw_after))[0]
+
+
+LOWER = {"name": "op_p50_ms", "better": "lower", "bound": 0.25}
+HIGHER = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+STEADY = [100.0 + i for i in range(10)]  # quartile spread 4.5, 4% of the median
+# Quartile spread 55, 55% of the median 100.
+NOISY = [50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0]
+
+
+@pytest.mark.parametrize("metric, parent, change, expected", [
+    # 10/10 pairs better, median gap 20 > spread 4.5.
+    (LOWER, STEADY, [v - 20.0 for v in STEADY], "gain"),
+    (HIGHER, STEADY, [v + 20.0 for v in STEADY], "gain"),
+    # 9/10 pairs better still gains; 8/10 does not.
+    (LOWER, STEADY, [v - 20.0 for v in STEADY[:9]] + [200.0], "gain"),
+    (LOWER, STEADY, [v - 20.0 for v in STEADY[:8]] + [200.0, 200.0], "unchanged"),
+    # Better in every pair, but by less than the spread.
+    (LOWER, STEADY, [v - 1.0 for v in STEADY], "unchanged"),
+    # The median is worse by 30% and 40%, beyond the 25% bound.
+    (LOWER, STEADY, [v * 1.4 for v in STEADY], "regression"),
+    (HIGHER, STEADY, [v * 0.7 for v in STEADY], "regression"),
+    # Worse by 20%, within the bound.
+    (LOWER, STEADY, [v * 1.2 for v in STEADY], "unchanged"),
+    # The parent's own runs spread beyond the bound.
+    (LOWER, NOISY, list(NOISY), "unresolved"),
+    (HIGHER, NOISY, [v + 10.0 for v in NOISY], "unresolved"),
+    # ... unless every change run beats every parent run.
+    (LOWER, NOISY, [45.0 + 0.5 * i for i in range(10)], "unchanged"),
+    (LOWER, STEADY, list(reversed(STEADY)), "unchanged"),
+])
+def test_verdict(bench, metric, parent, change, expected):
+    assert bench.verdict(metric, parent, change) == expected

@@ -172,6 +172,13 @@ class TestPlanckCommand:
         code, _, _ = run(capsys, ["planck", "--temperature-k", "0"])
         assert code == 2
 
+    def test_species_file_is_rejected(self, capsys):
+        # planck reads no species table, so argparse refuses the flag.
+        argv = ["planck", "--temperature-k", "300", "--integrate", "--species-file", "x.json"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "--species-file" in err
+
 
 class TestDispersionCommand:
     def test_single_model(self, capsys):
@@ -293,6 +300,37 @@ class TestSimulateCommand:
             ["simulate", "--model", "custom", "--length-m", "1", "--photons", "10", "--seed", "7"],
         )
         assert code == 2
+
+    def test_species_file_sets_reference_electron(self, capsys, tmp_path):
+        # An electron at 1 MeV moves simulate's spread as it moves dispersion's.
+        records = [
+            {
+                "name": s.name,
+                "mass_mev": 1.0 if s.name == "e" else s.mass_mev,
+                "charge_q": float(s.charge_q),
+                "color_factor": s.color_factor,
+                "spin_degeneracy": s.spin_degeneracy,
+            }
+            for s in default_registry()
+        ]
+        path = tmp_path / "heavy-electron.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+        table = ["--model", "half-compton", "--species-file", str(path)]
+        _, out, _ = run(capsys, ["dispersion"] + table)
+        sigma_1m_s = json.loads(out)["models"][0]["sigma_1m_fs"] * 1e-15
+        argv = ["simulate"] + table + ["--length-m", "1", "--photons", "10", "--seed", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert abs(json.loads(out)["analytic_sigma_s"] / sigma_1m_s - 1.0) < 1e-15
+
+    def test_builtin_electron_echoes_its_model(self, capsys, tmp_path):
+        # Only a reference species other than the built-in electron is folded
+        # into a custom lifetime.
+        tail = ["--length-m", "1", "--photons", "10", "--seed", "1"]
+        for table in ([], ["--species-file", str(electron_only_file(tmp_path))]):
+            code, out, _ = run(capsys, ["simulate", "--model", "half-compton"] + table + tail)
+            assert code == 0
+            assert json.loads(out)["config"]["lifetime_model"]["kind"] == "half-compton"
 
 
 class TestReportCommand:
@@ -449,9 +487,15 @@ USAGE_ERRORS = {
     "integrate-with-zpf": ["planck", "--integrate", "--temperature-k", "300", "--with-zpf"],
     "integrate-with-points": ["planck", "--integrate", "--temperature-k", "300", "--points", "50"],
     "integrate-with-x-max": ["planck", "--integrate", "--temperature-k", "300", "--x-max", "10"],
+    # Only k-scaled reads --k-factor, and only custom reads --custom-tau-s.
+    "half-compton-with-k-factor": ["dispersion", "--model", "half-compton", "--k-factor", "5"],
+    "half-compton-with-custom-tau": [
+        "simulate", "--model", "half-compton", "--custom-tau-s", "1e-20",
+        "--length-m", "1", "--photons", "10", "--seed", "1",
+    ],
 }
-#: The flag that each row above for --eval, --all or --integrate names in
-#: its error (TestAlphaCommand checks the --fit rows).
+#: The flag that each row above for --eval, --all, --integrate or --model
+#: names in its error (TestAlphaCommand checks the --fit rows).
 IGNORED_FLAGS = {
     "eval-with-policy": "--policy",
     "all-with-model": "--model",
@@ -459,6 +503,8 @@ IGNORED_FLAGS = {
     "integrate-with-zpf": "--with-zpf",
     "integrate-with-points": "--points",
     "integrate-with-x-max": "--x-max",
+    "half-compton-with-k-factor": "--k-factor",
+    "half-compton-with-custom-tau": "--custom-tau-s",
 }
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from vacuumpairs import dispersion
+from vacuumpairs.cli import main
 from vacuumpairs.constants import CODATA
 from vacuumpairs.dispersion import (
     LIMIT_BAND_FS_PER_SQRT_M,
@@ -32,6 +33,7 @@ from vacuumpairs.dispersion import (
     sigma_coefficient,
     simulate_flight,
 )
+from vacuumpairs.particles import default_registry
 
 
 def sd_standard_error(sigma, n):
@@ -56,9 +58,12 @@ class TestLifetimes:
     def test_custom(self):
         assert lifetime(LifetimeModel.custom(1.5e-20)) == 1.5e-20
 
-    def test_species_override(self):
-        from vacuumpairs.particles import default_registry
+    @pytest.mark.parametrize("kind", LifetimeKind)
+    def test_default_species_is_table_electron(self, kind):
+        model = LifetimeModel(kind, custom_tau_s=1.5e-20)
+        assert lifetime(model) == lifetime(model, default_registry().get("e"))
 
+    def test_species_override(self):
         muon = default_registry().get("mu")
         hc_mu = lifetime(LifetimeModel.half_compton(), muon)
         hc_e = lifetime(LifetimeModel.half_compton())
@@ -480,8 +485,12 @@ class TestLimitVerdicts:
         assert verdict.band_verdict == "viable"
         assert verdict.literature_verdict is None
 
-    def test_verdict_serialises(self):
-        verdict = compare_to_limits(LifetimeModel.quasistationary())
-        payload = json.loads(json.dumps(verdict.to_dict()))
-        assert payload["band_verdict"] == "excluded"
+    def test_verdict_serialises(self, capsys):
+        assert main(["dispersion", "--all"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["limit_band_fs_per_sqrt_m"] == [0.2, 0.3]
+        rows = {row["model"]: row for row in payload["models"]}
+        verdict = compare_to_limits(LifetimeModel.quasistationary())
+        assert rows["quasistationary"]["sigma_fs_per_sqrt_m"] == verdict.sigma_fs_per_sqrt_m
+        assert rows["quasistationary"]["band_verdict"] == "excluded"
+        assert rows["quasistationary"]["literature_verdict"] == "excluded"

@@ -42,7 +42,8 @@ class TestConstants:
         assert 1.0 / 138.0 <= CODATA.alpha_target <= 1.0 / 137.0
 
     def test_hbar_ev_accessor(self):
-        assert abs(CODATA.hbar_ev_s / 6.582119569e-16 - 1.0) < 1e-9
+        # hbar in eV*s is hbar in J*s over the elementary charge.
+        assert abs(CODATA.hbar_j_s / CODATA.q_e_coulomb / 6.582119569e-16 - 1.0) < 1e-9
 
 
 class TestDefaultRegistry:

@@ -11,7 +11,6 @@ from vacuumpairs import statmech
 from vacuumpairs.constants import CODATA
 from vacuumpairs.statmech import (
     ModeCountOverflowError,
-    SpectralSample,
     ThermalState,
     count_box_modes,
     dispersion_energy,
@@ -412,9 +411,18 @@ class TestPlanckLaw:
         assert samples[0].value == 0.0
         assert all(s.value >= 0.0 for s in samples)
 
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            SpectralSample(1.0, -1.0, False)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        temperature_k=st.floats(min_value=1e-250, max_value=1e90),
+        x_max=st.floats(min_value=1e-300, max_value=1e3),
+        include_zero_point=st.booleans(),
+    )
+    def test_sample_validation(self, temperature_k, x_max, include_zero_point):
+        samples = planck_curve(
+            ThermalState(temperature_k), x_max=x_max, n_points=20,
+            include_zero_point=include_zero_point,
+        )
+        assert all(math.isfinite(s.value) and s.value >= 0.0 for s in samples)
 
     @pytest.mark.parametrize("temperature_k, x_max", [
         # every factor is finite but the density overflows to inf
@@ -467,5 +475,6 @@ class TestThermalState:
             ThermalState(0.0)
 
     def test_inconsistent_beta(self):
-        with pytest.raises(ValueError):
+        # beta is derived from the temperature, never given.
+        with pytest.raises(TypeError):
             ThermalState(300.0, beta_per_j=1.0)

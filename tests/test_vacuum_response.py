@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,7 +13,6 @@ from vacuumpairs import numerics, statmech
 from vacuumpairs.constants import CODATA
 from vacuumpairs.particles import ParticleSpecies, SpeciesRegistry, default_registry
 from vacuumpairs.vacuum_response import (
-    AlphaBreakdown,
     CutoffPolicy,
     LandauMode,
     NegativeRadicandError,
@@ -225,12 +226,18 @@ class TestInverseAlphaTotal:
         assert breakdown.total_inverse_alpha < full.total_inverse_alpha
 
     def test_unscreened_charge_scale_hook(self):
-        base = inverse_alpha_total(REG, CutoffPolicy.global_constant(292.0))
-        scaled = inverse_alpha_total(
-            REG, CutoffPolicy.global_constant(292.0), charge_scale={"e": 2.0}
-        )
-        assert abs(scaled.per_species["e"] / base.per_species["e"] - 4.0) < 1e-12
-        assert scaled.per_species["u"] == base.per_species["u"]
+        # A species with a rescaled charge contributes in proportion to Q^2.
+        policy = CutoffPolicy.global_constant(292.0)
+        base = inverse_alpha_total(REG, policy).per_species
+        for charge_q in (Fraction(2, 3), Fraction(-1, 3), Fraction(1)):
+            rescaled = dataclasses.replace(ELECTRON, charge_q=charge_q)
+            registry = SpeciesRegistry(tuple(rescaled if s is ELECTRON else s for s in REG))
+            scaled = inverse_alpha_total(registry, policy).per_species
+            ratio = float(charge_q**2 / ELECTRON.charge_q**2)
+            assert abs(scaled["e"] / base["e"] / ratio - 1.0) < 1e-15
+            assert {k: v for k, v in scaled.items() if k != "e"} == {
+                k: v for k, v in base.items() if k != "e"
+            }
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(
@@ -255,8 +262,10 @@ class TestInverseAlphaTotal:
 
     def test_breakdown_json_round_trip(self):
         breakdown = inverse_alpha_total(REG, CutoffPolicy.global_constant(292.0))
-        restored = AlphaBreakdown.from_dict(json.loads(json.dumps(breakdown.to_dict())))
-        assert restored == breakdown
+        restored = json.loads(json.dumps(breakdown.to_dict()))
+        assert restored["total_inverse_alpha"] == breakdown.total_inverse_alpha
+        assert {r["name"]: r["contribution"] for r in restored["species"]} == breakdown.per_species
+        assert {r["name"]: r["cutoff_mev"] for r in restored["species"]} == breakdown.cutoffs_mev
 
     def test_underflowed_total_has_no_shares(self):
         breakdown = inverse_alpha_total(REG, CutoffPolicy.global_constant(1e-300))
@@ -428,7 +437,7 @@ class TestMagneticMoment:
 
 
 class TestLandauLevels:
-    M = CODATA.electron_mass_energy_mev
+    M = ELECTRON.mass_mev
 
     def test_field_off_reduces_to_dispersion(self):
         value = landau_energy(self.M, 0.3, 0.0, 2)

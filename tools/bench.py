@@ -15,9 +15,11 @@ the first seed, for the per-layer metrics.  The output holds every run's
 end-to-end metrics, their median and quartiles per tree, in how many pairs
 the change was better (by the direction ``BENCHMARK.json`` declares), the
 failed-operation counts, the per-layer metrics, the provenance of both
-trees (commit, ``src/`` line count and hash) and of the host.  A gain is
-claimed only when the change is better in at least nine of ten pairs and
-its median beats the parent's by more than the parent's quartile spread.
+trees (commit, ``src/`` line count and hash) and of the host.  Each
+end-to-end entry carries a ``verdict`` (see ``verdict``), also printed in
+the summary lines: ``gain`` only when the change is better in at least nine
+of ten pairs and its median beats the parent's by more than the parent's
+quartile spread.
 Both trees run with the same interpreter, so the comparison isolates the code.
 ``host.calibration`` records the host's speed once before the first pair
 and once after the last, so that BENCH files from other hosts or days can
@@ -49,8 +51,9 @@ PAIRS = 10
 SECONDS = 25
 CALIBRATION_REPEATS = 5
 DRIFT_LIMIT = 0.10
-LOWER_IS_BETTER = {
-    m["name"]: m["better"] == "lower"
+#: Each end-to-end metric's declaration: its direction and its bound.
+END_TO_END = {
+    m["name"]: m
     for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 }
 
@@ -112,6 +115,35 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def better(metric: dict, parent: float, change: float) -> bool:
+    """Whether the change's reading beats the parent's, in the declared direction."""
+    return change < parent if metric["better"] == "lower" else change > parent
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """The verdict on one end-to-end metric; run i of each side is pair i.
+
+    ``gain``: better in at least 9/10 of the pairs, with a median gap larger
+    than the parent's quartile spread.  ``regression``: the median is worse
+    by more than the metric's relative ``bound``.  ``unresolved``: the
+    parent's quartile spread, relative to its median, exceeds the bound, and
+    not every change run beats every parent run.  ``unchanged``: otherwise.
+    """
+    p, c = summary(parent), summary(change)
+    wins = sum(better(metric, a, b) for a, b in zip(parent, change))
+    spread = p["q3"] - p["q1"]
+    gap = abs(c["median"] - p["median"])
+    if better(metric, p["median"], c["median"]) and 10 * wins >= 9 * len(parent) and gap > spread:
+        return "gain"
+    if better(metric, c["median"], p["median"]) and gap > metric["bound"] * abs(p["median"]):
+        return "regression"
+    if spread > metric["bound"] * abs(p["median"]) and not all(
+        better(metric, a, b) for a in parent for b in change
+    ):
+        return "unresolved"
+    return "unchanged"
+
+
 def compare(trees: dict[str, Path]) -> dict:
     # A fresh export has no bytecode, and under PYTHONDONTWRITEBYTECODE=1 it
     # would recompile every module in each process it starts (~10 ms each).
@@ -133,14 +165,15 @@ def compare(trees: dict[str, Path]) -> dict:
                 side: [r["metrics"][name]["value"] for r in side_runs]
                 for side, side_runs in runs.items()
             }
-            sign = 1 if LOWER_IS_BETTER[name] else -1
+            metric = END_TO_END[name]
             end_to_end[name] = {
                 "unit": first["unit"],
                 "parent": summary(values["parent"]),
                 "change": summary(values["change"]),
                 "change_better_pairs": sum(
-                    sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])
+                    better(metric, p, c) for p, c in zip(values["parent"], values["change"])
                 ),
+                "verdict": verdict(metric, values["parent"], values["change"]),
             }
         workloads[workload] = {
             "end_to_end": end_to_end,
@@ -196,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         for metric, m in w["end_to_end"].items():
             print(f"{name:12s} {metric:12s} {m['parent']['median']:>12.6g} -> "
                   f"{m['change']['median']:>12.6g} {m['unit']:5s} "
-                  f"better in {m['change_better_pairs']}/{PAIRS} pairs")
+                  f"better in {m['change_better_pairs']}/{PAIRS} pairs: {m['verdict']}")
     if drifted:
         readings = ", ".join(f"{name} x{r:.2f}" for name, r in ratios.items())
         print(f"warning: the host's speed drifted during the pairs (after/before: {readings});"
