@@ -11,46 +11,46 @@ as for ``simulate`` and ``planck --integrate``).  ``main`` alone renders
 and writes, and maps errors to exit codes.  Flag values are checked by the
 library that uses them, not a second time here.
 
-Exit codes: 0 success; 1 numerical or acceptance failure (the ``FAILURES``
-classes: an unreadable or invalid species table, a root or quadrature
-that cannot converge, a report row that fails); 2 usage error (argparse
-rejects the flags, or the library rejects a value with any other
-``ValueError``, ``KeyError``, ``OSError`` or ``ArithmeticError``; JSON
-output refuses NaN and infinity with a ``ValueError``).  Failures print
+Exit codes: 0 success; 1 numerical or acceptance failure (an
+``errors.Failure``: an unreadable or invalid species table, a root or
+quadrature that cannot converge, a mode count that overflows; or a report
+row that fails); 2 usage error (argparse rejects the flags, or the library
+rejects a value with any other ``ValueError``, ``KeyError``, ``OSError`` or
+``ArithmeticError``; JSON output refuses NaN and infinity with a
+``ValueError``; stdout is closed or cannot be written).  Failures print
 ``error: ...`` and never a traceback.  Output is deterministic for
 identical flags; Monte Carlo seeds are always explicit flags, never
 environment variables.
+
+A call imports only what its subcommand runs: each ``cmd_*`` imports its
+modules, and ``build_parser`` adds flags only to the subcommand named in
+argv.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import dispersion, numerics, statmech
 from .constants import CODATA
-from .particles import (
-    EmptyRegistryError,
-    RegistryParseError,
-    RegistryValidationError,
-    SpeciesRegistry,
-    default_registry,
-    load_registry,
-)
+from .errors import Failure
 
-#: Numerical or acceptance failures (exit code 1).  Any other ValueError,
-#: KeyError, OSError or ArithmeticError is a rejected argument (exit code 2).
-FAILURES = (
-    RegistryParseError,
-    RegistryValidationError,
-    EmptyRegistryError,
-    numerics.NoSignChangeError,
-    numerics.MaxIterExceededError,
-    numerics.MaxDepthExceededError,
-    numerics.NonFiniteIntegrandError,
-    statmech.ModeCountOverflowError,
-)
+if TYPE_CHECKING:
+    from . import dispersion
+    from .particles import SpeciesRegistry
+
+
+def __getattr__(name: str):
+    # cli.load_registry resolves on first use (PEP 562), so that importing
+    # cli does not import the species table code.
+    if name == "load_registry":
+        from .particles import load_registry
+
+        return load_registry
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _render(payload: dict, rows: list[dict] | None, fmt: str) -> str:
@@ -69,6 +69,8 @@ def _render(payload: dict, rows: list[dict] | None, fmt: str) -> str:
 
 
 def _registry_from(args: argparse.Namespace) -> SpeciesRegistry:
+    from .particles import default_registry, load_registry
+
     if args.species_file:
         return load_registry(args.species_file)
     return default_registry()
@@ -93,6 +95,8 @@ def _lifetime_model(
 ) -> dispersion.LifetimeModel:
     """The ``kind`` model from the lifetime flags given; ``LifetimeModel``
     supplies the default of each flag left out (``None``)."""
+    from . import dispersion
+
     given = {
         dest: getattr(args, dest)
         for dest in ("k_factor", "custom_tau_s")
@@ -102,6 +106,8 @@ def _lifetime_model(
 
 
 def _model_from(args: argparse.Namespace) -> dispersion.LifetimeModel:
+    from . import dispersion
+
     kind = dispersion.LifetimeKind(args.model)
     if kind is not dispersion.LifetimeKind.K_SCALED:
         _refuse_flags(args, f"--model {kind.value}", ("k_factor",))
@@ -152,6 +158,8 @@ def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 
 
 def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    from . import statmech
+
     state = statmech.ThermalState(args.temperature_k)
     if args.integrate:
         _refuse_flags(args, "--integrate", ("with_zpf", "points", "x_max"))
@@ -182,6 +190,8 @@ def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 
 
 def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    from . import dispersion
+
     if args.all:
         _refuse_flags(args, "--all", ("model", "custom_tau_s"))
         models = [
@@ -212,6 +222,9 @@ def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+    from . import dispersion
+    from .particles import default_registry
+
     model = _model_from(args)
     species = _registry_from(args).get(args.reference_species)
     if species != default_registry().get("e"):
@@ -235,7 +248,9 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         with open(args.samples_out, "w", encoding="utf-8") as handle:
             handle.write("photon_index,delay_s\n")
             handle.writelines(f"{i},{x!r}\n" for i, x in enumerate(result.delays_s.tolist()))
-    return result.to_dict(), None
+    # The config echoes the lifetime that ran; these name what was asked for.
+    payload = result.to_dict() | {"model": args.model, "reference_species": args.reference_species}
+    return payload, None
 
 
 def cmd_report(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
@@ -253,7 +268,106 @@ def cmd_report(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     return {"seed": seed, "all_pass": report.all_pass(rows), "rows": dicts}, dicts
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--output", default=None, help="output path (default stdout)")
+
+
+def _table_common(p: argparse.ArgumentParser) -> None:
+    """``_common`` for the subcommands that read the species table."""
+    p.add_argument("--species-file", help="JSON species table overriding the default")
+    _common(p)
+
+
+def _lifetime_flags(p: argparse.ArgumentParser, *, required: bool) -> None:
+    from . import dispersion
+
+    p.add_argument(
+        "--model", required=required, choices=[k.value for k in dispersion.LifetimeKind]
+    )
+    # LifetimeModel supplies the default, so that a model other than
+    # k-scaled can tell a given --k-factor from the default.
+    p.add_argument("--k-factor", type=float, default=None)
+    p.add_argument("--custom-tau-s", type=float, default=None)
+    p.add_argument("--reference-species", default="e")
+
+
+def _alpha_flags(p: argparse.ArgumentParser) -> None:
+    _table_common(p)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--fit", action="store_true", help="fit the cutoff to the target")
+    mode.add_argument("--eval", action="store_true", help="evaluate at --cutoff-mev")
+    # The default, global-constant, is filled in by cmd_alpha, so that
+    # --eval can tell a given --policy from the default.
+    p.add_argument("--policy", choices=("global-constant", "mass-proportional"), default=None)
+    p.add_argument("--cutoff-mev", type=float, default=None)
+    p.add_argument(
+        "--chiral-quark-cutoff-mev",
+        type=float,
+        default=None,
+        help="with --eval: cap quark cutoffs at the chiral-symmetry scale",
+    )
+    p.add_argument("--target", type=float, default=CODATA.inverse_alpha_target)
+
+
+def _planck_flags(p: argparse.ArgumentParser) -> None:
+    _common(p)
+    p.add_argument("--temperature-k", type=float, required=True)
+    zpf = p.add_mutually_exclusive_group()
+    zpf.add_argument("--thermal-only", action="store_true")
+    zpf.add_argument("--with-zpf", action="store_true")
+    p.add_argument("--integrate", action="store_true")
+    # planck_curve supplies the defaults (15.0 and 200), so that --integrate
+    # can tell a given --x-max or --points from the default.
+    p.add_argument("--x-max", type=float, default=None)
+    p.add_argument("--points", type=int, default=None)
+
+
+def _dispersion_flags(p: argparse.ArgumentParser) -> None:
+    _table_common(p)
+    _lifetime_flags(p, required=False)
+    p.add_argument("--all", action="store_true")
+
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    from . import dispersion
+
+    _table_common(p)
+    _lifetime_flags(p, required=True)
+    p.add_argument("--length-m", type=float, required=True)
+    p.add_argument("--photons", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--delay", choices=[d.value for d in dispersion.DelayDistribution], default="fixed")
+    p.add_argument("--process", choices=[q.value for q in dispersion.InteractionProcess], default="poisson")
+    p.add_argument("--sampling", choices=[s.value for s in dispersion.SamplingMethod], default="aggregate")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples-out", default=None, help="per-photon delay CSV path")
+
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    _table_common(p)
+    # The default, report.REPORT_SEED, is filled in by cmd_report, so that
+    # parsing the flags does not import the report.
+    p.add_argument("--seed", type=int, default=None)
+
+
+#: Each subcommand: its name, its help line, what adds its flags, what runs it.
+SUBCOMMANDS = (
+    ("alpha", "inverse fine-structure fits and evaluations", _alpha_flags, cmd_alpha),
+    ("planck", "Planck spectral curve / thermal integral", _planck_flags, cmd_planck),
+    ("dispersion", "analytic flight-time fluctuation table", _dispersion_flags, cmd_dispersion),
+    ("simulate", "Monte Carlo photon flight ensemble", _simulate_flags, cmd_simulate),
+    ("report", "full reproduction table with pass/fail", _report_flags, cmd_report),
+)
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every subcommand, with flags only on those named in ``argv``.
+
+    argparse runs the subcommand named by an element of ``argv``, so that
+    one has its flags.  No usage or error text of the parse shows another's
+    flags, and building ``simulate``'s would import ``dispersion``.
+    """
     parser = argparse.ArgumentParser(
         prog="vacuumpairs",
         description=(
@@ -262,101 +376,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-
-    def table_common(p: argparse.ArgumentParser) -> None:
-        """``common`` for the subcommands that read the species table."""
-        p.add_argument("--species-file", help="JSON species table overriding the default")
-        common(p)
-
-    def lifetime_flags(p: argparse.ArgumentParser, *, required: bool) -> None:
-        p.add_argument(
-            "--model", required=required, choices=[k.value for k in dispersion.LifetimeKind]
-        )
-        # LifetimeModel supplies the default, so that a model other than
-        # k-scaled can tell a given --k-factor from the default.
-        p.add_argument("--k-factor", type=float, default=None)
-        p.add_argument("--custom-tau-s", type=float, default=None)
-        p.add_argument("--reference-species", default="e")
-
-    p_alpha = sub.add_parser("alpha", help="inverse fine-structure fits and evaluations")
-    table_common(p_alpha)
-    mode = p_alpha.add_mutually_exclusive_group()
-    mode.add_argument("--fit", action="store_true", help="fit the cutoff to the target")
-    mode.add_argument("--eval", action="store_true", help="evaluate at --cutoff-mev")
-    # The default, global-constant, is filled in by cmd_alpha, so that
-    # --eval can tell a given --policy from the default.
-    p_alpha.add_argument(
-        "--policy", choices=("global-constant", "mass-proportional"), default=None
-    )
-    p_alpha.add_argument("--cutoff-mev", type=float, default=None)
-    p_alpha.add_argument(
-        "--chiral-quark-cutoff-mev",
-        type=float,
-        default=None,
-        help="with --eval: cap quark cutoffs at the chiral-symmetry scale",
-    )
-    p_alpha.add_argument("--target", type=float, default=CODATA.inverse_alpha_target)
-    p_alpha.set_defaults(func=cmd_alpha)
-
-    p_planck = sub.add_parser("planck", help="Planck spectral curve / thermal integral")
-    common(p_planck)
-    p_planck.add_argument("--temperature-k", type=float, required=True)
-    zpf = p_planck.add_mutually_exclusive_group()
-    zpf.add_argument("--thermal-only", action="store_true")
-    zpf.add_argument("--with-zpf", action="store_true")
-    p_planck.add_argument("--integrate", action="store_true")
-    # planck_curve supplies the defaults (15.0 and 200), so that --integrate
-    # can tell a given --x-max or --points from the default.
-    p_planck.add_argument("--x-max", type=float, default=None)
-    p_planck.add_argument("--points", type=int, default=None)
-    p_planck.set_defaults(func=cmd_planck)
-
-    p_disp = sub.add_parser("dispersion", help="analytic flight-time fluctuation table")
-    table_common(p_disp)
-    lifetime_flags(p_disp, required=False)
-    p_disp.add_argument("--all", action="store_true")
-    p_disp.set_defaults(func=cmd_dispersion)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo photon flight ensemble")
-    table_common(p_sim)
-    lifetime_flags(p_sim, required=True)
-    p_sim.add_argument("--length-m", type=float, required=True)
-    p_sim.add_argument("--photons", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--delay", choices=[d.value for d in dispersion.DelayDistribution], default="fixed")
-    p_sim.add_argument("--process", choices=[p.value for p in dispersion.InteractionProcess], default="poisson")
-    p_sim.add_argument("--sampling", choices=[s.value for s in dispersion.SamplingMethod], default="aggregate")
-    p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--samples-out", default=None, help="per-photon delay CSV path")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_report = sub.add_parser("report", help="full reproduction table with pass/fail")
-    table_common(p_report)
-    # The default, report.REPORT_SEED, is filled in by cmd_report, so that
-    # parsing the flags does not import the report.
-    p_report.add_argument("--seed", type=int, default=None)
-    p_report.set_defaults(func=cmd_report)
+    for name, help_line, add_flags, func in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if name in argv:
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         payload, rows = args.func(args)
         text = _render(payload, rows, args.format)
         if args.output is None or args.output == "-":
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
             sys.stdout.write(text)
         else:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
-    except FAILURES as exc:
+    except Failure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
@@ -367,7 +411,30 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """``main`` on the process's argv, then exit without interpreter teardown.
+
+    The entry of the console script and of ``python -m vacuumpairs``.  It
+    flushes stdout and stderr and ends with ``os._exit``, which skips
+    freeing every module and the final garbage collection.  That is safe
+    because every file is closed by its ``with`` block, the worker threads
+    are joined by theirs, and no ``atexit`` handler is needed.  A failed
+    flush is a usage error, as a failed write is: one ``error:`` line and
+    exit code 2.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:  # exit code 2 has printed its error line already
+            sys.stderr.write(f"error: {exc}\n")
+        code = 2
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -16,20 +16,22 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
+from .errors import Failure
 
-class MaxDepthExceededError(RuntimeError):
+
+class MaxDepthExceededError(RuntimeError, Failure):
     """Requested tolerance unreachable within the subdivision depth limit."""
 
 
-class NonFiniteIntegrandError(ValueError):
+class NonFiniteIntegrandError(ValueError, Failure):
     """Integrand returned NaN or infinity inside the integration interval."""
 
 
-class NoSignChangeError(ValueError):
+class NoSignChangeError(ValueError, Failure):
     """Root bracket endpoints do not straddle a sign change."""
 
 
-class MaxIterExceededError(RuntimeError):
+class MaxIterExceededError(RuntimeError, Failure):
     """Root refinement did not converge within max_iter iterations."""
 
 

@@ -17,16 +17,18 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .errors import Failure
 
-class RegistryParseError(ValueError):
+
+class RegistryParseError(ValueError, Failure):
     """Species file could not be parsed into records."""
 
 
-class RegistryValidationError(ValueError):
+class RegistryValidationError(ValueError, Failure):
     """A species record violates a registry invariant."""
 
 
-class EmptyRegistryError(ValueError):
+class EmptyRegistryError(ValueError, Failure):
     """The operation requires at least one species."""
 
 

@@ -208,9 +208,14 @@ def quadrature_sweep(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
 
 
 def dispersion_closed_forms(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
-    """Analytic jitter coefficients, sensitivity, broadening and verdict."""
-    sigma = dispersion.sigma_coefficient
-    verdict = dispersion.compare_to_limits(dispersion.LifetimeModel.quasistationary())
+    """Analytic jitter coefficients, sensitivity, broadening and verdict, for
+    the table's electron."""
+    electron = registry.get("e")
+
+    def sigma(model: dispersion.LifetimeModel) -> float:
+        return dispersion.sigma_coefficient(model, electron)
+
+    verdict = dispersion.compare_to_limits(dispersion.LifetimeModel.quasistationary(), electron)
 
     def fwhm_as(pulse_rms_s: float, length_m: float) -> float:
         return dispersion.fwhm_from_rms(
@@ -239,7 +244,10 @@ def monte_carlo(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
     aggregate against the per-interaction sampling path."""
     import numpy as np
 
-    model = dispersion.LifetimeModel.half_compton()
+    # The half-Compton lifetime of the table's electron.
+    model = dispersion.LifetimeModel.custom(
+        dispersion.lifetime(dispersion.LifetimeModel.half_compton(), registry.get("e"))
+    )
     n = 100_000
     max_z = 0.0
     log_l, log_sd = [], []

@@ -11,12 +11,13 @@ from dataclasses import dataclass, field
 
 from . import numerics
 from .constants import CODATA
+from .errors import Failure
 
 # numpy is imported inside the lattice sum, the only function here that
 # builds arrays, so the Planck commands start without it.
 
 
-class ModeCountOverflowError(RuntimeError):
+class ModeCountOverflowError(RuntimeError, Failure):
     """Brute-force mode count would exceed the configured maximum."""
 
 

@@ -1,4 +1,5 @@
-"""The host-drift flag and the metric verdicts of ``tools/bench.py``."""
+"""The host-drift flag, the metric verdicts and the CLI wall-time summary
+of ``tools/bench.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -64,3 +65,18 @@ NOISY = [50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0]
 ])
 def test_verdict(bench, metric, parent, change, expected):
     assert bench.verdict(metric, parent, change) == expected
+
+
+def test_cli_summary(bench):
+    # Change runs 80% of the parent's wall time on every subcommand.
+    parent = {name: [100.0 + i for i in range(bench.CLI_CALLS)] for name in bench.CLI_ARGVS}
+    change = {name: [0.8 * v for v in values] for name, values in parent.items()}
+    out = bench.cli_summary({"parent": parent, "change": change})
+    assert list(out) == list(bench.CLI_ARGVS) == ["alpha", "planck", "dispersion", "simulate", "report"]
+    middle = (bench.CLI_CALLS - 1) / 2
+    for name, entry in out.items():
+        assert entry["argv"][0] == name and entry["unit"] == "ms"
+        assert entry["parent"]["median"] == 100.0 + middle
+        assert entry["parent"]["q1"] < entry["parent"]["median"] < entry["parent"]["q3"]
+        assert entry["change"]["runs"] == change[name]
+        assert entry["change_over_parent"] == pytest.approx(0.8)

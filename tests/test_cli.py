@@ -16,7 +16,7 @@ import vacuumpairs
 from vacuumpairs import dispersion, report
 from vacuumpairs.cli import main
 from vacuumpairs.constants import CODATA
-from vacuumpairs.particles import default_registry
+from vacuumpairs.particles import default_registry, load_registry
 
 
 def run(capsys, argv):
@@ -42,6 +42,23 @@ def electron_only_file(tmp_path):
         ),
         encoding="utf-8",
     )
+    return path
+
+
+def heavy_electron_file(tmp_path):
+    """The built-in table with the electron at 1 MeV."""
+    records = [
+        {
+            "name": s.name,
+            "mass_mev": 1.0 if s.name == "e" else s.mass_mev,
+            "charge_q": float(s.charge_q),
+            "color_factor": s.color_factor,
+            "spin_degeneracy": s.spin_degeneracy,
+        }
+        for s in default_registry()
+    ]
+    path = tmp_path / "heavy-electron.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
     return path
 
 
@@ -303,19 +320,7 @@ class TestSimulateCommand:
 
     def test_species_file_sets_reference_electron(self, capsys, tmp_path):
         # An electron at 1 MeV moves simulate's spread as it moves dispersion's.
-        records = [
-            {
-                "name": s.name,
-                "mass_mev": 1.0 if s.name == "e" else s.mass_mev,
-                "charge_q": float(s.charge_q),
-                "color_factor": s.color_factor,
-                "spin_degeneracy": s.spin_degeneracy,
-            }
-            for s in default_registry()
-        ]
-        path = tmp_path / "heavy-electron.json"
-        path.write_text(json.dumps(records), encoding="utf-8")
-        table = ["--model", "half-compton", "--species-file", str(path)]
+        table = ["--model", "half-compton", "--species-file", str(heavy_electron_file(tmp_path))]
         _, out, _ = run(capsys, ["dispersion"] + table)
         sigma_1m_s = json.loads(out)["models"][0]["sigma_1m_fs"] * 1e-15
         argv = ["simulate"] + table + ["--length-m", "1", "--photons", "10", "--seed", "1"]
@@ -331,6 +336,17 @@ class TestSimulateCommand:
             code, out, _ = run(capsys, ["simulate", "--model", "half-compton"] + table + tail)
             assert code == 0
             assert json.loads(out)["config"]["lifetime_model"]["kind"] == "half-compton"
+
+    def test_echo_names_the_requested_model_and_species(self, capsys):
+        # The muon's lifetime runs as a custom model; the echo still says
+        # what was asked for.
+        argv = ["simulate", "--model", "half-compton", "--reference-species", "mu",
+                "--length-m", "1", "--photons", "10", "--seed", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["lifetime_model"]["kind"] == "custom"
+        assert (payload["model"], payload["reference_species"]) == ("half-compton", "mu")
 
 
 class TestReportCommand:
@@ -366,6 +382,28 @@ class TestReportCommand:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_species_file_sets_reference_electron(self, capsys, tmp_path, monkeypatch):
+        # The closed forms and the Monte Carlo use the table's electron, as
+        # dispersion and simulate do.
+        path = heavy_electron_file(tmp_path)
+        table = ["--species-file", str(path)]
+        _, out, _ = run(capsys, ["dispersion", "--model", "half-compton"] + table)
+        sigma = json.loads(out)["models"][0]["sigma_fs_per_sqrt_m"]
+        lifetimes = []
+        simulate_flight = dispersion.simulate_flight
+
+        def spy(config, **kwargs):
+            lifetimes.append(dispersion.lifetime(config.lifetime_model))
+            return simulate_flight(config, **kwargs)
+
+        monkeypatch.setattr(dispersion, "simulate_flight", spy)
+        _, out, _ = run(capsys, ["report"] + table)
+        rows = {row["quantity"]: row["computed"] for row in json.loads(out)["rows"]}
+        assert rows["sigma-half-compton-fs-per-sqrt-m"] == sigma
+        electron = load_registry(path).get("e")
+        tau = dispersion.lifetime(dispersion.LifetimeModel.half_compton(), electron)
+        assert lifetimes[:4] == [tau] * 4
+
 
 # --- imports ----------------------------------------------------------------
 
@@ -384,6 +422,12 @@ NUMPY_USERS = {
                  "--seed", "1"],
     "report": ["report"],
 }
+#: Modules that each numpy-free subcommand runs without.
+NOT_LOADED = {
+    "alpha": {"vacuumpairs.dispersion", "vacuumpairs.statmech"},
+    "dispersion": {"vacuumpairs.numerics", "vacuumpairs.statmech", "vacuumpairs.vacuum_response"},
+    "planck": {"vacuumpairs.particles", "fractions", "vacuumpairs.dispersion"},
+}
 # Imports vacuumpairs in one fresh interpreter and runs each argv, if any,
 # through cli.main, then reports the exit codes and every module loaded.
 IMPORT_PROBE = """\
@@ -398,13 +442,18 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def probe_imports(argvs):
+def child_env():
+    """This process's environment, with the tested package first on the path."""
     src = str(Path(vacuumpairs.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def probe_imports(argvs):
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
+        capture_output=True, text=True, env=child_env(), check=True, timeout=120,
     )
     return json.loads(proc.stdout)
 
@@ -433,6 +482,13 @@ class TestImports:
         result = probe_imports([[a.format(species=species) for a in argv]])
         assert result["codes"] == [0]
         assert not {"vacuumpairs.report", "concurrent.futures"} & set(result["modules"])
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+    def test_closed_form_commands_load_only_their_modules(self, tmp_path, argv):
+        species = str(electron_only_file(tmp_path))
+        result = probe_imports([[a.format(species=species) for a in argv]])
+        assert result["codes"] == [0]
+        assert not NOT_LOADED[argv[0]] & set(result["modules"])
 
     def test_serial_simulate_skips_thread_pool(self):
         result = probe_imports([NUMPY_USERS["simulate"]])
@@ -574,6 +630,64 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: registry has no species\n"
+
+
+# --- the process entry ------------------------------------------------------
+
+def run_entry(argv, unbuffered=False, **kwargs):
+    """``python -m vacuumpairs ARGV`` in a fresh interpreter, with stdout
+    block-buffered or, with ``unbuffered``, written through."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "vacuumpairs", *argv], env=env,
+                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+
+ENTRY_OUTPUTS = {
+    "planck-csv": ["planck", "--temperature-k", "300", "--points", "200000", "--format", "csv"],
+    "simulate-workers": SIMULATE + ["--workers", "2"],
+}
+
+
+class TestEntry:
+    @pytest.mark.parametrize("argv", ENTRY_OUTPUTS.values(), ids=ENTRY_OUTPUTS.keys())
+    def test_stdout_is_what_main_writes(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        proc = run_entry(argv)
+        assert code == proc.returncode == 0
+        assert proc.stdout == out.encode("utf-8")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["dispersion", "--all"], 0),
+        (["--help"], 0),
+        (["alpha", "--fit", "--target", "1e308"], 2),
+        (["planck"], 2),
+    ], ids=["dispersion", "help", "unreachable-target", "missing-flag"])
+    def test_exit_code_is_mains(self, argv, code):
+        assert run_entry(argv).returncode == code
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stdout, argv", [
+        # The curve overflows the buffer, so main's write fails before the flush.
+        ("full", ENTRY_OUTPUTS["planck-csv"]),
+        ("full", ENTRY_OUTPUTS["simulate-workers"]),
+        ("closed", ENTRY_OUTPUTS["simulate-workers"]),
+    ], ids=["full-planck-csv", "full-simulate", "closed-simulate"])
+    def test_unwritable_stdout_is_usage_error(self, stdout, argv, unbuffered):
+        if stdout == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            with open("/dev/full", "wb") as full:
+                proc = run_entry(argv, unbuffered, stdout=full)
+        else:
+            proc = run_entry(argv, unbuffered, stdout=None, preexec_fn=lambda: os.close(1))
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 # --- argv fuzzing -----------------------------------------------------------

@@ -29,6 +29,9 @@ CALIBRATION_REPEATS timings.  ``host.calibration_ratios`` holds after/before
 for each reading, and ``host.drift`` is true when either ratio is more than
 DRIFT_LIMIT away from 1.  Then the host changed speed during the pairs, so
 the medians mix two speeds, and the tool prints a warning.
+``cli_wall_ms`` holds the CLI wall time per subcommand: CLI_CALLS fresh
+``python -m vacuumpairs`` calls of one fixed argv (CLI_ARGVS) per subcommand
+and tree, the trees alternating call by call.  It is reported, not gated.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,16 @@ PAIRS = 10
 SECONDS = 25
 CALIBRATION_REPEATS = 5
 DRIFT_LIMIT = 0.10
+#: One fixed argv per subcommand, timed as CLI_CALLS fresh calls per tree.
+CLI_ARGVS = {
+    "alpha": ["alpha", "--fit"],
+    "planck": ["planck", "--temperature-k", "300", "--format", "csv"],
+    "dispersion": ["dispersion", "--all"],
+    "simulate": ["simulate", "--model", "half-compton", "--length-m", "1",
+                 "--photons", "100000", "--seed", "7"],
+    "report": ["report"],
+}
+CLI_CALLS = 21
 #: Each end-to-end metric's declaration: its direction and its bound.
 END_TO_END = {
     m["name"]: m
@@ -144,6 +158,40 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
     return "unchanged"
 
 
+def time_cli(trees: dict[str, Path]) -> dict[str, dict[str, list[float]]]:
+    """Wall ms of CLI_CALLS fresh calls of each CLI_ARGVS argv, per tree."""
+    times = {side: {name: [] for name in CLI_ARGVS} for side in trees}
+    for name, argv in CLI_ARGVS.items():
+        for call in range(CLI_CALLS):
+            order = list(trees) if call % 2 == 0 else list(reversed(trees))
+            for side in order:
+                env = dict(os.environ)
+                env["PYTHONPATH"] = os.pathsep.join(
+                    filter(None, [str(trees[side] / "src"), env.get("PYTHONPATH")])
+                )
+                t0 = time.perf_counter()
+                subprocess.run([sys.executable, "-m", "vacuumpairs", *argv], cwd=trees[side],
+                               env=env, check=True, stdout=subprocess.DEVNULL)
+                times[side][name].append((time.perf_counter() - t0) * 1e3)
+    return times
+
+
+def cli_summary(times: dict[str, dict[str, list[float]]]) -> dict:
+    """Per subcommand: its argv, each tree's ``summary`` of its wall times
+    and the change's median over the parent's."""
+    out = {}
+    for name, argv in CLI_ARGVS.items():
+        parent, change = summary(times["parent"][name]), summary(times["change"][name])
+        out[name] = {
+            "unit": "ms",
+            "argv": argv,
+            "parent": parent,
+            "change": change,
+            "change_over_parent": change["median"] / parent["median"],
+        }
+    return out
+
+
 def compare(trees: dict[str, Path]) -> dict:
     # A fresh export has no bytecode, and under PYTHONDONTWRITEBYTECODE=1 it
     # would recompile every module in each process it starts (~10 ms each).
@@ -201,8 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         export(parent_commit, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
         calibration = {"before": calibrate()}
-        workloads = compare({"parent": parent_tree, "change": ROOT})
+        workloads = compare(trees)
+        cli_wall_ms = cli_summary(time_cli(trees))
         calibration["after"] = calibrate()
     drifted, ratios = drift(calibration)
     provenance = workloads[WORKLOADS[0]]["provenance"]
@@ -223,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {
             name: {k: v for k, v in w.items() if k != "provenance"} for name, w in workloads.items()
         },
+        "cli_wall_ms": cli_wall_ms,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, w in record["workloads"].items():
@@ -230,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:12s} {metric:12s} {m['parent']['median']:>12.6g} -> "
                   f"{m['change']['median']:>12.6g} {m['unit']:5s} "
                   f"better in {m['change_better_pairs']}/{PAIRS} pairs: {m['verdict']}")
+    for name, m in cli_wall_ms.items():
+        print(f"cli wall     {name:12s} {m['parent']['median']:>12.6g} -> "
+              f"{m['change']['median']:>12.6g} ms    x{m['change_over_parent']:.3f}")
     if drifted:
         readings = ", ".join(f"{name} x{r:.2f}" for name, r in ratios.items())
         print(f"warning: the host's speed drifted during the pairs (after/before: {readings});"
