@@ -18,7 +18,8 @@ row that fails); 2 usage error (argparse rejects the flags, or the library
 rejects a value with any other ``ValueError``, ``KeyError``, ``OSError`` or
 ``ArithmeticError``; JSON output refuses NaN and infinity with a
 ``ValueError``; stdout is closed or cannot be written).  Failures print
-``error: ...`` and never a traceback.  Output is deterministic for
+``error: ...`` and never a traceback; a closed or full stderr loses that
+line but not the exit code.  Output is deterministic for
 identical flags; Monte Carlo seeds are always explicit flags, never
 environment variables.
 
@@ -51,6 +52,16 @@ def __getattr__(name: str):
 
         return load_registry
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _stderr(text: str) -> None:
+    """Write ``text`` to stderr.  A closed or full stderr loses it, as it
+    loses a warning, and leaves the exit code as it was chosen."""
+    try:
+        if sys.stderr is not None:  # None when fd 2 was closed at start-up
+            sys.stderr.write(text)
+    except OSError:
+        pass
 
 
 def _render(payload: dict, rows: list[dict] | None, fmt: str) -> str:
@@ -260,7 +271,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     rows = report.build_report(_registry_from(args), seed=seed)
     for row in rows:
         if row.status == "fail":
-            sys.stderr.write(
+            _stderr(
                 f"FAIL {row.quantity}: computed {row.computed!r}, "
                 f"reference {row.reference!r} +- {row.abs_tol!r}\n"
             )
@@ -401,10 +412,10 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except Failure as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _stderr(f"error: {exc}\n")
         return 1
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _stderr(f"error: {exc}\n")
         return 2
     # Only the report carries a verdict; a failed row is an acceptance failure.
     return 0 if payload.get("all_pass", True) else 1
@@ -418,8 +429,9 @@ def main_entry() -> None:
     freeing every module and the final garbage collection.  That is safe
     because every file is closed by its ``with`` block, the worker threads
     are joined by theirs, and no ``atexit`` handler is needed.  A failed
-    flush is a usage error, as a failed write is: one ``error:`` line and
-    exit code 2.
+    flush of stdout is a usage error, as a failed write is: one ``error:``
+    line and exit code 2.  A failed flush of stderr loses its lines, as
+    ``_stderr`` does, and keeps the exit code.
     """
     code = main()
     try:
@@ -427,13 +439,13 @@ def main_entry() -> None:
             sys.stdout.flush()
     except OSError as exc:
         if code != 2:  # exit code 2 has printed its error line already
-            sys.stderr.write(f"error: {exc}\n")
+            _stderr(f"error: {exc}\n")
         code = 2
     try:
         if sys.stderr is not None:
             sys.stderr.flush()
     except OSError:
-        code = 2
+        pass
     os._exit(code)
 
 

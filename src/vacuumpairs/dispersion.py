@@ -7,6 +7,10 @@ interaction, so its total delay is a random sum over ~L/(c tau) interactions
 and fluctuates as sqrt(N)*tau.  The alternative in which the photon advances
 by c*tau_i during every interaction predicts exactly zero arrival-time
 fluctuation; it is noted here for completeness and not simulated.
+
+The Monte Carlo draws each chunk of photons from its own stream, then the
+chunk's interaction counts, then their delays, with one expression per
+count law, delay law and sampling method.  A count of 0 draws nothing.
 """
 
 from __future__ import annotations
@@ -234,83 +238,50 @@ _PER_INTERACTION_MAX = 1e6
 _UNIFORM_EXACT_MAX = 16
 
 
-def _chunk_counts(
-    rng: np.random.Generator, config: FlightConfig, expected_n: float, size: int
+def _simulate_chunk(
+    config: FlightConfig, expected_n: float, tau: float, chunk_index: int, size: int
 ) -> np.ndarray:
+    """Delays of one chunk: its stream, then its counts, then its delays.
+
+    A count of 0 draws nothing: ``gamma`` returns 0.0 for shape 0, and a
+    size-0 draw leaves the stream where it was.
+    """
     import numpy as np
 
+    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
+    rng = np.random.default_rng(seq)
     if config.interaction_process is InteractionProcess.FIXED_COUNT:
-        return np.full(size, np.rint(expected_n))
-    if expected_n <= _POISSON_EXACT_MAX:
-        return rng.poisson(expected_n, size=size)
-    normal = rng.normal(expected_n, math.sqrt(expected_n), size=size)
-    return np.clip(np.rint(normal), 0.0, None)
-
-
-def _chunk_delays_aggregate(
-    rng: np.random.Generator, config: FlightConfig, counts: np.ndarray, tau: float
-) -> np.ndarray:
-    import numpy as np
-
+        counts = np.full(size, np.rint(expected_n))
+    elif expected_n <= _POISSON_EXACT_MAX:
+        counts = rng.poisson(expected_n, size=size)
+    else:
+        normal = rng.normal(expected_n, math.sqrt(expected_n), size=size)
+        counts = np.clip(np.rint(normal), 0.0, None)
     dist = config.delay_distribution
     if dist is DelayDistribution.FIXED_TAU:
-        return counts.astype(np.float64) * tau
+        return counts * tau
+    if config.sampling is SamplingMethod.PER_INTERACTION:
+        exponential = dist is DelayDistribution.EXPONENTIAL_TAU
+        draw = rng.standard_exponential if exponential else rng.random
+        return np.fromiter((draw(int(n)).sum() * tau for n in counts), np.float64, size)
     if dist is DelayDistribution.EXPONENTIAL_TAU:
         # Sum of N iid exponentials is Gamma(N, tau) exactly.
-        delays = np.zeros(counts.shape, dtype=np.float64)
-        positive = counts > 0
-        if np.any(positive):
-            delays[positive] = rng.gamma(counts[positive].astype(np.float64), tau)
-        return delays
+        return rng.gamma(counts, tau)
     # Uniform fractions: a sum of N uniforms is Irwin-Hall.  Up to
     # _UNIFORM_EXACT_MAX the uniforms are summed exactly in one masked draw;
     # above it the normal with the exact mean N*tau/2 and variance N*tau^2/12
     # stands in.  Its clip at 0 sits sqrt(3N) > 6.9 standard deviations below
     # the mean there, so it moves the mean by less than 1e-13 of itself.
-    mean = counts * (0.5 * tau)
-    sigma = np.sqrt(counts / 12.0) * tau
     small = counts <= _UNIFORM_EXACT_MAX
-    delays = np.empty(counts.shape, dtype=np.float64)
+    delays = np.empty(size, dtype=np.float64)
     small_counts = counts[small]
     uniforms = rng.random((small_counts.size, _UNIFORM_EXACT_MAX))
     drawn = np.arange(_UNIFORM_EXACT_MAX) < small_counts[:, None]
     delays[small] = np.where(drawn, uniforms, 0.0).sum(axis=1) * tau
-    large = ~small
-    delays[large] = np.clip(rng.normal(mean[large], sigma[large]), 0.0, None)
+    large = counts[~small]
+    normal = rng.normal(large * (0.5 * tau), np.sqrt(large / 12.0) * tau)
+    delays[~small] = np.clip(normal, 0.0, None)
     return delays
-
-
-def _chunk_delays_loop(
-    rng: np.random.Generator, config: FlightConfig, counts: np.ndarray, tau: float
-) -> np.ndarray:
-    import numpy as np
-
-    dist = config.delay_distribution
-    delays = np.empty(counts.shape, dtype=np.float64)
-    for i, n in enumerate(counts):
-        n = int(n)
-        if n == 0:
-            delays[i] = 0.0
-        elif dist is DelayDistribution.FIXED_TAU:
-            delays[i] = n * tau
-        elif dist is DelayDistribution.EXPONENTIAL_TAU:
-            delays[i] = rng.standard_exponential(n).sum() * tau
-        else:
-            delays[i] = rng.random(n).sum() * tau
-    return delays
-
-
-def _simulate_chunk(
-    config: FlightConfig, expected_n: float, tau: float, chunk_index: int, size: int
-) -> np.ndarray:
-    import numpy as np
-
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
-    rng = np.random.default_rng(seq)
-    counts = _chunk_counts(rng, config, expected_n, size)
-    if config.sampling is SamplingMethod.AGGREGATE:
-        return _chunk_delays_aggregate(rng, config, counts, tau)
-    return _chunk_delays_loop(rng, config, counts, tau)
 
 
 def _chunk_moments(delays: np.ndarray) -> tuple[int, float, float, float]:
@@ -318,14 +289,14 @@ def _chunk_moments(delays: np.ndarray) -> tuple[int, float, float, float]:
 
     Offsets from the chunk's own first delay keep the statistics shift
     invariant, and give exactly zero spread for a constant chunk instead of
-    summation noise.
+    summation noise.  Reduces ``delays`` in place, so it overwrites them.
     """
     base = float(delays[0])
-    deviations = delays - base
-    offset_mean = float(deviations.sum()) / delays.size
-    deviations -= offset_mean
-    deviations *= deviations
-    return delays.size, base, offset_mean, float(deviations.sum())
+    delays -= base
+    offset_mean = float(delays.sum()) / delays.size
+    delays -= offset_mean
+    delays *= delays
+    return delays.size, base, offset_mean, float(delays.sum())
 
 
 def _merge_moments(

@@ -1,6 +1,9 @@
 """Standing-wave mode statistics for a relativistic particle in a box:
 mode counting, the single-mode partition function, Planck's spectral energy
-density and the non-thermal mode density behind the virtual-pair picture.
+density and the mode density ``mode_density``, which is also the
+non-thermal vacuum density behind the virtual-pair picture.  Planck's law
+has one home, ``_planck``, which both the spectral density and the thermal
+quadrature evaluate.
 """
 
 from __future__ import annotations
@@ -64,21 +67,19 @@ def dispersion_energy(mass_energy_mev: float, pc_mev: float) -> float:
     return math.hypot(mass_energy_mev, pc_mev)
 
 
+_FOUR_PI = 4.0 * math.pi
+_H_CUBED = CODATA.h_j_s**3
+
+
 def mode_density(p_kg_m_s: float) -> float:
-    """Mode density 4*pi*p^2/h^3 per unit momentum per unit volume."""
+    """Mode density 4*pi*p^2/h^3 per unit momentum per unit volume.
+
+    It is also the density of virtual fluctuations: their 1/2 zero-point
+    factor is compensated by the g=2 degeneracy.
+    """
     if p_kg_m_s < 0:
         raise ValueError("momentum must be >= 0")
-    return 4.0 * math.pi * p_kg_m_s**2 / CODATA.h_j_s**3
-
-
-def vacuum_density(p_kg_m_s: float) -> float:
-    """Density of virtual fluctuations per unit momentum per unit volume.
-
-    Numerically identical to ``mode_density``: the 1/2 zero-point factor is
-    compensated by the g=2 degeneracy.  Kept as a separate named operation
-    for semantic clarity.
-    """
-    return mode_density(p_kg_m_s)
+    return _FOUR_PI * p_kg_m_s**2 / _H_CUBED
 
 
 def _lattice_radii(
@@ -239,13 +240,19 @@ def planck_energy_density(
     """
     if p_kg_m_s < 0:
         raise ValueError("momentum must be >= 0")
+    return _planck(p_kg_m_s, state.beta_per_j, 0.5 if include_zero_point else 0.0)
+
+
+def _planck(p_kg_m_s: float, beta_per_j: float, zero_point: float) -> float:
+    """Planck's law 2 * (4 pi p^2/h^3) * pc * (zero_point + <n>) at p >= 0.
+
+    The one home of the law; its callers check the momentum.
+    """
     if p_kg_m_s == 0:
         return 0.0
     epsilon_j = p_kg_m_s * CODATA.c_m_per_s
-    occupancy = _occupation_from_x(epsilon_j * state.beta_per_j)
-    if include_zero_point:
-        occupancy += 0.5
-    return 2.0 * mode_density(p_kg_m_s) * epsilon_j * occupancy
+    occupancy = _occupation_from_x(epsilon_j * beta_per_j) + zero_point
+    return 2.0 * (_FOUR_PI * p_kg_m_s**2 / _H_CUBED) * epsilon_j * occupancy
 
 
 def stefan_boltzmann_density(state: ThermalState) -> float:
@@ -279,9 +286,10 @@ def integrate_thermal_density(
     spec = spec or numerics.QuadratureSpec(rel_tol=1e-9)
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
     p_scale = kt / CODATA.c_m_per_s
+    beta_per_j = state.beta_per_j
 
     def integrand(x: float) -> float:
-        return planck_energy_density(x * p_scale, state, include_zero_point=False)
+        return _planck(x * p_scale, beta_per_j, 0.0)
 
     return p_scale * numerics.integrate_half_line(integrand, 0.0, spec)
 

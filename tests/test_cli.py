@@ -642,8 +642,9 @@ def run_entry(argv, unbuffered=False, **kwargs):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run([sys.executable, "-m", "vacuumpairs", *argv], env=env,
-                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+                          timeout=120, **kwargs)
 
 
 ENTRY_OUTPUTS = {
@@ -688,6 +689,25 @@ class TestEntry:
         assert proc.returncode == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["full", "closed"])
+    @pytest.mark.parametrize("argv, code", [
+        (["alpha", "--eval", "--cutoff-mev", "-5"], 2),
+        (["report", "--species-file", "{heavy}"], 1),
+    ], ids=["usage-error", "failed-report"])
+    def test_unwritable_stderr_keeps_exit_code(self, tmp_path, stderr, argv, code, unbuffered):
+        # The error and FAIL lines are lost; the exit code is not.
+        argv = [a.format(heavy=heavy_electron_file(tmp_path)) for a in argv]
+        if stderr == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            with open("/dev/full", "wb") as full:
+                proc = run_entry(argv, unbuffered, stdout=subprocess.DEVNULL, stderr=full)
+        else:
+            proc = run_entry(argv, unbuffered, stdout=subprocess.DEVNULL,
+                             preexec_fn=lambda: os.close(2))
+        assert proc.returncode == code
 
 
 # --- argv fuzzing -----------------------------------------------------------

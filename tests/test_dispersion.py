@@ -412,6 +412,156 @@ class TestSimulateFlight:
         assert payload["config"]["lifetime_model"]["kind"] == "half-compton"
 
 
+def reference_chunk(config, expected_n, tau, chunk_index, size):
+    """One chunk's delays as the sampler drew them with a branch per case:
+    zero counts masked out of the gamma draw, the uniform-fraction normal
+    part gathered from whole-chunk means and spreads, and a per-photon loop
+    with its own zero-count and fixed-delay branches.  Kept as the
+    reference that every stream of ``simulate_flight`` must match."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
+    )
+    if config.interaction_process is InteractionProcess.FIXED_COUNT:
+        counts = np.full(size, np.rint(expected_n))
+    elif expected_n <= dispersion._POISSON_EXACT_MAX:
+        counts = rng.poisson(expected_n, size=size)
+    else:
+        normal = rng.normal(expected_n, math.sqrt(expected_n), size=size)
+        counts = np.clip(np.rint(normal), 0.0, None)
+    dist = config.delay_distribution
+    delays = np.zeros(counts.shape, dtype=np.float64)
+    if config.sampling is SamplingMethod.PER_INTERACTION:
+        for i, n in enumerate(counts):
+            n = int(n)
+            if n == 0:
+                delays[i] = 0.0
+            elif dist is DelayDistribution.FIXED_TAU:
+                delays[i] = n * tau
+            elif dist is DelayDistribution.EXPONENTIAL_TAU:
+                delays[i] = rng.standard_exponential(n).sum() * tau
+            else:
+                delays[i] = rng.random(n).sum() * tau
+        return delays
+    if dist is DelayDistribution.FIXED_TAU:
+        return counts.astype(np.float64) * tau
+    if dist is DelayDistribution.EXPONENTIAL_TAU:
+        positive = counts > 0
+        if np.any(positive):
+            delays[positive] = rng.gamma(counts[positive].astype(np.float64), tau)
+        return delays
+    exact_max = dispersion._UNIFORM_EXACT_MAX
+    mean = counts * (0.5 * tau)
+    sigma = np.sqrt(counts / 12.0) * tau
+    small = counts <= exact_max
+    small_counts = counts[small]
+    uniforms = rng.random((small_counts.size, exact_max))
+    drawn = np.arange(exact_max) < small_counts[:, None]
+    delays[small] = np.where(drawn, uniforms, 0.0).sum(axis=1) * tau
+    large = ~small
+    delays[large] = np.clip(rng.normal(mean[large], sigma[large]), 0.0, None)
+    return delays
+
+
+def custom_config(expected_n, n_photons, seed, **fields):
+    """A flight of ``n_photons`` over 1 m with about ``expected_n``
+    interactions per photon."""
+    tau = 1.0 / (CODATA.c_m_per_s * expected_n)
+    return FlightConfig(
+        length_m=1.0, lifetime_model=LifetimeModel.custom(tau), n_photons=n_photons,
+        seed=seed, **fields,
+    )
+
+
+def kept_delays(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateFlightWarning)
+        return simulate_flight(config, keep_samples=True).delays_s
+
+
+# Each count law: Poisson at lambda, normal counts at the half-Compton
+# lambda ~ 5e12 (None), and fixed counts round(lambda).  The per-photon loop
+# runs up to lambda = 1e3 only; at 1e5 it would draw ~1e9 variates.
+REFERENCE_CASES = [
+    (process, lam, delay, sampling)
+    for process in InteractionProcess
+    for lam in (0.4, 3.0, 1e3, 1e5, None)
+    for delay in DelayDistribution
+    for sampling in SamplingMethod
+    if sampling is SamplingMethod.AGGREGATE or lam is not None and lam <= 1e3
+]
+
+
+class TestSamplerLaws:
+    @pytest.mark.parametrize(
+        "process, expected_n, delay, sampling", REFERENCE_CASES,
+        ids=["-".join([p.value, str(lam or "half-compton"), d.value, s.value])
+             for p, lam, d, s in REFERENCE_CASES],
+    )
+    def test_delays_bit_identical_to_reference(self, process, expected_n, delay, sampling):
+        size = dispersion.CHUNK_SIZE
+        fields = dict(delay_distribution=delay, interaction_process=process, sampling=sampling)
+        for n_photons in (2, size + 1, 3 * size + 7):
+            if expected_n is None:
+                config = FlightConfig(
+                    1.0, LifetimeModel.half_compton(), n_photons=n_photons, seed=23, **fields
+                )
+            else:
+                config = custom_config(expected_n, n_photons, 23, **fields)
+            tau = lifetime(config.lifetime_model)
+            lam = config.length_m / (CODATA.c_m_per_s * tau)
+            reference = np.concatenate([
+                reference_chunk(config, lam, tau, index, min(size, n_photons - start))
+                for index, start in enumerate(range(0, n_photons, size))
+            ])
+            delays = kept_delays(config)
+            assert np.array_equal(delays.view(np.uint64), reference.view(np.uint64)), n_photons
+
+    @pytest.mark.parametrize("count", [1, 3, 50])
+    def test_fixed_count_exponential_delays_are_gamma(self, count):
+        # Anderson-Darling against the fully specified Gamma(N, tau) law
+        # (Stephens, JASA 69, 1974, case 0): 3.857 is its 1% point.
+        from scipy.special import gammainc, gammaincc
+
+        config = custom_config(
+            count, 20_000, 31, delay_distribution=DelayDistribution.EXPONENTIAL_TAU,
+            interaction_process=InteractionProcess.FIXED_COUNT,
+        )
+        y = np.sort(kept_delays(config)) / lifetime(config.lifetime_model)
+        n = y.size
+        weights = 2.0 * np.arange(1, n + 1) - 1.0
+        log_cdf, log_sf = np.log(gammainc(count, y)), np.log(gammaincc(count, y[::-1]))
+        a2 = -n - np.sum(weights * (log_cdf + log_sf)) / n
+        assert a2 < 3.857, a2
+
+    @pytest.mark.parametrize("expected_n", [0.4, 3.0, 30.0])
+    def test_poisson_fixed_delays_follow_the_pmf(self, expected_n):
+        # Delays lie on the lattice k*tau.  Chi-square of the counts k against
+        # the Poisson pmf, bins pooled until each expects at least 5 photons.
+        from scipy.special import chdtrc, gammaln, pdtrc, xlogy
+
+        config = custom_config(expected_n, 20_000, 37)
+        tau = lifetime(config.lifetime_model)
+        delays = kept_delays(config)
+        k = np.rint(delays / tau).astype(np.int64)
+        assert np.array_equal(delays, k * tau)
+        lam = config.length_m / (CODATA.c_m_per_s * tau)
+        observed = np.bincount(k)
+        values = np.arange(observed.size)
+        expected = delays.size * np.exp(xlogy(values, lam) - lam - gammaln(values + 1.0))
+        expected[-1] += delays.size * pdtrc(values[-1], lam)  # the tail above max k
+        bins_o, bins_e, run_o, run_e = [], [], 0, 0.0
+        for o, e in zip(observed, expected):
+            run_o, run_e = run_o + o, run_e + e
+            if run_e >= 5.0:
+                bins_o.append(run_o)
+                bins_e.append(run_e)
+                run_o, run_e = 0, 0.0
+        bins_o[-1] += run_o
+        bins_e[-1] += run_e
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(bins_o, bins_e))
+        assert chdtrc(len(bins_o) - 1, chi2) > 1e-3, (chi2, len(bins_o))
+
+
 class TestPulseBroadening:
     def test_quadrature_triangle(self):
         assert pulse_broadening(3.0, 4.0, 1.0) == 5.0

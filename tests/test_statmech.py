@@ -2,12 +2,13 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vacuumpairs import statmech
+from vacuumpairs import numerics, statmech
 from vacuumpairs.constants import CODATA
 from vacuumpairs.statmech import (
     ModeCountOverflowError,
@@ -24,7 +25,6 @@ from vacuumpairs.statmech import (
     planck_energy_density,
     state_probability,
     stefan_boltzmann_density,
-    vacuum_density,
     wien_peak_x,
 )
 
@@ -235,8 +235,13 @@ class TestModeDensity:
         assert abs(value / exact - 1.0) < 1e-10
 
     def test_vacuum_density_identical(self):
-        for p in (0.0, 1e-30, 3.3e-22):
-            assert vacuum_density(p) == mode_density(p)
+        # mode_density is also the vacuum density; 4 pi p^2/h^3 to 40 digits.
+        mp = mpmath.MPContext()
+        mp.dps = 40
+        h = mp.mpf(CODATA.h_j_s)
+        for p in (1e-150, 1e-30, 3.3e-22, 1.7e-5, 2.5, 1e90):
+            exact = 4 * mp.pi * mp.mpf(p) ** 2 / h**3
+            assert abs(mode_density(p) / exact - 1) < 1e-15, p
 
 class TestModeEnergy:
     def test_zero_point_level(self):
@@ -366,6 +371,17 @@ class TestPlanckLaw:
         state = ThermalState(300.0)
         quad = integrate_thermal_density(state)
         assert abs(quad / stefan_boltzmann_density(state) - 1.0) < 1e-6
+
+    def test_thermal_integral_integrates_the_planck_law(self):
+        # The quadrature's integrand is planck_energy_density, bit for bit.
+        state = ThermalState(300.0)
+        p_scale = CODATA.k_boltzmann_j_per_k * state.temperature_k / CODATA.c_m_per_s
+        direct = p_scale * numerics.integrate_half_line(
+            lambda x: planck_energy_density(x * p_scale, state, include_zero_point=False),
+            0.0,
+            numerics.QuadratureSpec(rel_tol=1e-9),
+        )
+        assert integrate_thermal_density(state) == direct
 
     def test_zero_point_part_survives_cold_limit(self):
         cold = ThermalState(1e-6)

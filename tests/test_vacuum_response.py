@@ -387,7 +387,7 @@ class TestAveragePairVolume:
         a = 6.478444302297101
         p_max = a * ELECTRON.mass_mev * CODATA.mev_to_j / CODATA.c_m_per_s
         density = numerics.integrate(
-            statmech.vacuum_density, 0.0, p_max, numerics.QuadratureSpec(rel_tol=1e-12)
+            statmech.mode_density, 0.0, p_max, numerics.QuadratureSpec(rel_tol=1e-12)
         )
         assert abs(average_pair_volume(ELECTRON, a) * density - 1.0) < 1e-10
 
