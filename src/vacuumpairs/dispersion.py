@@ -11,6 +11,10 @@ fluctuation; it is noted here for completeness and not simulated.
 The Monte Carlo draws each chunk of photons from its own stream, then the
 chunk's interaction counts, then their delays, with one expression per
 count law, delay law and sampling method.  A count of 0 draws nothing.
+Above 1e9 expected interactions per photon, fixed delays keep a rounded
+normal count, and any other delay law is one normal draw per photon with
+the compound law's exact mean and variance; the skewness this drops is
+below 6.7e-5 (see ``_POISSON_EXACT_MAX``).
 """
 
 from __future__ import annotations
@@ -224,8 +228,17 @@ class PhotonFlightResult:
 
 # Above this mean the transformed-rejection Poisson sampler loses accuracy
 # (its log-pmf differences cancel catastrophically, inflating the variance
-# by ~lambda*eps), so counts switch to the normal approximation, which is
-# exact to double precision there (skewness ~ lambda^-1/2 < 3e-5).
+# by ~lambda*eps), so the sampler switches to normal laws.  Fixed delays keep
+# a rounded normal count on the tau lattice.  Any other delay law takes one
+# normal draw per photon with the exact mean and variance of the compound
+# law (``compound_moments``).  That drops its skewness: 2.12/sqrt(lambda)
+# for a Poisson count with exponential delays, 1.30/sqrt(lambda) with
+# uniform fractions and 2/sqrt(N) for a fixed count N with exponential
+# delays (a fixed count of uniform fractions has none), all below 6.7e-5.
+# A sample skewness resolves that at three standard errors of sqrt(6/n)
+# only beyond n ~ 1.2e10 photons.  The mean sits at least
+# sqrt(lambda/2) > 2.2e4 standard deviations above 0, so no delay is
+# clipped.
 _POISSON_EXACT_MAX = 1e9
 
 # Per-interaction sampling draws all of a photon's interaction delays at
@@ -239,17 +252,29 @@ _UNIFORM_EXACT_MAX = 16
 
 
 def _simulate_chunk(
-    config: FlightConfig, expected_n: float, tau: float, chunk_index: int, size: int
+    config: FlightConfig,
+    expected_n: float,
+    tau: float,
+    moments: tuple[float, float],
+    chunk_index: int,
+    size: int,
 ) -> np.ndarray:
     """Delays of one chunk: its stream, then its counts, then its delays.
 
-    A count of 0 draws nothing: ``gamma`` returns 0.0 for shape 0, and a
-    size-0 draw leaves the stream where it was.
+    Above ``_POISSON_EXACT_MAX`` a delay law other than fixed skips the
+    counts: each delay is one normal draw with the compound law's
+    ``moments``, its (mean, variance).  A count of 0 draws nothing:
+    ``gamma`` returns 0.0 for shape 0, and a size-0 draw leaves the stream
+    where it was.
     """
     import numpy as np
 
     seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
     rng = np.random.default_rng(seq)
+    dist = config.delay_distribution
+    if expected_n > _POISSON_EXACT_MAX and dist is not DelayDistribution.FIXED_TAU:
+        mean, variance = moments
+        return rng.normal(mean, math.sqrt(variance), size)
     if config.interaction_process is InteractionProcess.FIXED_COUNT:
         counts = np.full(size, np.rint(expected_n))
     elif expected_n <= _POISSON_EXACT_MAX:
@@ -257,7 +282,6 @@ def _simulate_chunk(
     else:
         normal = rng.normal(expected_n, math.sqrt(expected_n), size=size)
         counts = np.clip(np.rint(normal), 0.0, None)
-    dist = config.delay_distribution
     if dist is DelayDistribution.FIXED_TAU:
         return counts * tau
     if config.sampling is SamplingMethod.PER_INTERACTION:
@@ -369,7 +393,9 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
 
     def run(chunk: tuple[int, int]) -> tuple[int, float, float, float]:
         index, start = chunk
-        delays = _simulate_chunk(config, expected_n, tau, index, min(CHUNK_SIZE, n - start))
+        delays = _simulate_chunk(
+            config, expected_n, tau, (mean, variance), index, min(CHUNK_SIZE, n - start)
+        )
         if samples is not None:
             samples[start : start + delays.size] = delays
         return _chunk_moments(delays)

@@ -115,11 +115,15 @@ def alpha_fits(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
     return {
         "weighted-degeneracy-sum": weighted_degeneracy_sum(registry),
         "global-cutoff-mev": global_policy.cutoff_mev,
-        "alpha-leading-contributors-ok": (ranked[0][0], ranked[1][0]) == ("e", "u"),
+        "alpha-leading-contributors-ok": [name for name, _ in ranked[:2]] == ["e", "u"],
+        # A table with no species besides e and u has no minor share.
         "max-minor-species-share": max(
-            value / breakdown.total_inverse_alpha
-            for name, value in ranked
-            if name not in ("e", "u")
+            (
+                value / breakdown.total_inverse_alpha
+                for name, value in ranked
+                if name not in ("e", "u")
+            ),
+            default=0.0,
         ),
         "electron-only-cutoff-over-mc2": e_policy.cutoff_mev / electron.mass_mev,
         "inverse-alpha-at-861-mc2": vacuum_response.inverse_alpha_single(

@@ -1,7 +1,8 @@
-"""The host-drift flag, the metric verdicts and the CLI wall-time summary
-of ``tools/bench.py``."""
+"""The host calibration and drift flag, the metric verdicts and the CLI
+wall-time summary of ``tools/bench.py``."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,26 @@ def test_readings_within_ten_percent_do_not_drift(bench):
 @pytest.mark.parametrize("loop_after, draw_after", [(17.9, 16.0), (20.0, 17.7), (14.2, 13.3)])
 def test_either_reading_beyond_ten_percent_drifts(bench, loop_after, draw_after):
     assert bench.drift(calibration(loop_after, draw_after))[0]
+
+
+def test_calibration_records_parallel_capacity(bench, monkeypatch):
+    monkeypatch.setattr(bench, "CALIBRATION_REPEATS", 2)
+    reading = bench.calibrate()
+    assert set(reading) == {"loop_ns_per_iter", "normal_ns_per_draw", "threads2_speedup"}
+    # Two threads finish two digests no faster than two free CPUs allow.
+    assert 0.3 < reading["threads2_speedup"] < 2.5
+
+
+@pytest.mark.parametrize("work, low, high", [
+    # Sleeping releases the interpreter lock, so two threads overlap fully.
+    (lambda: time.sleep(0.02), 1.6, 2.4),
+    # A builtin sum holds it, so two threads run one after the other.
+    (lambda: sum(range(400_000)), 0.5, 1.3),
+], ids=["lock-released", "lock-held"])
+def test_threads2_speedup_is_serial_over_threaded(bench, monkeypatch, work, low, high):
+    monkeypatch.setattr(bench, "CALIBRATION_REPEATS", 2)
+    monkeypatch.setattr(bench.hashlib, "sha256", lambda data: work())
+    assert low < bench.threads2_speedup() < high
 
 
 LOWER = {"name": "op_p50_ms", "better": "lower", "bound": 0.25}

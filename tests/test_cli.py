@@ -382,6 +382,12 @@ class TestReportCommand:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
 
+    @pytest.mark.parametrize("names, leaders_ok", [(["e"], False), (["e", "u"], True)])
+    def test_tables_without_minor_species(self, names, leaders_ok):
+        values = report.alpha_fits(default_registry().subset(names), report.REPORT_SEED)
+        assert values["alpha-leading-contributors-ok"] is leaders_ok
+        assert values["max-minor-species-share"] == 0.0
+
     def test_species_file_sets_reference_electron(self, capsys, tmp_path, monkeypatch):
         # The closed forms and the Monte Carlo use the table's electron, as
         # dispersion and simulate do.
@@ -669,6 +675,14 @@ class TestEntry:
     ], ids=["dispersion", "help", "unreachable-target", "missing-flag"])
     def test_exit_code_is_mains(self, argv, code):
         assert run_entry(argv).returncode == code
+
+    def test_single_species_report_fails_without_traceback(self, tmp_path):
+        proc = run_entry(["report", "--species-file", str(electron_only_file(tmp_path))])
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "FAIL alpha-leading-contributors-ok" in err
+        assert "Traceback" not in err
+        assert json.loads(proc.stdout)["all_pass"] is False
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("stdout, argv", [

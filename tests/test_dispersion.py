@@ -416,11 +416,18 @@ def reference_chunk(config, expected_n, tau, chunk_index, size):
     """One chunk's delays as the sampler drew them with a branch per case:
     zero counts masked out of the gamma draw, the uniform-fraction normal
     part gathered from whole-chunk means and spreads, and a per-photon loop
-    with its own zero-count and fixed-delay branches.  Kept as the
-    reference that every stream of ``simulate_flight`` must match."""
+    with its own zero-count and fixed-delay branches.  Above the
+    normal-count switch, delays other than fixed are one normal draw per
+    photon.  Kept as the reference that every stream of ``simulate_flight``
+    must match."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
     )
+    dist = config.delay_distribution
+    if expected_n > dispersion._POISSON_EXACT_MAX and dist is not DelayDistribution.FIXED_TAU:
+        # One normal draw per photon with the compound law's moments.
+        mean, variance = compound_moments(config.interaction_process, dist, expected_n, tau)
+        return rng.normal(mean, math.sqrt(variance), size=size)
     if config.interaction_process is InteractionProcess.FIXED_COUNT:
         counts = np.full(size, np.rint(expected_n))
     elif expected_n <= dispersion._POISSON_EXACT_MAX:
@@ -428,7 +435,6 @@ def reference_chunk(config, expected_n, tau, chunk_index, size):
     else:
         normal = rng.normal(expected_n, math.sqrt(expected_n), size=size)
         counts = np.clip(np.rint(normal), 0.0, None)
-    dist = config.delay_distribution
     delays = np.zeros(counts.shape, dtype=np.float64)
     if config.sampling is SamplingMethod.PER_INTERACTION:
         for i, n in enumerate(counts):
@@ -478,6 +484,66 @@ def kept_delays(config):
         return simulate_flight(config, keep_samples=True).delays_s
 
 
+#: The 1% point of the Anderson-Darling statistic for a fully specified law
+#: (Stephens, JASA 69, 1974, case 0).
+AD_1PCT = 3.857
+
+
+def anderson_darling(cdf, sf):
+    """A^2 of sorted samples from their CDF and survival function values,
+    both in the samples' ascending order; sf keeps the upper tail exact."""
+    n = cdf.size
+    weights = 2.0 * np.arange(1, n + 1) - 1.0
+    return -n - np.sum(weights * (np.log(cdf) + np.log(sf[::-1]))) / n
+
+
+def atom_checked_positive_part(config):
+    """(lambda, sorted positive delays over tau) of a Poisson-count flight,
+    after a binomial z-test of its atom at 0 against e^-lambda."""
+    tau = lifetime(config.lifetime_model)
+    lam = config.length_m / (CODATA.c_m_per_s * tau)
+    delays = kept_delays(config)
+    n, p0 = delays.size, math.exp(-lam)
+    z = (np.count_nonzero(delays == 0.0) - n * p0) / math.sqrt(n * p0 * (1.0 - p0))
+    assert abs(z) < 4.0, z
+    return lam, np.sort(delays[delays > 0.0]) / tau
+
+
+def irwin_hall_pieces(k):
+    """Integers c[m][i] with k! F_k(m + t) = sum_i c[m][i] t^i on 0 <= t < 1,
+    where F_k is the CDF of a sum of k uniforms.  Expanding the alternating
+    sum sum_j (-1)^j C(k, j) (m + t - j)^k in t makes it cancel in exact
+    integers, not in floats."""
+    return [
+        [math.comb(k, i) * sum((-1) ** j * math.comb(k, j) * (m - j) ** (k - i)
+                               for j in range(m + 1))
+         for i in range(k + 1)]
+        for m in range(k)
+    ]
+
+
+def irwin_hall_mixture(weights, y):
+    """CDF and survival function at y of sum_k weights[k-1] F_k.  Piece m of
+    F_k is a polynomial in t = y - m, and 1 - F_k(y) = F_k(k - y) is piece
+    k - 1 - m at 1 - t, so both tails keep full relative precision."""
+    from fractions import Fraction
+
+    from numpy.polynomial.polynomial import polyval
+
+    piece = np.floor(y).astype(np.int64)
+    t = y - piece
+    cdf, sf = np.zeros_like(y), np.zeros_like(y)
+    for k, weight in enumerate(weights, start=1):
+        pieces = [[float(Fraction(c, math.factorial(k))) for c in row]
+                  for row in irwin_hall_pieces(k)]
+        for m in range(k):
+            on = piece == m
+            cdf[on] += weight * polyval(t[on], pieces[m])
+            sf[on] += weight * polyval(1.0 - t[on], pieces[k - 1 - m])
+        cdf[piece >= k] += weight
+    return cdf, sf
+
+
 # Each count law: Poisson at lambda, normal counts at the half-Compton
 # lambda ~ 5e12 (None), and fixed counts round(lambda).  The per-photon loop
 # runs up to lambda = 1e3 only; at 1e5 it would draw ~1e9 variates.
@@ -518,8 +584,6 @@ class TestSamplerLaws:
 
     @pytest.mark.parametrize("count", [1, 3, 50])
     def test_fixed_count_exponential_delays_are_gamma(self, count):
-        # Anderson-Darling against the fully specified Gamma(N, tau) law
-        # (Stephens, JASA 69, 1974, case 0): 3.857 is its 1% point.
         from scipy.special import gammainc, gammaincc
 
         config = custom_config(
@@ -527,11 +591,62 @@ class TestSamplerLaws:
             interaction_process=InteractionProcess.FIXED_COUNT,
         )
         y = np.sort(kept_delays(config)) / lifetime(config.lifetime_model)
-        n = y.size
-        weights = 2.0 * np.arange(1, n + 1) - 1.0
-        log_cdf, log_sf = np.log(gammainc(count, y)), np.log(gammaincc(count, y[::-1]))
-        a2 = -n - np.sum(weights * (log_cdf + log_sf)) / n
-        assert a2 < 3.857, a2
+        a2 = anderson_darling(gammainc(count, y), gammaincc(count, y))
+        assert a2 < AD_1PCT, a2
+
+    @pytest.mark.parametrize("process", list(InteractionProcess))
+    @pytest.mark.parametrize(
+        "delay", [DelayDistribution.EXPONENTIAL_TAU, DelayDistribution.UNIFORM_FRACTION]
+    )
+    def test_one_normal_draw_above_the_count_switch(self, process, delay):
+        # lambda = 2e9: past _POISSON_EXACT_MAX, each delay is one normal draw
+        # with the compound law's exact mean and variance.
+        from scipy.special import ndtr
+
+        config = custom_config(
+            2e9, 20_000, 43, delay_distribution=delay, interaction_process=process
+        )
+        tau = lifetime(config.lifetime_model)
+        lam = config.length_m / (CODATA.c_m_per_s * tau)
+        assert lam > dispersion._POISSON_EXACT_MAX
+        mean, variance = compound_moments(process, delay, lam, tau)
+        z = (np.sort(kept_delays(config)) - mean) / math.sqrt(variance)
+        a2 = anderson_darling(ndtr(z), ndtr(-z))
+        assert a2 < AD_1PCT, a2
+
+    @pytest.mark.parametrize("expected_n", [0.5, 3.0])
+    def test_poisson_exponential_delays_follow_the_compound_law(self, expected_n):
+        # Atom e^-lambda at 0, and above it sum_k Pois(k; lambda) Gamma(k, tau)
+        # over k >= 1, normalised by 1 - e^-lambda; k <= 40 leaves < 1e-30.
+        from scipy.special import gammainc, gammaincc, pdtr
+
+        config = custom_config(
+            expected_n, 20_000, 41, delay_distribution=DelayDistribution.EXPONENTIAL_TAU
+        )
+        lam, y = atom_checked_positive_part(config)
+        k = np.arange(1, 41)[:, None]
+        weights = np.diff(pdtr(np.arange(41), lam))[:, None] / -math.expm1(-lam)
+        cdf = (weights * gammainc(k, y)).sum(axis=0)
+        sf = (weights * gammaincc(k, y)).sum(axis=0)
+        a2 = anderson_darling(cdf, sf)
+        assert a2 < AD_1PCT, a2
+
+    @pytest.mark.parametrize("expected_n", [0.5, 3.0])
+    def test_poisson_uniform_fraction_delays_follow_the_irwin_hall_mixture(self, expected_n):
+        # Atom e^-lambda at 0, and above it sum_k Pois(k; lambda) IH_k(y/tau)
+        # over 1 <= k <= _UNIFORM_EXACT_MAX, the counts summed exactly; the
+        # counts above it have probability < 4e-8 at lambda = 3.
+        from scipy.special import pdtr
+
+        config = custom_config(
+            expected_n, 20_000, 41, delay_distribution=DelayDistribution.UNIFORM_FRACTION
+        )
+        lam, y = atom_checked_positive_part(config)
+        top = dispersion._UNIFORM_EXACT_MAX
+        weights = np.diff(pdtr(np.arange(top + 1), lam))
+        cdf, sf = irwin_hall_mixture(weights / weights.sum(), y)
+        a2 = anderson_darling(cdf, sf)
+        assert a2 < AD_1PCT, a2
 
     @pytest.mark.parametrize("expected_n", [0.4, 3.0, 30.0])
     def test_poisson_fixed_delays_follow_the_pmf(self, expected_n):

@@ -23,12 +23,15 @@ quartile spread.
 Both trees run with the same interpreter, so the comparison isolates the code.
 ``host.calibration`` records the host's speed once before the first pair
 and once after the last, so that BENCH files from other hosts or days can
-be normalised: ns per iteration of an empty Python loop and ns per
+be normalised: ns per iteration of an empty Python loop, ns per
 ``numpy.random.Generator.standard_normal`` draw, each the best of
-CALIBRATION_REPEATS timings.  ``host.calibration_ratios`` holds after/before
-for each reading, and ``host.drift`` is true when either ratio is more than
-DRIFT_LIMIT away from 1.  Then the host changed speed during the pairs, so
-the medians mix two speeds, and the tool prints a warning.
+CALIBRATION_REPEATS timings, and ``threads2_speedup``, the host's parallel
+capacity: how much faster two threads hash a fixed buffer than one thread
+hashing it twice (2 with two free CPUs, 1 with one), printed in the
+summary.  ``host.calibration_ratios`` holds after/before for each reading,
+and ``host.drift`` is true when any ratio is more than DRIFT_LIMIT away
+from 1.  Then the host changed speed during the pairs, so the medians mix
+two speeds, and the tool prints a warning.
 ``cli_wall_ms`` holds the CLI wall time per subcommand: CLI_CALLS fresh
 ``python -m vacuumpairs`` calls of one fixed argv (CLI_ARGVS) per subcommand
 and tree, the trees alternating call by call.  It is reported, not gated.
@@ -37,6 +40,7 @@ and tree, the trees alternating call by call.  It is reported, not gated.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -45,6 +49,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -99,8 +104,30 @@ def run(side: str, tree: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(result.read_text(encoding="utf-8"))
 
 
+def threads2_speedup() -> float:
+    """Parallel capacity: two ``hashlib.sha256`` digests of a fixed 16 MiB
+    buffer (the digest releases the interpreter lock) run serially, over the
+    same two run in two threads, each the best of CALIBRATION_REPEATS."""
+    buffer = bytes(16 * 2**20)
+    serial_s, threaded_s = [], []
+    for _ in range(CALIBRATION_REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(2):
+            hashlib.sha256(buffer)
+        serial_s.append(time.perf_counter() - t0)
+        threads = [threading.Thread(target=hashlib.sha256, args=(buffer,)) for _ in range(2)]
+        t0 = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        threaded_s.append(time.perf_counter() - t0)
+    return min(serial_s) / min(threaded_s)
+
+
 def calibrate() -> dict:
-    """Host speed: best ns per empty-loop iteration and per normal draw."""
+    """Host speed: best ns per empty-loop iteration and per normal draw, and
+    the ``threads2_speedup`` of two threads."""
     import numpy as np
 
     n = 1_000_000
@@ -114,7 +141,11 @@ def calibrate() -> dict:
         t0 = time.perf_counter()
         rng.standard_normal(n)
         draw_s.append(time.perf_counter() - t0)
-    return {"loop_ns_per_iter": min(loop_s) / n * 1e9, "normal_ns_per_draw": min(draw_s) / n * 1e9}
+    return {
+        "loop_ns_per_iter": min(loop_s) / n * 1e9,
+        "normal_ns_per_draw": min(draw_s) / n * 1e9,
+        "threads2_speedup": threads2_speedup(),
+    }
 
 
 def drift(calibration: dict) -> tuple[bool, dict[str, float]]:
@@ -284,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, m in cli_wall_ms.items():
         print(f"cli wall     {name:12s} {m['parent']['median']:>12.6g} -> "
               f"{m['change']['median']:>12.6g} ms    x{m['change_over_parent']:.3f}")
+    before, after = (calibration[when]["threads2_speedup"] for when in ("before", "after"))
+    print(f"host threads2_speedup before {before:.2f}, after {after:.2f}")
     if drifted:
         readings = ", ".join(f"{name} x{r:.2f}" for name, r in ratios.items())
         print(f"warning: the host's speed drifted during the pairs (after/before: {readings});"
