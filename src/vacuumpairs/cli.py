@@ -161,9 +161,8 @@ def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         "species": breakdown.to_dict()["species"],
     }
     if policy.kind is vacuum_response.PolicyKind.MASS_PROPORTIONAL:
-        electron = registry.get("e")
         payload["pair_volume_compton_units"] = vacuum_response.pair_volume_compton_units(
-            electron, policy.scale_a
+            policy.scale_a
         )
     return payload, payload["species"]
 
@@ -255,10 +254,14 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     result = dispersion.simulate_flight(config, keep_samples=args.samples_out is not None)
     if args.samples_out:
         # The rows csv.writer would give, as no field needs quoting, streamed
-        # so that memory stays that of the delays.
+        # one chunk of Python floats at a time, so that memory stays that of
+        # the delays.
+        delays = result.delays_s
         with open(args.samples_out, "w", encoding="utf-8") as handle:
             handle.write("photon_index,delay_s\n")
-            handle.writelines(f"{i},{x!r}\n" for i, x in enumerate(result.delays_s.tolist()))
+            for start in range(0, len(delays), dispersion.CHUNK_SIZE):
+                chunk = delays[start : start + dispersion.CHUNK_SIZE].tolist()
+                handle.writelines(f"{i},{x!r}\n" for i, x in enumerate(chunk, start))
     # The config echoes the lifetime that ran; these name what was asked for.
     payload = result.to_dict() | {"model": args.model, "reference_species": args.reference_species}
     return payload, None

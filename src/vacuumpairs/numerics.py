@@ -6,6 +6,9 @@ unrestricted concurrent use.  The integrands handled here are smooth
 rational/exponential functions, which a breadth-first adaptive 15-point
 Gauss–Kronrod rule (Piessens et al., QUADPACK, 1983; Gander & Gautschi,
 BIT 40, 2000) resolves in a few hundred scalar calls to tight tolerances.
+A caller sets the tolerance (``QuadratureSpec``, ``RootSpec``); the guards
+that stop work which cannot converge, ``_MAX_DEPTH``, ``_MAX_PANELS`` and
+``_MAX_ITER``, are fixed here.
 """
 
 from __future__ import annotations
@@ -32,28 +35,18 @@ class NoSignChangeError(ValueError, Failure):
 
 
 class MaxIterExceededError(RuntimeError, Failure):
-    """Root refinement did not converge within max_iter iterations."""
+    """Root refinement did not converge within ``_MAX_ITER`` iterations."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and depth limit for ``integrate``.
-
-    ``max_depth`` is the number of bisection levels below the starting grid
-    that ``integrate`` may use before it gives up.
-    """
+    """Relative tolerance for ``integrate``."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 0.0
-    max_depth: int = 48
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,15 +56,12 @@ class RootSpec:
     bracket_lo: float
     bracket_hi: float
     x_tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not self.bracket_lo < self.bracket_hi:
             raise ValueError("bracket_lo must be < bracket_hi")
         if not self.x_tol > 0:
             raise ValueError("x_tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -132,6 +122,8 @@ _KRONROD_MINUS_GAUSS = _mirror(
 _ODD = _mirror(_NULL_ODD, 0.0, sign=-1.0)
 #: Equal panels of the starting grid.
 _START_PANELS = 8
+#: Bisection levels below the starting grid that ``integrate`` may use.
+_MAX_DEPTH = 48
 #: Most panels one bisection level may hold; breadth-first refinement of an
 #: integrand that never converges would otherwise double its memory per level.
 _MAX_PANELS = 1 << 14
@@ -167,11 +159,11 @@ def integrate(
     Starts from ``_START_PANELS`` equal panels and refines breadth first:
     each level evaluates the 15 Kronrod nodes of every live panel, accepts a
     panel whose error estimate is at most tol * width/(b - a), and bisects
-    the others.  tol = max(abs_tol, rel_tol*|I0|), with I0 the K15 sum over
-    the starting grid.  The error estimate is the norm of two null rules:
+    the others.  tol = rel_tol*|I0|, with I0 the K15 sum over the starting
+    grid.  The error estimate is the norm of two null rules:
     K15 - G7 and an antisymmetric one, so a panel is accepted only when both
     are small.  The result is the ``math.fsum`` of the accepted K15 values,
-    with |I - integral| <= max(abs_tol, rel_tol*|I|) for smooth integrands.
+    with |I - integral| <= rel_tol*|I| for smooth integrands.
 
     ``f`` is called with scalars only.  Every node is interior, so f(a) and
     f(b) are evaluated once, to reject a non-finite endpoint.
@@ -179,7 +171,7 @@ def integrate(
     Raises:
         ValueError: if a > b.
         NonFiniteIntegrandError: f returned NaN/inf at an evaluation point.
-        MaxDepthExceededError: tolerance not reached within ``max_depth``
+        MaxDepthExceededError: tolerance not reached within ``_MAX_DEPTH``
             bisection levels (or ``_MAX_PANELS`` panels on one level).
     """
     if a > b:
@@ -192,7 +184,7 @@ def integrate(
     edges = [a + span * i / _START_PANELS for i in range(_START_PANELS)] + [b]
     panels = list(zip(edges, edges[1:]))
     estimates = [_gauss_kronrod(f, lo, hi) for lo, hi in panels]
-    tol = max(spec.abs_tol, spec.rel_tol * abs(math.fsum(k for k, _ in estimates)))
+    tol = spec.rel_tol * abs(math.fsum(k for k, _ in estimates))
     accepted = []
     level = 0
     while True:
@@ -206,7 +198,7 @@ def integrate(
                 live.append(panel)
         if not live:
             return math.fsum(accepted)
-        if level == spec.max_depth or 2 * len(live) > _MAX_PANELS:
+        if level == _MAX_DEPTH or 2 * len(live) > _MAX_PANELS:
             lo, hi = live[0]
             raise MaxDepthExceededError(
                 f"tolerance not reached after {level} bisection levels: "
@@ -242,6 +234,10 @@ def integrate_half_line(
     return integrate(mapped, 0.0, 1.0, spec)
 
 
+#: Brent iterations ``find_root`` may take before it gives up.
+_MAX_ITER = 200
+
+
 def find_root(g: Callable[[float], float], spec: RootSpec) -> float:
     """Find a root of ``g`` inside the bracket using Brent's method.
 
@@ -253,7 +249,7 @@ def find_root(g: Callable[[float], float], spec: RootSpec) -> float:
 
     Raises:
         NoSignChangeError: g(bracket_lo) and g(bracket_hi) have equal signs.
-        MaxIterExceededError: not converged within max_iter iterations.
+        MaxIterExceededError: not converged within ``_MAX_ITER`` iterations.
     """
     a, b = spec.bracket_lo, spec.bracket_hi
     fa, fb = g(a), g(b)
@@ -268,7 +264,7 @@ def find_root(g: Callable[[float], float], spec: RootSpec) -> float:
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(spec.max_iter):
+    for _ in range(_MAX_ITER):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -312,4 +308,4 @@ def find_root(g: Callable[[float], float], spec: RootSpec) -> float:
         else:
             b -= tol
         fb = g(b)
-    raise MaxIterExceededError(f"no convergence after {spec.max_iter} iterations")
+    raise MaxIterExceededError(f"no convergence after {_MAX_ITER} iterations")

@@ -131,7 +131,7 @@ def alpha_fits(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
         ),
         "mass-proportional-scale-a": mass_policy.scale_a,
         "pair-volume-compton-units": vacuum_response.pair_volume_compton_units(
-            electron, mass_policy.scale_a
+            mass_policy.scale_a
         ),
         "inverse-alpha-ratio-at-electron-mass-cutoff": at_electron_mass.total_inverse_alpha
         / target,

@@ -3,7 +3,8 @@ mode counting, the single-mode partition function, Planck's spectral energy
 density and the mode density ``mode_density``, which is also the
 non-thermal vacuum density behind the virtual-pair picture.  Planck's law
 has one home, ``_planck``, which both the spectral density and the thermal
-quadrature evaluate.
+quadrature evaluate.  The mode-count ceiling ``_MAX_COUNT``, the thermal
+quadrature's tolerance and the Wien root's bracket are module constants.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def _lattice_radii(
 
 #: Most lattice columns one numpy block of ``_lattice_sum`` holds.
 _BLOCK = 1 << 14
+#: Most modes ``count_box_modes`` counts before it raises.
+_MAX_COUNT = 50_000_000
 
 _OVERFLOW = "more than {} lattice points lie inside radii {}"
 
@@ -130,29 +133,29 @@ def _lattice_sum(radii: tuple[float, float, float], max_count: int) -> int:
         raise ModeCountOverflowError(_OVERFLOW.format(max_count, radii))
     n_rows = int(rx) + 1
     total = 0
-    for x0 in range(0, n_rows, _BLOCK):
-        lx = np.arange(x0, min(x0 + _BLOCK, n_rows))[:, None]
-        # Python's float power on purpose: x**2 differs from numpy's x*x in
-        # the last bit for about one x in a thousand.
-        rem = np.array([1.0 - (i / rx) ** 2 for i in range(x0, x0 + len(lx))])[:, None]
+    row = 0
+    while row < n_rows:
+        # Rows narrow as l_x grows, so a group's first row is its widest.
+        width = int(ry * math.sqrt(1.0 - (row / rx) ** 2)) + 1
+        stop = min(row + max(1, _BLOCK // width), n_rows)
+        # np.float_power squares as Python's x**2 does, so each row's rem and
+        # ly_max are the row loop's; numpy's x*x differs from x**2 in the
+        # last bit for about one x in a thousand.
+        rem = 1.0 - np.float_power(np.arange(row, stop) / rx, 2.0)[:, None]
         ly_max = (ry * np.sqrt(rem)).astype(np.int64)
-        row = 0
-        while row < len(lx):
-            width = int(ly_max[row, 0]) + 1  # rows narrow as l_x grows
-            rows = slice(row, row + max(1, _BLOCK // width))
-            for y0 in range(0, width, _BLOCK):
-                ly = np.arange(y0, min(y0 + _BLOCK, width))
-                # floor(rz * sqrt(max(rem2, 0))) + 1, in place.
-                points = rem[rows] - (ly / ry) ** 2
-                np.maximum(points, 0.0, out=points)
-                np.sqrt(points, out=points)
-                points *= rz
-                np.floor(points, out=points)
-                points += 1.0
-                total += int(np.sum(points, where=ly <= ly_max[rows]))
-                if total > max_count:
-                    raise ModeCountOverflowError(_OVERFLOW.format(max_count, radii))
-            row = rows.stop
+        for y0 in range(0, width, _BLOCK):
+            ly = np.arange(y0, min(y0 + _BLOCK, width))
+            # floor(rz * sqrt(max(rem2, 0))) + 1, in place.
+            points = rem - (ly / ry) ** 2
+            np.maximum(points, 0.0, out=points)
+            np.sqrt(points, out=points)
+            points *= rz
+            np.floor(points, out=points)
+            points += 1.0
+            total += int(np.sum(points, where=ly <= ly_max))
+            if total > max_count:
+                raise ModeCountOverflowError(_OVERFLOW.format(max_count, radii))
+        row = stop
     return total
 
 
@@ -160,8 +163,6 @@ def count_box_modes(
     box_lengths_m: tuple[float, float, float],
     energy_max_mev: float,
     mass_energy_mev: float = 0.0,
-    *,
-    max_count: int = 50_000_000,
 ) -> int:
     """Exact count of box modes with energy at most ``energy_max_mev``.
 
@@ -172,11 +173,11 @@ def count_box_modes(
     the resulting O(1/R) boundary layer.
 
     Raises ``ModeCountOverflowError`` if and only if the count exceeds
-    ``max_count``, after walking at most about ``max_count`` lattice columns
-    whatever the box's shape.
+    ``_MAX_COUNT``, after walking at most about ``_MAX_COUNT`` lattice
+    columns whatever the box's shape.
     """
     radii = _lattice_radii(box_lengths_m, energy_max_mev, mass_energy_mev)
-    return _lattice_sum(radii, max_count + 1) - 1  # the origin is no mode
+    return _lattice_sum(radii, _MAX_COUNT + 1) - 1  # the origin is no mode
 
 
 def mode_energy(omega_rad_per_s: float, n: int) -> float:
@@ -273,17 +274,20 @@ def stefan_boltzmann_density(state: ThermalState) -> float:
     return density
 
 
-def integrate_thermal_density(
-    state: ThermalState,
-    spec: numerics.QuadratureSpec | None = None,
-) -> float:
-    """Quadrature of the thermal Planck curve over all momenta (J/m^3).
+#: Tolerance of ``integrate_thermal_density``.
+_THERMAL_QUADRATURE = numerics.QuadratureSpec(rel_tol=1e-9)
+#: Bracket and tolerance of ``wien_peak_x``.
+_WIEN_ROOT = numerics.RootSpec(bracket_lo=2.0, bracket_hi=4.0, x_tol=1e-12)
+
+
+def integrate_thermal_density(state: ThermalState) -> float:
+    """Quadrature of the thermal Planck curve over all momenta (J/m^3), to
+    relative tolerance 1e-9.
 
     Integrated in the dimensionless variable x = pc/(kT) so the integrand
     peaks at order unity; the improper upper limit is handled by the
     half-line map in ``numerics``.
     """
-    spec = spec or numerics.QuadratureSpec(rel_tol=1e-9)
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
     p_scale = kt / CODATA.c_m_per_s
     beta_per_j = state.beta_per_j
@@ -291,17 +295,16 @@ def integrate_thermal_density(
     def integrand(x: float) -> float:
         return _planck(x * p_scale, beta_per_j, 0.0)
 
-    return p_scale * numerics.integrate_half_line(integrand, 0.0, spec)
+    return p_scale * numerics.integrate_half_line(integrand, 0.0, _THERMAL_QUADRATURE)
 
 
-def wien_peak_x(spec: numerics.RootSpec | None = None) -> float:
+def wien_peak_x() -> float:
     """Location x* = hbar*omega/kT of the thermal spectral peak.
 
     Stationarity of x^3/(e^x - 1) gives 3*(1 - e^-x) = x, solved by
-    bracketed root finding.
+    bracketed root finding in [2, 4] to 1e-12.
     """
-    spec = spec or numerics.RootSpec(bracket_lo=2.0, bracket_hi=4.0, x_tol=1e-12)
-    return numerics.find_root(lambda x: 3.0 * -math.expm1(-x) - x, spec)
+    return numerics.find_root(lambda x: 3.0 * -math.expm1(-x) - x, _WIEN_ROOT)
 
 
 def planck_curve(

@@ -1,7 +1,9 @@
 """Vacuum response from virtual pairs: induced dipole moments, the
 cutoff-regularized permittivity / fine-structure-constant integrals with
 their fits, average pair volume, permeability consistency, relativistic
-magnetic moments and Landau levels.
+magnetic moments and Landau levels.  The pair volume in Compton units,
+6 pi^2/a^3, depends on the cutoff scale a alone and has one home,
+``pair_volume_compton_units``.
 
 Unit discipline: energies and momenta stay in MeV (pc in MeV) inside this
 module; SI enters only at the dipole, magnetic-moment and permittivity
@@ -137,11 +139,6 @@ class AlphaBreakdown:
 
 
 # --- oscillator dipole moments -------------------------------------------
-
-def fixed_gap_omega(mass_energy_mev: float) -> float:
-    """Angular frequency of the fixed-gap oscillator, hbar*omega = 2 m c^2."""
-    return 2.0 * mass_energy_mev * CODATA.mev_to_j / CODATA.hbar_j_s
-
 
 def dipole_max(mass_energy_mev: float, omega_rad_per_s: float) -> float:
     """Peak induced dipole moment q_e*sqrt(hbar/(2 m omega)) in C*m.
@@ -351,24 +348,21 @@ def chiral_cutoff_policy(
 
 # --- geometry and field-relation helpers ----------------------------------
 
+def pair_volume_compton_units(scale_a: float) -> float:
+    """Average volume per virtual pair, 6 pi^2 / a^3, in units of the cubed
+    reduced Compton length of its species: the same for every species."""
+    if scale_a <= 0:
+        raise ValueError("scale_a must be > 0")
+    return 6.0 * math.pi**2 / scale_a**3
+
+
 def average_pair_volume(species: ParticleSpecies, scale_a: float) -> float:
     """Average volume per virtual pair, (6 pi^2 / a^3) * (hbar/(m c))^3, in m^3.
 
     Inverse of the vacuum density integrated up to the per-species cutoff
     A = a*mc^2.
     """
-    if scale_a <= 0:
-        raise ValueError("scale_a must be > 0")
-    lam = CODATA.compton_length_m(species.mass_mev)
-    return 6.0 * math.pi**2 / scale_a**3 * lam**3
-
-
-def pair_volume_compton_units(species: ParticleSpecies, scale_a: float) -> float:
-    """``average_pair_volume`` in units of the cubed reduced Compton length."""
-    return (
-        average_pair_volume(species, scale_a)
-        / CODATA.compton_length_m(species.mass_mev) ** 3
-    )
+    return pair_volume_compton_units(scale_a) * CODATA.compton_length_m(species.mass_mev) ** 3
 
 
 @dataclass(frozen=True)
@@ -418,16 +412,12 @@ def relativistic_magnetic_moment(fermion_energy_mev: float) -> float:
     return CODATA.q_e_coulomb * CODATA.hbar_j_s * CODATA.c_m_per_s**2 / (2.0 * energy_j)
 
 
-def pair_separation(fermion_energy_mev: float) -> float:
-    """Effective dipole 'distance' x = hbar/(eps_f/c) in metres."""
+def pair_electric_dipole(fermion_energy_mev: float) -> float:
+    """Pair dipole moment d = q_e x in C*m, with the effective separation
+    x = hbar/(eps_f/c): the reduced Compton length at energy eps_f."""
     if fermion_energy_mev <= 0:
         raise ValueError("fermion_energy_mev must be > 0")
-    return CODATA.hbar_c_mev_m / fermion_energy_mev
-
-
-def pair_electric_dipole(fermion_energy_mev: float, charge_scale: float = 1.0) -> float:
-    """Pair dipole moment d = Q q_e x with x the separation above (C*m)."""
-    return charge_scale * CODATA.q_e_coulomb * pair_separation(fermion_energy_mev)
+    return CODATA.q_e_coulomb * CODATA.compton_length_m(fermion_energy_mev)
 
 
 class LandauMode(str, enum.Enum):

@@ -101,3 +101,50 @@ def test_cli_summary(bench):
         assert entry["parent"]["q1"] < entry["parent"]["median"] < entry["parent"]["q3"]
         assert entry["change"]["runs"] == change[name]
         assert entry["change_over_parent"] == pytest.approx(0.8)
+
+
+def test_compare_calibrates_the_host_before_every_pair(bench, monkeypatch):
+    calls = []
+
+    def run(side, tree, workload, seed, trace):
+        calls.append(("run", workload, trace))
+        return {
+            "metrics": {"ops_per_s": {"value": float(len(calls)), "unit": "1/s"}},
+            "failed": 0,
+            "attempted": 1,
+            "provenance": {},
+        }
+
+    def calibrate():
+        calls.append(("calibrate",))
+        return {"loop_ns_per_iter": 20.0, "normal_ns_per_draw": 16.0,
+                "threads2_speedup": float(len(calls))}
+
+    monkeypatch.setattr(bench, "run", run)
+    monkeypatch.setattr(bench, "calibrate", calibrate)
+    workloads, pairs = bench.compare({"parent": Path("parent"), "change": Path("change")})
+    assert list(workloads) == list(bench.WORKLOADS)
+    # Per workload: a reading and then the two runs of each pair, and then
+    # the two traced runs, which no reading precedes.
+    for workload in bench.WORKLOADS:
+        untraced = [("calibrate",), ("run", workload, 0), ("run", workload, 0)]
+        traced = [("run", workload, 1)] * 2
+        assert calls[:3 * bench.PAIRS + 2] == untraced * bench.PAIRS + traced
+        del calls[:3 * bench.PAIRS + 2]
+    assert calls == []
+    assert [(r["workload"], r["pair"]) for r in pairs] == [
+        (w, p) for w in bench.WORKLOADS for p in range(bench.PAIRS)
+    ]
+    assert all(set(r) == {"workload", "pair", "loop_ns_per_iter", "normal_ns_per_draw",
+                          "threads2_speedup"} for r in pairs)
+
+
+def test_threads2_summary_gives_the_range_over_the_pairs(bench):
+    calibration = {
+        "before": {"threads2_speedup": 1.5},
+        "after": {"threads2_speedup": 1.25},
+        "pairs": [{"threads2_speedup": s} for s in (1.1, 1.9, 1.4)],
+    }
+    assert bench.threads2_summary(calibration) == (
+        "host threads2_speedup before 1.50, after 1.25; over the 3 pairs 1.10 to 1.90"
+    )

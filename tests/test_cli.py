@@ -2,9 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,22 @@ class TestAlphaCommand:
         payload = json.loads(out)
         assert abs(payload["policy"]["scale_a"] - 6.478) < 0.05
         assert abs(payload["pair_volume_compton_units"] - 0.218) < 0.005
+
+    def test_mass_proportional_fit_needs_no_electron(self, capsys, tmp_path):
+        # The pair volume in Compton units, 6 pi^2/a^3, is the same for every
+        # species, so a table without "e" still reports it.
+        muon = default_registry().get("mu")
+        path = tmp_path / "muon.json"
+        path.write_text(json.dumps([{
+            "name": "mu", "mass_mev": muon.mass_mev, "charge_q": -1.0,
+            "color_factor": 1, "spin_degeneracy": 2,
+        }]), encoding="utf-8")
+        argv = ["alpha", "--fit", "--policy", "mass-proportional", "--species-file", str(path)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        a = payload["policy"]["scale_a"]
+        assert payload["pair_volume_compton_units"] == 6.0 * math.pi**2 / a**3
 
     def test_eval_at_electron_mass(self, capsys):
         code, out, _ = run(capsys, ["alpha", "--eval", "--cutoff-mev", "0.51099895"])
@@ -275,22 +293,45 @@ class TestSimulateCommand:
         assert float(rows[0]["delay_s"]) > 0
 
     def test_samples_file_is_what_csv_writer_gives(self, capsys, tmp_path):
-        path = tmp_path / "delays.csv"
-        argv = ["simulate", "--model", "half-compton", "--length-m", "1",
-                "--photons", "10000", "--seed", "3", "--samples-out", str(path)]
-        assert run(capsys, argv)[0] == 0
-        config = dispersion.FlightConfig(
-            length_m=1.0,
-            lifetime_model=dispersion.LifetimeModel.half_compton(),
-            n_photons=10_000,
-            seed=3,
-        )
-        delays = dispersion.simulate_flight(config, keep_samples=True).delays_s
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(("photon_index", "delay_s"))
-        writer.writerows(enumerate(map(repr, delays.tolist())))
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        for workers in (1, 2):
+            path = tmp_path / f"delays-{workers}.csv"
+            argv = ["simulate", "--model", "half-compton", "--length-m", "1",
+                    "--photons", "10000", "--seed", "3", "--workers", str(workers),
+                    "--samples-out", str(path)]
+            assert run(capsys, argv)[0] == 0
+            config = dispersion.FlightConfig(
+                length_m=1.0,
+                lifetime_model=dispersion.LifetimeModel.half_compton(),
+                n_photons=10_000,
+                seed=3,
+                n_workers=workers,
+            )
+            delays = dispersion.simulate_flight(config, keep_samples=True).delays_s
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(("photon_index", "delay_s"))
+            writer.writerows(enumerate(map(repr, delays.tolist())))
+            assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_samples_file_memory_is_that_of_the_delays(self, capsys, tmp_path):
+        # The delays take 8 B per photon; the rows are formed one chunk of
+        # Python floats at a time, not as one list of every delay.
+        def argv(photons):
+            return ["simulate", "--model", "half-compton", "--length-m", "1",
+                    "--photons", str(photons), "--seed", "3",
+                    "--samples-out", str(tmp_path / "delays.csv")]
+
+        assert run(capsys, argv(2))[0] == 0  # warm numpy and the imports
+        photons = 200_000
+        tracemalloc.start()
+        try:
+            code = main(argv(photons))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak / photons < 20.0
 
     def test_fixed_count_beyond_int64(self, capsys):
         # ~5e20 interactions per photon, more than an int64 holds.

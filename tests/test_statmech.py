@@ -120,10 +120,11 @@ class TestBoxModes:
             box = (side, self.LENGTH, self.LENGTH)
             assert count_box_modes(box, energy) == disk - 1
 
-    def test_overflow_guard(self):
+    def test_overflow_guard(self, monkeypatch):
+        monkeypatch.setattr(statmech, "_MAX_COUNT", 1000)
         box = (self.LENGTH, self.LENGTH, self.LENGTH)
         with pytest.raises(ModeCountOverflowError):
-            count_box_modes(box, self.energy_for_radius(100.0), max_count=1000)
+            count_box_modes(box, self.energy_for_radius(100.0))
 
     @pytest.mark.parametrize("box", [
         # plates: one side far below a lattice step, so pi/6*r_x*r_y*r_z ~ 0
@@ -208,6 +209,14 @@ class TestLatticeSum:
         # are both split into several blocks.
         for radii in ((300.5, 75.25, 20.0), (2.5, 40000.5, 3.0), (40000.5, 2.5, 3.0)):
             assert statmech._lattice_sum(radii, NO_LIMIT) == row_loop_octant(radii)
+
+    @pytest.mark.parametrize("rx", [1_000_000.5, 1_234_567.891, 4.9e7])
+    def test_float_power_squares_as_python_does(self, rx):
+        # The lattice sum forms rem = 1 - (l_x/r_x)^2 with np.float_power,
+        # and must match the row loop's Python x**2 bit for bit.
+        rows = np.arange(1_000_001)
+        rem = 1.0 - np.float_power(rows / rx, 2.0)
+        assert rem.tolist() == [1.0 - (i / rx) ** 2 for i in range(rows.size)]
 
     def test_degenerate_box_stays_within_the_block_bound(self):
         # One 1e7-column row; the row loop allocated all of it at once.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacuumpairs import numerics, statmech
+from vacuumpairs import dispersion, numerics, statmech
 from vacuumpairs.constants import CODATA
 from vacuumpairs.particles import ParticleSpecies, SpeciesRegistry, default_registry
 from vacuumpairs.vacuum_response import (
@@ -23,13 +24,12 @@ from vacuumpairs.vacuum_response import (
     dipole_max,
     dipole_time_averaged,
     fit_cutoff,
-    fixed_gap_omega,
     inverse_alpha_single,
     inverse_alpha_single_quadrature,
     inverse_alpha_total,
     landau_energy,
     pair_electric_dipole,
-    pair_separation,
+    pair_volume_compton_units,
     permeability_from_alpha,
     relativistic_magnetic_moment,
 )
@@ -54,6 +54,12 @@ def oscillator_matrix_element(mass_energy_mev, omega):
         numerics.QuadratureSpec(rel_tol=1e-12),
     )
     return CODATA.q_e_coulomb * scale * value
+
+
+def fixed_gap_omega(mass_energy_mev):
+    """omega with hbar*omega = 2 m c^2: the inverse half-Compton lifetime."""
+    species = dataclasses.replace(ELECTRON, mass_mev=mass_energy_mev)
+    return 1.0 / dispersion.lifetime(dispersion.LifetimeModel.half_compton(), species)
 
 
 class TestDipoleMoments:
@@ -383,6 +389,17 @@ class TestAveragePairVolume:
             - 1.0
         ) < 1e-12
 
+    def test_compton_units_against_mpmath(self):
+        mp = mpmath.MPContext()
+        mp.dps = 40
+        rng = np.random.default_rng(17)
+        for a in 10.0 ** rng.uniform(-3.0, 3.0, 500):
+            exact = 6 * mp.pi**2 / mp.mpf(float(a)) ** 3
+            value = pair_volume_compton_units(float(a))
+            assert abs(mp.mpf(value) / exact - 1) < 2 * sys.float_info.epsilon, float(a)
+        lam3 = CODATA.compton_length_m(ELECTRON.mass_mev) ** 3
+        assert average_pair_volume(ELECTRON, 6.5) == pair_volume_compton_units(6.5) * lam3
+
     def test_consistent_with_vacuum_density_integral(self):
         a = 6.478444302297101
         p_max = a * ELECTRON.mass_mev * CODATA.mev_to_j / CODATA.c_m_per_s
@@ -431,8 +448,8 @@ class TestMagneticMoment:
             assert abs(beta / (0.5 * d * CODATA.c_m_per_s) - 1.0) < 1e-12
 
     def test_pair_separation_is_compton_length_at_rest(self):
-        assert pair_separation(ELECTRON.mass_mev) == CODATA.compton_length_m(
-            ELECTRON.mass_mev
+        assert pair_electric_dipole(ELECTRON.mass_mev) == (
+            CODATA.q_e_coulomb * CODATA.compton_length_m(ELECTRON.mass_mev)
         )
 
 

@@ -21,17 +21,19 @@ the summary lines: ``gain`` only when the change is better in at least nine
 of ten pairs and its median beats the parent's by more than the parent's
 quartile spread.
 Both trees run with the same interpreter, so the comparison isolates the code.
-``host.calibration`` records the host's speed once before the first pair
-and once after the last, so that BENCH files from other hosts or days can
-be normalised: ns per iteration of an empty Python loop, ns per
-``numpy.random.Generator.standard_normal`` draw, each the best of
-CALIBRATION_REPEATS timings, and ``threads2_speedup``, the host's parallel
-capacity: how much faster two threads hash a fixed buffer than one thread
-hashing it twice (2 with two free CPUs, 1 with one), printed in the
-summary.  ``host.calibration_ratios`` holds after/before for each reading,
-and ``host.drift`` is true when any ratio is more than DRIFT_LIMIT away
-from 1.  Then the host changed speed during the pairs, so the medians mix
-two speeds, and the tool prints a warning.
+``host.calibration`` records the host's speed once before the first pair,
+once after the last and, in ``pairs``, once before every pair, so that
+BENCH files from other hosts or days can be normalised: ns per iteration
+of an empty Python loop, ns per ``numpy.random.Generator.standard_normal``
+draw, each the best of CALIBRATION_REPEATS timings, and
+``threads2_speedup``, the host's parallel capacity: how much faster two
+threads hash a fixed buffer than one thread hashing it twice (2 with two
+free CPUs, 1 with one).  The summary prints it before and after, and its
+least and greatest reading over the pairs.  ``host.calibration_ratios``
+holds after/before for each reading, and ``host.drift`` is true when any
+ratio is more than DRIFT_LIMIT away from 1.  Then the host changed speed
+during the pairs, so the medians mix two speeds, and the tool prints a
+warning.
 ``cli_wall_ms`` holds the CLI wall time per subcommand: CLI_CALLS fresh
 ``python -m vacuumpairs`` calls of one fixed argv (CLI_ARGVS) per subcommand
 and tree, the trees alternating call by call.  It is reported, not gated.
@@ -223,17 +225,32 @@ def cli_summary(times: dict[str, dict[str, list[float]]]) -> dict:
     return out
 
 
-def compare(trees: dict[str, Path]) -> dict:
+def threads2_summary(calibration: dict) -> str:
+    """The summary line of the host's ``threads2_speedup`` readings."""
+    before, after = (calibration[when]["threads2_speedup"] for when in ("before", "after"))
+    per_pair = [reading["threads2_speedup"] for reading in calibration["pairs"]]
+    return (f"host threads2_speedup before {before:.2f}, after {after:.2f}; "
+            f"over the {len(per_pair)} pairs {min(per_pair):.2f} to {max(per_pair):.2f}")
+
+
+def compile_trees(trees: dict[str, Path]) -> None:
     # A fresh export has no bytecode, and under PYTHONDONTWRITEBYTECODE=1 it
     # would recompile every module in each process it starts (~10 ms each).
     for tree in trees.values():
         subprocess.run(
             [sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True
         )
+
+
+def compare(trees: dict[str, Path]) -> tuple[dict, list[dict]]:
+    """Every workload's pairs and traced runs, and the host ``calibrate``
+    reading taken before each pair."""
     workloads = {}
+    pair_calibrations = []
     for w_index, workload in enumerate(WORKLOADS):
         runs: dict[str, list[dict]] = {side: [] for side in trees}
         for pair in range(PAIRS):
+            pair_calibrations.append({"workload": workload, "pair": pair} | calibrate())
             order = list(trees) if (w_index + pair) % 2 == 0 else list(reversed(trees))
             for side in order:
                 runs[side].append(run(side, trees[side], workload, SEEDS[pair % len(SEEDS)], 0))
@@ -268,7 +285,7 @@ def compare(trees: dict[str, Path]) -> dict:
             },
             "provenance": {side: runs[side][0]["provenance"] for side in trees},
         }
-    return workloads
+    return workloads, pair_calibrations
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -281,8 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         parent_tree = Path(tmp)
         export(parent_commit, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
+        compile_trees(trees)
         calibration = {"before": calibrate()}
-        workloads = compare(trees)
+        workloads, calibration["pairs"] = compare(trees)
         cli_wall_ms = cli_summary(time_cli(trees))
         calibration["after"] = calibrate()
     drifted, ratios = drift(calibration)
@@ -315,8 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, m in cli_wall_ms.items():
         print(f"cli wall     {name:12s} {m['parent']['median']:>12.6g} -> "
               f"{m['change']['median']:>12.6g} ms    x{m['change_over_parent']:.3f}")
-    before, after = (calibration[when]["threads2_speedup"] for when in ("before", "after"))
-    print(f"host threads2_speedup before {before:.2f}, after {after:.2f}")
+    print(threads2_summary(calibration))
     if drifted:
         readings = ", ".join(f"{name} x{r:.2f}" for name, r in ratios.items())
         print(f"warning: the host's speed drifted during the pairs (after/before: {readings});"

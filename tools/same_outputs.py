@@ -53,6 +53,17 @@ def _argvs() -> dict[str, list[str]]:
         "simulate", *LIFETIMES["half-compton"], "--photons", "100000", "--seed", "7",
         "--samples-out", "samples.csv",
     ]
+    targets = [[], ["--target", "130"], ["--target", "140.1"], ["--target", "145"]]
+    for policy, target in itertools.product(["global-constant", "mass-proportional"], targets):
+        argvs[" ".join(["alpha fit", policy, *target])] = [
+            "alpha", "--fit", "--policy", policy, *target,
+        ]
+    for chiral in ([], ["--chiral-quark-cutoff-mev", "100"]):
+        argvs[" ".join(["alpha eval 292", *chiral])] = [
+            "alpha", "--eval", "--cutoff-mev", "292", *chiral,
+        ]
+    argvs["dispersion all"] = ["dispersion", "--all"]
+    argvs["dispersion custom 1e-20 s"] = ["dispersion", "--model", "custom", "--custom-tau-s", "1e-20"]
     for t in ("2.725", "300", "6000"):
         argvs[f"planck {t} K integrate"] = ["planck", "--temperature-k", t, "--integrate"]
         argvs[f"planck {t} K csv"] = ["planck", "--temperature-k", t, "--format", "csv"]
