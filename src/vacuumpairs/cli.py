@@ -16,11 +16,11 @@ Exit codes: 0 success; 1 numerical or acceptance failure (an
 quadrature that cannot converge, a mode count that overflows; or a report
 row that fails); 2 usage error (argparse rejects the flags, or the library
 rejects a value with any other ``ValueError``, ``KeyError``, ``OSError`` or
-``ArithmeticError``; JSON output refuses NaN and infinity with a
-``ValueError``; stdout is closed or cannot be written).  Failures print
-``error: ...`` and never a traceback; a closed or full stderr loses that
-line but not the exit code.  Output is deterministic for
-identical flags; Monte Carlo seeds are always explicit flags, never
+``ArithmeticError``; JSON and CSV output refuse NaN and infinity with a
+``ValueError`` before a byte is written; stdout is closed or cannot be
+written).  Failures print ``error: ...`` and never a traceback; a closed or
+full stderr loses that line but not the exit code.  Output is deterministic
+for identical flags; Monte Carlo seeds are always explicit flags, never
 environment variables.
 
 A call imports only what its subcommand runs: each ``cmd_*`` imports its
@@ -71,11 +71,16 @@ def _render(payload: dict, rows: list[dict] | None, fmt: str) -> str:
         raise ValueError("this output has no table; use --format json")
     import csv
     import io
+    import math
 
+    for row in rows:
+        for column, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{column} = {value} is not finite; CSV refuses it as JSON does")
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)  # every row has rows[0]'s keys, in order
     return buffer.getvalue()
 
 
@@ -183,18 +188,15 @@ def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         }
         return payload, None
     grid = {"x_max": args.x_max, "n_points": args.points}
-    samples = statmech.planck_curve(
+    zero_point = not args.thermal_only
+    curve = statmech.planck_curve(
         state,
-        include_zero_point=not args.thermal_only,
+        include_zero_point=zero_point,
         **{name: value for name, value in grid.items() if value is not None},
     )
     rows = [
-        {
-            "momentum_kg_m_s": s.abscissa,
-            "energy_density_per_momentum": s.value,
-            "includes_zero_point": s.includes_zero_point,
-        }
-        for s in samples
+        {"momentum_kg_m_s": p, "energy_density_per_momentum": w, "includes_zero_point": zero_point}
+        for p, w in curve
     ]
     return {"temperature_k": args.temperature_k, "samples": rows}, rows
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
@@ -92,17 +93,25 @@ class LifetimeModel:
 
 def lifetime(model: LifetimeModel, species: ParticleSpecies | None = None) -> float:
     """Virtual-pair lifetime in seconds for the given species (by default the
-    built-in table's electron)."""
+    built-in table's electron).  Raises ``ValueError``, naming ``k_factor``,
+    ``custom_tau_s`` or the species' ``mass_mev``, where tau/c, the square of
+    ``sigma_coefficient``, is not a positive normal float: tau below ~6.7e-300 s."""
     if species is None:
         species = default_registry().get("e")
     gap_j = 2.0 * species.mass_mev * CODATA.mev_to_j
-    if model.kind is LifetimeKind.HALF_COMPTON:
-        return CODATA.hbar_j_s / gap_j
-    if model.kind is LifetimeKind.K_SCALED:
-        return CODATA.hbar_j_s / (model.k_factor * gap_j)
-    if model.kind is LifetimeKind.QUASISTATIONARY:
-        return CODATA.hbar_j_s / (CODATA.alpha_target**5 * 0.5 * gap_j)
-    return float(model.custom_tau_s)
+    factor = {LifetimeKind.HALF_COMPTON: 1.0, LifetimeKind.K_SCALED: model.k_factor,
+              LifetimeKind.QUASISTATIONARY: CODATA.alpha_target**5 * 0.5}.get(model.kind)
+    if factor is None:
+        tau = float(model.custom_tau_s)
+    else:  # factor * gap_j is 0.0 only where it underflows
+        tau = CODATA.hbar_j_s / (factor * gap_j) if factor * gap_j else math.inf
+    if sys.float_info.min <= tau / CODATA.c_m_per_s < math.inf:
+        return tau
+    mass = f"{species.name} mass_mev = {species.mass_mev}"
+    inputs = {LifetimeKind.K_SCALED: f"k_factor = {model.k_factor} and {mass}",
+              LifetimeKind.CUSTOM: f"custom_tau_s = {model.custom_tau_s}"}.get(model.kind, mass)
+    raise ValueError(f"{model.kind.value} lifetime from {inputs}: tau = {tau} s, whose tau/c "
+                     f"is not a positive normal float")
 
 
 def sigma_coefficient(model: LifetimeModel, species: ParticleSpecies | None = None) -> float:

@@ -3,7 +3,8 @@ mode counting, the single-mode partition function, Planck's spectral energy
 density and the mode density ``mode_density``, which is also the
 non-thermal vacuum density behind the virtual-pair picture.  Planck's law
 has one home, ``_planck``, which both the spectral density and the thermal
-quadrature evaluate.  The mode-count ceiling ``_MAX_COUNT``, the thermal
+quadrature evaluate; ``planck_curve`` samples it as plain (momentum,
+density) pairs.  The mode-count ceiling ``_MAX_COUNT``, the thermal
 quadrature's tolerance and the Wien root's bracket are module constants.
 """
 
@@ -50,15 +51,6 @@ class ThermalState:
     def hw_over_kt(self, omega_rad_per_s: float) -> float:
         """Dimensionless mode energy hbar*omega/(kT)."""
         return CODATA.hbar_j_s * omega_rad_per_s * self.beta_per_j
-
-
-@dataclass(frozen=True)
-class SpectralSample:
-    """(abscissa, spectral energy density) sample of a Planck-type curve."""
-
-    abscissa: float
-    value: float
-    includes_zero_point: bool
 
 
 def dispersion_energy(mass_energy_mev: float, pc_mev: float) -> float:
@@ -313,14 +305,15 @@ def planck_curve(
     x_max: float = 15.0,
     n_points: int = 200,
     include_zero_point: bool = True,
-) -> list[SpectralSample]:
-    """Sampled Planck curve on an even grid of x = pc/(kT) in [0, x_max].
+) -> list[tuple[float, float]]:
+    """(momentum, energy density) pairs on an even grid of x = pc/(kT) in [0, x_max].
 
     The grid is ``numpy.linspace(0, x_max, n_points)`` bit for bit: i times
-    the step x_max/(n_points - 1), with x_max itself as the last point.
-    Raises ``ValueError`` when the density is not finite somewhere on the
-    grid: it overflows at the top for temperatures beyond ~1e96 K, and at
-    grid points below ~1e-308 its occupation 1/x does.
+    the step x_max/(n_points - 1), with x_max itself as the last point, and
+    each momentum is its x times kT/c.  Raises ``ValueError`` when the
+    density is not finite somewhere on the grid: it overflows at the top for
+    temperatures beyond ~1e96 K, and at grid points below ~1e-308 its
+    occupation 1/x does.
     """
     if not 0 < x_max < math.inf or n_points < 2:
         raise ValueError("x_max must be finite and > 0, and n_points >= 2")
@@ -332,18 +325,15 @@ def planck_curve(
             f"{p_scale} kg*m/s that underflows double precision"
         )
     step = x_max / (n_points - 1)
-    grid = [i * step for i in range(n_points - 1)] + [x_max]
+    momenta = [i * step * p_scale for i in range(n_points - 1)] + [x_max * p_scale]
     try:
-        values = [planck_energy_density(x * p_scale, state, include_zero_point) for x in grid]
+        curve = [(p, planck_energy_density(p, state, include_zero_point)) for p in momenta]
     except OverflowError:  # p**2 in the mode density
-        values = [math.inf]
-    if not all(value < math.inf for value in values):
+        curve = [(x_max * p_scale, math.inf)]
+    if not all(density < math.inf for _, density in curve):
         raise ValueError(
             f"temperature_k = {state.temperature_k} with x_max = {x_max} gives a "
             f"spectral energy density that is not finite on the grid (momenta up "
             f"to {x_max * p_scale} kg*m/s)"
         )
-    return [
-        SpectralSample(abscissa=x * p_scale, value=value, includes_zero_point=include_zero_point)
-        for x, value in zip(grid, values)
-    ]
+    return curve

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vacuumpairs
-from vacuumpairs import dispersion, report
+from vacuumpairs import cli, dispersion, report
 from vacuumpairs.cli import main
 from vacuumpairs.constants import CODATA
 from vacuumpairs.particles import default_registry, load_registry
@@ -47,12 +47,12 @@ def electron_only_file(tmp_path):
     return path
 
 
-def heavy_electron_file(tmp_path):
-    """The built-in table with the electron at 1 MeV."""
+def heavy_electron_file(tmp_path, mass_mev=1.0):
+    """The built-in table with the electron at ``mass_mev``, by default 1 MeV."""
     records = [
         {
             "name": s.name,
-            "mass_mev": 1.0 if s.name == "e" else s.mass_mev,
+            "mass_mev": mass_mev if s.name == "e" else s.mass_mev,
             "charge_q": float(s.charge_q),
             "color_factor": s.color_factor,
             "spin_degeneracy": s.spin_degeneracy,
@@ -452,6 +452,38 @@ class TestReportCommand:
         assert lifetimes[:4] == [tau] * 4
 
 
+# --- CSV tables -------------------------------------------------------------
+
+#: One argv per table that --format csv writes.
+CSV_TABLES = {
+    "alpha-eval": ["alpha", "--eval", "--cutoff-mev", "292"],
+    "alpha-eval-chiral": ["alpha", "--eval", "--cutoff-mev", "292", "--chiral-quark-cutoff-mev", "100"],
+    "alpha-fit-mass-proportional": ["alpha", "--fit", "--policy", "mass-proportional"],
+    "planck": ["planck", "--temperature-k", "300"],
+    "planck-thermal": ["planck", "--temperature-k", "2.725", "--thermal-only", "--points", "1001",
+                       "--x-max", "40"],
+    "dispersion-all": ["dispersion", "--all"],
+    "dispersion-custom": ["dispersion", "--model", "custom", "--custom-tau-s", "1e-20"],
+    "report": ["report"],
+}
+
+
+@pytest.mark.parametrize("argv", CSV_TABLES.values(), ids=CSV_TABLES.keys())
+def test_csv_is_what_dict_writer_gives(capsys, argv):
+    # csv.DictWriter on the rows that the subcommand returns is the reference.
+    argv = argv + ["--format", "csv"]
+    args = cli.build_parser(argv).parse_args(argv)
+    _, rows = args.func(args)
+    capsys.readouterr()
+    expected = io.StringIO()
+    writer = csv.DictWriter(expected, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == expected.getvalue()
+
+
 # --- imports ----------------------------------------------------------------
 
 NUMPY_FREE = {
@@ -654,11 +686,25 @@ class TestExitCodes:
         (["alpha", "--eval", "--cutoff-mev", "1e-300"], "cutoff_mev"),
         # The Stefan-Boltzmann density itself underflows.
         (["planck", "--temperature-k", "1e-280", "--integrate"], "temperature_k"),
+        # The electron's contribution overflows; CSV refuses it as JSON does.
+        (["alpha", "--eval", "--cutoff-mev", "1e308", "--format", "csv"], "contribution"),
+        # tau = hbar/(K * gap) underflows to 0.0.
+        (["dispersion", "--model", "k-scaled", "--k-factor", "1e308"], "k_factor"),
+        (["simulate", "--model", "k-scaled", "--k-factor", "1e308", "--length-m", "1",
+          "--photons", "10", "--seed", "1"], "k_factor"),
+        # K * gap underflows to 0.0, so tau would divide by zero.
+        (["dispersion", "--model", "k-scaled", "--k-factor", "1e-320"], "k_factor"),
+        (["dispersion", "--model", "custom", "--custom-tau-s", "1e-320"], "custom_tau_s"),
+        # hbar/gap is subnormal for an electron of 1e300 MeV.
+        (["dispersion", "--model", "half-compton", "--species-file", "{heavy}"], "mass_mev"),
     ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "overflowing-mode-density",
             "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha",
-            "underflowing-stefan-boltzmann-density"])
-    def test_degenerate_value_names_its_quantity(self, capsys, argv, quantity):
-        code, out, err = run(capsys, argv)
+            "underflowing-stefan-boltzmann-density", "overflowing-csv-contribution",
+            "underflowing-k-scaled-lifetime", "underflowing-simulated-lifetime",
+            "zero-k-scaled-gap", "subnormal-custom-lifetime", "subnormal-species-lifetime"])
+    def test_degenerate_value_names_its_quantity(self, capsys, tmp_path, argv, quantity):
+        heavy = heavy_electron_file(tmp_path, mass_mev=1e300)
+        code, out, err = run(capsys, [a.format(heavy=heavy) for a in argv])
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and quantity in err
@@ -695,7 +741,8 @@ def run_entry(argv, unbuffered=False, **kwargs):
 
 
 ENTRY_OUTPUTS = {
-    "planck-csv": ["planck", "--temperature-k", "300", "--points", "200000", "--format", "csv"],
+    # ~1 MB, far more than the 64 KiB pipe buffer and the 8 KiB stdio buffer.
+    "planck-csv": ["planck", "--temperature-k", "300", "--points", "20000", "--format", "csv"],
     "simulate-workers": SIMULATE + ["--workers", "2"],
 }
 
@@ -832,3 +879,6 @@ def test_fuzzed_argv_keeps_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0 and "csv" not in argv:
         json.loads(out.getvalue(), parse_constant=_no_constant)
+    elif code == 0:
+        cells = {cell.lower() for row in csv.reader(io.StringIO(out.getvalue())) for cell in row}
+        assert not cells & {"nan", "inf", "-inf"}

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -74,6 +75,41 @@ class TestLifetimes:
             LifetimeModel.custom(0.0)
         with pytest.raises(ValueError):
             LifetimeModel.k_scaled(0.0)
+
+    @pytest.mark.parametrize("species", ["e", "mu", "W"])
+    def test_each_rule_is_its_closed_form_bit_for_bit(self, species):
+        particle = default_registry().get(species)
+        gap_j = 2.0 * particle.mass_mev * CODATA.mev_to_j
+        assert lifetime(LifetimeModel.half_compton(), particle) == CODATA.hbar_j_s / gap_j
+        assert lifetime(LifetimeModel.k_scaled(7.5), particle) == CODATA.hbar_j_s / (7.5 * gap_j)
+        assert lifetime(LifetimeModel.quasistationary(), particle) == CODATA.hbar_j_s / (
+            CODATA.alpha_target**5 * 0.5 * gap_j
+        )
+
+    @pytest.mark.parametrize("model, mass_mev, quantity", [
+        # hbar / (K * gap) underflows to 0.0.
+        (LifetimeModel.k_scaled(1e308), None, "k_factor = 1e+308"),
+        # K * gap underflows to 0.0, so tau would divide by zero.
+        (LifetimeModel.k_scaled(1e-320), None, "k_factor = 1e-320"),
+        (LifetimeModel.custom(1e-320), None, "custom_tau_s = 1e-320"),
+        # tau is normal, but tau/c, the square of the coefficient, is not.
+        (LifetimeModel.custom(1e-300), None, "custom_tau_s = 1e-300"),
+        (LifetimeModel.half_compton(), 1e300, "mass_mev = 1e+300"),
+        (LifetimeModel.quasistationary(), 1e300, "mass_mev = 1e+300"),
+        (LifetimeModel.k_scaled(), 1e300, "mass_mev = 1e+300"),
+    ], ids=["k-factor-huge", "k-factor-tiny", "custom-subnormal", "custom-tau-over-c",
+            "half-compton-heavy", "quasistationary-heavy", "k-scaled-heavy"])
+    def test_underflowing_lifetime_names_its_input(self, model, mass_mev, quantity):
+        electron = default_registry().get("e")
+        species = electron if mass_mev is None else dataclasses.replace(electron, mass_mev=mass_mev)
+        for call in (lifetime, sigma_coefficient, compare_to_limits):
+            with pytest.raises(ValueError, match=re.escape(quantity)):
+                call(model, species)
+
+    def test_lifetime_with_normal_tau_over_c_is_kept(self):
+        tau = 1e-299  # tau/c ~ 3.3e-308, just above the least normal float
+        assert lifetime(LifetimeModel.custom(tau)) == tau
+        assert sigma_coefficient(LifetimeModel.custom(tau)) == math.sqrt(tau / CODATA.c_m_per_s)
 
 
 class TestAnalyticSigma:
@@ -364,8 +400,12 @@ class TestSimulateFlight:
         with pytest.raises(FlightConfigError):
             FlightConfig(math.inf, LifetimeModel.half_compton(), n_photons=2, seed=1)
         # Finite length and lifetime whose ratio L/(c tau) overflows.
-        config = FlightConfig(1.0, LifetimeModel.custom(1e-320), n_photons=2, seed=1)
+        config = FlightConfig(1e20, LifetimeModel.custom(1e-299), n_photons=2, seed=1)
         with pytest.raises(FlightConfigError, match="not finite"):
+            simulate_flight(config)
+        # A subnormal lifetime is refused before that, naming its input.
+        config = FlightConfig(1.0, LifetimeModel.custom(1e-320), n_photons=2, seed=1)
+        with pytest.raises(ValueError, match="custom_tau_s = 1e-320"):
             simulate_flight(config)
 
     def test_keep_samples(self):

@@ -431,10 +431,28 @@ class TestPlanckLaw:
 
     def test_curve_sampling(self):
         state = ThermalState(2.725)
-        samples = planck_curve(state, x_max=10.0, n_points=50, include_zero_point=False)
-        assert len(samples) == 50
-        assert samples[0].value == 0.0
-        assert all(s.value >= 0.0 for s in samples)
+        curve = planck_curve(state, x_max=10.0, n_points=50, include_zero_point=False)
+        assert len(curve) == 50
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in curve)
+        assert curve[0] == (0.0, 0.0)
+        assert all(p > 0.0 and w >= 0.0 for p, w in curve[1:])
+
+    @pytest.mark.parametrize("include_zero_point", [True, False])
+    @pytest.mark.parametrize("x_max, n_points", [(15.0, 200), (13.7, 1001), (40.0, 3)])
+    def test_curve_pairs_bit_for_bit(self, x_max, n_points, include_zero_point):
+        # At 300 K the momentum scale kT/c is not 1.0, so a momentum formed
+        # as i * (step * p_scale) instead of (i * step) * p_scale shows here.
+        state = ThermalState(300.0)
+        p_scale = CODATA.k_boltzmann_j_per_k * 300.0 / CODATA.c_m_per_s
+        assert p_scale != 1.0
+        curve = planck_curve(
+            state, x_max=x_max, n_points=n_points, include_zero_point=include_zero_point
+        )
+        momenta = [x * p_scale for x in np.linspace(0.0, x_max, n_points).tolist()]
+        assert [p for p, _ in curve] == momenta
+        assert [w for _, w in curve] == [
+            planck_energy_density(p, state, include_zero_point) for p in momenta
+        ]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -443,11 +461,12 @@ class TestPlanckLaw:
         include_zero_point=st.booleans(),
     )
     def test_sample_validation(self, temperature_k, x_max, include_zero_point):
-        samples = planck_curve(
+        curve = planck_curve(
             ThermalState(temperature_k), x_max=x_max, n_points=20,
             include_zero_point=include_zero_point,
         )
-        assert all(math.isfinite(s.value) and s.value >= 0.0 for s in samples)
+        assert all(math.isfinite(w) and w >= 0.0 for _, w in curve)
+        assert all(math.isfinite(p) and p >= 0.0 for p, _ in curve)
 
     @pytest.mark.parametrize("temperature_k, x_max", [
         # every factor is finite but the density overflows to inf
@@ -472,7 +491,7 @@ UNIT_SCALE = ThermalState(CODATA.c_m_per_s / CODATA.k_boltzmann_j_per_k)
 
 def curve_grid(x_max, n_points):
     assert CODATA.k_boltzmann_j_per_k * UNIT_SCALE.temperature_k / CODATA.c_m_per_s == 1.0
-    return [s.abscissa for s in planck_curve(UNIT_SCALE, x_max=x_max, n_points=n_points)]
+    return [p for p, _ in planck_curve(UNIT_SCALE, x_max=x_max, n_points=n_points)]
 
 
 class TestPlanckGrid:

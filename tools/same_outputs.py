@@ -62,11 +62,38 @@ def _argvs() -> dict[str, list[str]]:
         argvs[" ".join(["alpha eval 292", *chiral])] = [
             "alpha", "--eval", "--cutoff-mev", "292", *chiral,
         ]
+    argvs["alpha eval 292 csv"] = ["alpha", "--eval", "--cutoff-mev", "292", "--format", "csv"]
+    argvs["alpha fit mass-proportional csv"] = [
+        "alpha", "--fit", "--policy", "mass-proportional", "--format", "csv",
+    ]
     argvs["dispersion all"] = ["dispersion", "--all"]
+    argvs["dispersion all csv"] = ["dispersion", "--all", "--format", "csv"]
     argvs["dispersion custom 1e-20 s"] = ["dispersion", "--model", "custom", "--custom-tau-s", "1e-20"]
     for t in ("2.725", "300", "6000"):
         argvs[f"planck {t} K integrate"] = ["planck", "--temperature-k", t, "--integrate"]
         argvs[f"planck {t} K csv"] = ["planck", "--temperature-k", t, "--format", "csv"]
+    argvs["planck 300 K json"] = ["planck", "--temperature-k", "300"]
+    argvs["planck 2.725 K thermal 1001 points csv"] = [
+        "planck", "--temperature-k", "2.725", "--thermal-only", "--points", "1001",
+        "--x-max", "40", "--format", "csv",
+    ]
+    argvs["planck 1e-250 K zpf csv"] = [
+        "planck", "--temperature-k", "1e-250", "--with-zpf", "--format", "csv",
+    ]
+    # Refused curves: the density overflows at the top, and 1/x below ~1e-308.
+    argvs["planck 1e100 K"] = ["planck", "--temperature-k", "1e100"]
+    argvs["planck 1e31 K x-max 1e-320"] = ["planck", "--temperature-k", "1e31", "--x-max", "1e-320"]
+    # A non-finite CSV value and lifetimes that underflow or overflow: each
+    # exits 2 with an error that names its column or flag.
+    argvs["alpha eval 1e308 csv"] = ["alpha", "--eval", "--cutoff-mev", "1e308", "--format", "csv"]
+    for model, flags in [("k-scaled", ["--k-factor", "1e308"]),
+                         ("k-scaled", ["--k-factor", "1e-320"]),
+                         ("custom", ["--custom-tau-s", "1e-320"])]:
+        argvs[" ".join(["dispersion", model, *flags])] = ["dispersion", "--model", model, *flags]
+    argvs["simulate k-scaled --k-factor 1e308"] = [
+        "simulate", "--model", "k-scaled", "--k-factor", "1e308", "--length-m", "1",
+        "--photons", "10", "--seed", "1",
+    ]
     return argvs
 
 
