@@ -17,11 +17,11 @@ quadrature that cannot converge, a mode count that overflows; or a report
 row that fails); 2 usage error (argparse rejects the flags, or the library
 rejects a value with any other ``ValueError``, ``KeyError``, ``OSError`` or
 ``ArithmeticError``; JSON and CSV output refuse NaN and infinity with a
-``ValueError`` before a byte is written; stdout is closed or cannot be
-written).  Failures print ``error: ...`` and never a traceback; a closed or
-full stderr loses that line but not the exit code.  Output is deterministic
-for identical flags; Monte Carlo seeds are always explicit flags, never
-environment variables.
+``ValueError`` that names the first such value's key, before a byte is
+written; stdout is closed or cannot be written).  Failures print
+``error: ...`` and never a traceback; a closed or full stderr loses that
+line but not the exit code.  Output is deterministic for identical flags;
+Monte Carlo seeds are always explicit flags, never environment variables.
 
 A call imports only what its subcommand runs: each ``cmd_*`` imports its
 modules, and ``build_parser`` adds flags only to the subcommand named in
@@ -32,14 +32,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .constants import CODATA
 from .errors import Failure
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import dispersion
     from .particles import SpeciesRegistry
 
@@ -64,19 +67,34 @@ def _stderr(text: str) -> None:
         pass
 
 
+def _non_finite(node: object, key: str = "") -> Iterator[str]:
+    """``key = value`` for each NaN or infinity in a payload or row list, in
+    its order; ``key`` is the name of the dict entry that holds the value."""
+    if isinstance(node, dict):
+        for name, value in node.items():
+            yield from _non_finite(value, name)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _non_finite(value, key)
+    elif isinstance(node, float) and not math.isfinite(node):
+        yield f"{key} = {node}"
+
+
 def _render(payload: dict, rows: list[dict] | None, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        try:
+            return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # the encoder's message names the value alone
+            raise ValueError(f"{next(_non_finite(payload))} is not finite; JSON refuses it "
+                             "as CSV does") from None
     if rows is None:
         raise ValueError("this output has no table; use --format json")
     import csv
     import io
-    import math
 
-    for row in rows:
-        for column, value in row.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{column} = {value} is not finite; CSV refuses it as JSON does")
+    bad = next(_non_finite(rows), None)
+    if bad is not None:
+        raise ValueError(f"{bad} is not finite; CSV refuses it as JSON does")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(rows[0])
@@ -253,17 +271,16 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         sampling=dispersion.SamplingMethod(args.sampling),
         n_workers=args.workers,
     )
-    result = dispersion.simulate_flight(config, keep_samples=args.samples_out is not None)
-    if args.samples_out:
-        # The rows csv.writer would give, as no field needs quoting, streamed
-        # one chunk of Python floats at a time, so that memory stays that of
-        # the delays.
-        delays = result.delays_s
-        with open(args.samples_out, "w", encoding="utf-8") as handle:
-            handle.write("photon_index,delay_s\n")
-            for start in range(0, len(delays), dispersion.CHUNK_SIZE):
-                chunk = delays[start : start + dispersion.CHUNK_SIZE].tolist()
-                handle.writelines(f"{i},{x!r}\n" for i, x in enumerate(chunk, start))
+
+    def write_samples(start: int, delays: np.ndarray) -> None:
+        # The rows csv.writer would give, as no field needs quoting.  The first
+        # chunk creates the file, so that a run refused before it leaves none.
+        with open(args.samples_out, "a" if start else "w", encoding="utf-8") as handle:
+            if not start:
+                handle.write("photon_index,delay_s\n")
+            handle.writelines(f"{i},{x!r}\n" for i, x in enumerate(delays.tolist(), start))
+
+    result = dispersion.simulate_flight(config, sink=write_samples if args.samples_out else None)
     # The config echoes the lifetime that ran; these name what was asked for.
     payload = result.to_dict() | {"model": args.model, "reference_species": args.reference_species}
     return payload, None

@@ -24,8 +24,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable
 
 from .constants import CODATA
 from .particles import ParticleSpecies, default_registry
@@ -222,7 +222,6 @@ class PhotonFlightResult:
     n_photons: int
     analytic_sigma_s: float
     config: FlightConfig
-    delays_s: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -352,23 +351,25 @@ def _merge_moments(
     return shift + mean, math.sqrt(m2 / (count - 1))
 
 
-def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> PhotonFlightResult:
+def simulate_flight(
+    config: FlightConfig, *, sink: Callable[[int, np.ndarray], object] | None = None
+) -> PhotonFlightResult:
     """Simulate photon delays over length L and aggregate their statistics.
 
     Each photon accumulates one delay per interaction with a virtual pair.
     Each chunk of ``CHUNK_SIZE`` photons is reduced to its moments as soon
-    as it is drawn, so memory is O(``CHUNK_SIZE``) per worker; only
-    ``keep_samples`` keeps every delay, in ``delays_s``.  Results are
-    bit-identical for a fixed (seed, n_photons) regardless of
-    ``n_workers``, because randomness is derived per chunk from the seed and
-    the chunk index alone and chunks are merged in index order; at most
-    min(n_workers, chunks, CPUs) threads run.  Raises ``FlightConfigError``
-    when the expected interaction count per photon or the moments of the
-    compound law are not finite, and for per-interaction sampling above
-    ``_PER_INTERACTION_MAX``.
+    as it is drawn, so memory is O(``CHUNK_SIZE``) per worker.  Before
+    that, ``sink(start, delays)`` gets each chunk with the index of its
+    first photon, once and in photon order, on the calling thread; the
+    reduction then overwrites ``delays``, so a sink copies what it keeps.
+    Results are bit-identical for a fixed (seed, n_photons) regardless of
+    ``n_workers``, because randomness is derived per chunk from the seed
+    and the chunk index alone and chunks are merged in index order; without
+    a sink at most min(n_workers, chunks, CPUs) threads run.  Raises
+    ``FlightConfigError`` when the expected interaction count per photon or
+    the moments of the compound law are not finite, and for per-interaction
+    sampling above ``_PER_INTERACTION_MAX``.
     """
-    import numpy as np
-
     tau = lifetime(config.lifetime_model)
     expected_n = config.length_m / (CODATA.c_m_per_s * tau)
     if not math.isfinite(expected_n):
@@ -398,18 +399,17 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
         )
     n = config.n_photons
     chunks = list(enumerate(range(0, n, CHUNK_SIZE)))
-    samples = np.empty(n, dtype=np.float64) if keep_samples else None
 
     def run(chunk: tuple[int, int]) -> tuple[int, float, float, float]:
         index, start = chunk
         delays = _simulate_chunk(
             config, expected_n, tau, (mean, variance), index, min(CHUNK_SIZE, n - start)
         )
-        if samples is not None:
-            samples[start : start + delays.size] = delays
+        if sink is not None:
+            sink(start, delays)
         return _chunk_moments(delays)
 
-    workers = min(config.n_workers, len(chunks), os.cpu_count() or 1)
+    workers = 1 if sink is not None else min(config.n_workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         # One task per worker, over a contiguous block of chunks: a task per
         # ~0.1 ms chunk spends as long on hand-offs and thread wake-ups as
@@ -433,7 +433,6 @@ def simulate_flight(config: FlightConfig, *, keep_samples: bool = False) -> Phot
         n_photons=n,
         analytic_sigma_s=math.sqrt(variance),
         config=config,
-        delays_s=samples,
     )
 
 

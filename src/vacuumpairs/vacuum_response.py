@@ -67,8 +67,8 @@ class CutoffPolicy:
                 self, "per_species_mev", dict(self.per_species_mev)
             )
         elif self.kind is PolicyKind.MASS_PROPORTIONAL:
-            if self.scale_a is None or not self.scale_a > 0:
-                raise ValueError("mass-proportional policy needs scale_a > 0")
+            if self.scale_a is None or not 0 < self.scale_a < math.inf:
+                raise ValueError("mass-proportional policy needs finite scale_a > 0")
 
     @classmethod
     def global_constant(cls, cutoff_mev: float) -> "CutoffPolicy":
@@ -219,8 +219,8 @@ def inverse_alpha_single_quadrature(
     MODE_QUANTUM integrand: (pc)^2 / ((pc)^2 + (mc^2)^2) / mc^2;
     FIXED_GAP integrand: (pc)^2 / (mc^2)^3.
     """
-    if cutoff_mev <= 0:
-        raise ValueError("cutoff_mev must be > 0")
+    if not 0 < cutoff_mev < math.inf:
+        raise ValueError("cutoff_mev must be finite and > 0")
     spec = spec or numerics.DEFAULT_QUADRATURE
     m = species.mass_mev
     if oscillator is OscillatorModel.MODE_QUANTUM:
@@ -264,7 +264,8 @@ def fit_cutoff(
     ``_widen_bracket`` until it holds the root, which is then found to
     1e-12 of the new lower end, so fits far below 1 MeV keep their relative
     precision.
-    Mass-proportional: closed form a = cbrt(6 pi target / S).
+    Mass-proportional: closed form a = cbrt(6 pi target / S), which raises
+    ``ValueError`` when a overflows or underflows to 0.
     """
     if not 0 < target_inverse_alpha < math.inf:
         raise ValueError("target_inverse_alpha must be finite and > 0")
@@ -292,6 +293,11 @@ def fit_cutoff(
     if kind is PolicyKind.MASS_PROPORTIONAL:
         s = weighted_degeneracy_sum(registry)
         a = (6.0 * math.pi * target_inverse_alpha / s) ** (1.0 / 3.0)
+        if not 0 < a < math.inf:
+            raise ValueError(
+                f"target_inverse_alpha = {target_inverse_alpha!r} is out of reach: the "
+                f"mass-proportional scale a = cbrt(6 pi target / S) is {a!r}"
+            )
         return CutoffPolicy.mass_proportional(a)
     raise ValueError(f"cannot fit policy kind {kind}")
 
@@ -351,8 +357,8 @@ def chiral_cutoff_policy(
 def pair_volume_compton_units(scale_a: float) -> float:
     """Average volume per virtual pair, 6 pi^2 / a^3, in units of the cubed
     reduced Compton length of its species: the same for every species."""
-    if scale_a <= 0:
-        raise ValueError("scale_a must be > 0")
+    if not 0 < scale_a < math.inf:
+        raise ValueError("scale_a must be finite and > 0")
     return 6.0 * math.pi**2 / scale_a**3
 
 

@@ -306,32 +306,44 @@ class TestSimulateCommand:
                 seed=3,
                 n_workers=workers,
             )
-            delays = dispersion.simulate_flight(config, keep_samples=True).delays_s
+            chunks = []
+            dispersion.simulate_flight(config, sink=lambda start, d: chunks.append(d.tolist()))
             expected = io.StringIO()
             writer = csv.writer(expected, lineterminator="\n")
             writer.writerow(("photon_index", "delay_s"))
-            writer.writerows(enumerate(map(repr, delays.tolist())))
+            writer.writerows(enumerate(map(repr, (x for chunk in chunks for x in chunk))))
             assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_samples_file_memory_is_that_of_the_delays(self, capsys, tmp_path):
-        # The delays take 8 B per photon; the rows are formed one chunk of
-        # Python floats at a time, not as one list of every delay.
+        # Each chunk's rows are written as it is drawn, so the peak is that
+        # of one chunk's delays and rows whatever the photon count: holding
+        # every delay would add 8 B per photon, 0.7 MiB from 1e4 to 1e5.
         def argv(photons):
             return ["simulate", "--model", "half-compton", "--length-m", "1",
                     "--photons", str(photons), "--seed", "3",
                     "--samples-out", str(tmp_path / "delays.csv")]
 
         assert run(capsys, argv(2))[0] == 0  # warm numpy and the imports
-        photons = 200_000
-        tracemalloc.start()
-        try:
-            code = main(argv(photons))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for photons in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                assert main(argv(photons)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         capsys.readouterr()
-        assert code == 0
-        assert peak / photons < 20.0
+        assert peaks[1] < peaks[0] + 2**17, peaks
+        assert peaks[1] / 100_000 < 20.0
+
+    def test_refused_run_writes_no_samples_file(self, capsys, tmp_path):
+        # c*tau overflows, so the run is refused before its first chunk.
+        path = tmp_path / "delays.csv"
+        argv = ["simulate", "--model", "custom", "--custom-tau-s", "1e300", "--length-m", "1",
+                "--photons", "10", "--seed", "1", "--samples-out", str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert not path.exists()
 
     def test_fixed_count_beyond_int64(self, capsys):
         # ~5e20 interactions per photon, more than an int64 holds.
@@ -664,6 +676,14 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert not missing.parent.exists()
 
+    def test_unreachable_mass_proportional_target_is_named(self, capsys):
+        # 6 pi * target overflows, so the scale a is infinite.
+        argv = ["alpha", "--fit", "--policy", "mass-proportional", "--target", "1e308"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: target_inverse_alpha = 1e+308 is out of reach")
+
     def test_unreachable_target_is_failure(self, capsys):
         # No finite cutoff gives a total 1/alpha above ~2.6e307.
         code, out, err = run(capsys, ["alpha", "--fit", "--target", "1e308"])
@@ -688,6 +708,11 @@ class TestExitCodes:
         (["planck", "--temperature-k", "1e-280", "--integrate"], "temperature_k"),
         # The electron's contribution overflows; CSV refuses it as JSON does.
         (["alpha", "--eval", "--cutoff-mev", "1e308", "--format", "csv"], "contribution"),
+        # The same total overflows; JSON names its key as CSV does.
+        (["alpha", "--eval", "--cutoff-mev", "1e308"], "total_inverse_alpha"),
+        # The scale a is ~2.7e-107, so 6 pi^2 / a^3 overflows.
+        (["alpha", "--fit", "--policy", "mass-proportional", "--target", "1e-320"],
+         "pair_volume_compton_units"),
         # tau = hbar/(K * gap) underflows to 0.0.
         (["dispersion", "--model", "k-scaled", "--k-factor", "1e308"], "k_factor"),
         (["simulate", "--model", "k-scaled", "--k-factor", "1e308", "--length-m", "1",
@@ -700,6 +725,7 @@ class TestExitCodes:
     ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "overflowing-mode-density",
             "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha",
             "underflowing-stefan-boltzmann-density", "overflowing-csv-contribution",
+            "overflowing-json-total", "overflowing-pair-volume",
             "underflowing-k-scaled-lifetime", "underflowing-simulated-lifetime",
             "zero-k-scaled-gap", "subnormal-custom-lifetime", "subnormal-species-lifetime"])
     def test_degenerate_value_names_its_quantity(self, capsys, tmp_path, argv, quantity):
@@ -741,8 +767,10 @@ def run_entry(argv, unbuffered=False, **kwargs):
 
 
 ENTRY_OUTPUTS = {
-    # ~1 MB, far more than the 64 KiB pipe buffer and the 8 KiB stdio buffer.
+    # ~1 MB, far more than the 64 KiB pipe buffer: one write of it fills the
+    # pipe.  It passes straight to fd 1, so it does not test the final flush.
     "planck-csv": ["planck", "--temperature-k", "300", "--points", "20000", "--format", "csv"],
+    # Fits the 8 KiB stdio buffer, so only main_entry's flush writes it.
     "simulate-workers": SIMULATE + ["--workers", "2"],
 }
 

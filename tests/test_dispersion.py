@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -218,7 +219,7 @@ class TestSimulateFlight:
             mean, _ = compound_moments(process, config.delay_distribution, 1e6, tau)
             assert abs(mean / (0.5e6 * tau) - 1.0) < 1e-12
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs_and_workers(self, monkeypatch):
         config = FlightConfig(
             length_m=1.0,
             lifetime_model=LifetimeModel.half_compton(),
@@ -233,13 +234,12 @@ class TestSimulateFlight:
         # 20,000 photons is no multiple of CHUNK_SIZE: the short last chunk
         # is merged in the same place whichever worker draws it.
         assert config.n_photons % dispersion.CHUNK_SIZE
-        runs = [
-            simulate_flight(dataclasses.replace(config, n_workers=w), keep_samples=True)
-            for w in (1, 2, 3)
-        ]
-        for run in runs[1:]:
+        # Four CPUs whatever the host has, so that 2 and 3 workers do run.
+        monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
+        runs = [drawn_chunks(dataclasses.replace(config, n_workers=w)) for w in (1, 2, 3)]
+        for run, drawn in runs[1:]:
             assert (run.mean_delay_s, run.stddev_delay_s) == (first.mean_delay_s, first.stddev_delay_s)
-            assert np.array_equal(run.delays_s, runs[0].delays_s)
+            assert_same_chunks(drawn, runs[0][1])
 
     @pytest.mark.parametrize("process", list(InteractionProcess))
     @pytest.mark.parametrize("delay", list(DelayDistribution))
@@ -253,16 +253,15 @@ class TestSimulateFlight:
             delay_distribution=delay,
             interaction_process=process,
         )
-        result = simulate_flight(config, keep_samples=True)
-        delays = result.delays_s
+        result, delays = kept_flight(config)
         centered = delays - delays[0]
         mean = float(delays[0]) + float(centered.mean())
         sd = float(centered.std(ddof=1))
         assert abs(result.mean_delay_s - mean) <= 1e-12 * mean
         assert abs(result.stddev_delay_s - sd) <= 1e-12 * sd
 
-    @pytest.mark.parametrize("keep_samples", [False, True])
-    def test_memory_is_bounded_by_chunk(self, keep_samples):
+    @pytest.mark.parametrize("with_sink", [False, True])
+    def test_memory_is_bounded_by_chunk(self, with_sink):
         config = FlightConfig(
             length_m=1.0,
             lifetime_model=LifetimeModel.half_compton(),
@@ -271,14 +270,19 @@ class TestSimulateFlight:
         )
         # Warm numpy's lazily built state so only the ensemble is measured.
         simulate_flight(dataclasses.replace(config, n_photons=2))
+        last = []
+
+        def keep_last(start, delays):
+            last[:] = [delays.copy()]
+
         tracemalloc.start()
         try:
-            simulate_flight(config, keep_samples=keep_samples)
+            simulate_flight(config, sink=keep_last if with_sink else None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The delays take 8 MB, held once and only when they are kept.
-        kept = 8 * config.n_photons if keep_samples else 0
+        # A sink that keeps the last chunk holds one chunk, not 8 B per photon.
+        kept = 8 * dispersion.CHUNK_SIZE if with_sink else 0
         assert peak < kept + 2 * 2**20
 
     @pytest.mark.parametrize("expected_n", [0.5, 1.0, 3.0])
@@ -369,19 +373,45 @@ class TestSimulateFlight:
             n_photons=n_photons,
             seed=12,
         )
-        serial = simulate_flight(config, keep_samples=True)
+        serial, serial_drawn = drawn_chunks(config)
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
         # Four CPUs whatever the host has, so the pool runs as configured.
         monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
-        parallel = simulate_flight(
-            dataclasses.replace(config, n_workers=n_workers), keep_samples=True
-        )
+        parallel, drawn = drawn_chunks(dataclasses.replace(config, n_workers=n_workers))
         assert started and len(submitted) <= sum(started)
         assert (parallel.mean_delay_s, parallel.stddev_delay_s) == (
             serial.mean_delay_s,
             serial.stddev_delay_s,
         )
-        assert np.array_equal(parallel.delays_s, serial.delays_s)
+        assert_same_chunks(drawn, serial_drawn)
+
+    def test_sink_sees_every_chunk_once_in_order(self, monkeypatch):
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.half_compton(),
+            n_photons=3 * dispersion.CHUNK_SIZE + 7,
+            seed=12,
+            n_workers=2,
+        )
+        started = []
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", started.append)
+        monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
+        seen = []
+        result = simulate_flight(
+            config,
+            sink=lambda start, delays: seen.append((start, delays.size, threading.get_ident())),
+        )
+        size = dispersion.CHUNK_SIZE
+        assert [(start, n) for start, n, _ in seen] == [
+            (0, size), (size, size), (2 * size, size), (3 * size, 7)
+        ]
+        # Drawn on the calling thread, with no pool started.
+        assert {thread for *_, thread in seen} == {threading.get_ident()} and not started
+        serial = simulate_flight(dataclasses.replace(config, n_workers=1))
+        assert (result.mean_delay_s, result.stddev_delay_s) == (
+            serial.mean_delay_s,
+            serial.stddev_delay_s,
+        )
 
     def test_per_interaction_count_is_bounded(self):
         # 2e6 expected interactions per photon: above the per-interaction cap.
@@ -415,9 +445,9 @@ class TestSimulateFlight:
             n_photons=5000,
             seed=1,
         )
-        result = simulate_flight(config, keep_samples=True)
-        assert result.delays_s.shape == (5000,)
-        assert abs(float(result.delays_s.std(ddof=1)) / result.stddev_delay_s - 1.0) < 1e-9
+        result, delays = kept_flight(config)
+        assert delays.shape == (5000,)
+        assert abs(float(delays.std(ddof=1)) / result.stddev_delay_s - 1.0) < 1e-9
 
     def test_degenerate_expected_count_warns(self):
         config = FlightConfig(
@@ -518,10 +548,39 @@ def custom_config(expected_n, n_photons, seed, **fields):
     )
 
 
+def kept_flight(config):
+    """(result, every delay in photon order) of a flight, gathered by a sink."""
+    chunks = []
+    result = simulate_flight(config, sink=lambda start, delays: chunks.append(delays.copy()))
+    return result, np.concatenate(chunks)
+
+
 def kept_delays(config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateFlightWarning)
-        return simulate_flight(config, keep_samples=True).delays_s
+        return kept_flight(config)[1]
+
+
+def drawn_chunks(config):
+    """(result, {chunk index: delays}) of a flight without a sink, recorded
+    where ``_simulate_chunk`` draws each chunk, on whichever thread runs it."""
+    drawn = {}
+    draw = dispersion._simulate_chunk
+
+    def record(config, expected_n, tau, moments, chunk_index, size):
+        delays = draw(config, expected_n, tau, moments, chunk_index, size)
+        drawn[chunk_index] = delays.copy()
+        return delays
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dispersion, "_simulate_chunk", record)
+        result = simulate_flight(config)
+    return result, drawn
+
+
+def assert_same_chunks(drawn, expected):
+    assert sorted(drawn) == list(range(len(expected)))
+    assert all(np.array_equal(drawn[index], expected[index]) for index in expected)
 
 
 #: The 1% point of the Anderson-Darling statistic for a fully specified law

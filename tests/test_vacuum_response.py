@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from vacuumpairs import dispersion, numerics, statmech
 from vacuumpairs.constants import CODATA
+from vacuumpairs.errors import Failure
 from vacuumpairs.particles import ParticleSpecies, SpeciesRegistry, default_registry
 from vacuumpairs.vacuum_response import (
     CutoffPolicy,
@@ -363,6 +364,11 @@ class TestFitCutoff:
         with pytest.raises(ValueError, match=r"target_inverse_alpha .* out of reach.*\(0, "):
             fit_cutoff(REG, 1e308)
 
+    def test_mass_proportional_target_beyond_finite_scales_is_out_of_reach(self):
+        # 6 pi * 1e308 overflows, so the scale a would be infinite.
+        with pytest.raises(ValueError, match=r"target_inverse_alpha = 1e\+308 is out of reach"):
+            fit_cutoff(REG, 1e308, PolicyKind.MASS_PROPORTIONAL)
+
     def test_target_below_every_normal_cutoff_names_the_range(self):
         # Mass 1e-300 MeV: at the smallest normal cutoff x = A/mc^2 is still
         # ~2e-8, so the total cannot fall below ~1e-24.
@@ -511,6 +517,19 @@ class TestCutoffPolicy:
                 inverse_alpha_single(ELECTRON, bad)
             with pytest.raises(ValueError):
                 fit_cutoff(REG, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cutoff_refused_where_it_enters(self, bad):
+        # Refused as a usage error naming the input, not as a quadrature
+        # failure or a cutoff the caller never gave.
+        with pytest.raises(ValueError, match="scale_a"):
+            CutoffPolicy.mass_proportional(bad)
+        with pytest.raises(ValueError, match="scale_a"):
+            pair_volume_compton_units(bad)
+        for oscillator in OscillatorModel:
+            with pytest.raises(ValueError, match="cutoff_mev must be finite") as caught:
+                inverse_alpha_single_quadrature(ELECTRON, bad, oscillator)
+            assert not isinstance(caught.value, Failure)
 
     def test_oscillator_follows_kind(self):
         assert CutoffPolicy.mass_proportional(6.5).oscillator is OscillatorModel.FIXED_GAP

@@ -53,6 +53,20 @@ def _argvs() -> dict[str, list[str]]:
         "simulate", *LIFETIMES["half-compton"], "--photons", "100000", "--seed", "7",
         "--samples-out", "samples.csv",
     ]
+    argvs["simulate half-compton 1e5 samples 2 workers"] = [
+        *argvs["simulate half-compton 1e5 samples"], "--workers", "2",
+    ]
+    # One full chunk, and one full chunk with a single photon after it.
+    for photons in ("4096", "4097"):
+        argvs[f"simulate half-compton {photons} samples"] = [
+            "simulate", *LIFETIMES["half-compton"], "--photons", photons, "--seed", "7",
+            "--samples-out", "samples.csv",
+        ]
+    # Refused before its first chunk (c*tau overflows): no samples file.
+    argvs["simulate custom 1e300 s samples"] = [
+        "simulate", "--model", "custom", "--custom-tau-s", "1e300", "--length-m", "1",
+        "--photons", "10", "--seed", "1", "--samples-out", "samples.csv",
+    ]
     targets = [[], ["--target", "130"], ["--target", "140.1"], ["--target", "145"]]
     for policy, target in itertools.product(["global-constant", "mass-proportional"], targets):
         argvs[" ".join(["alpha fit", policy, *target])] = [
@@ -83,9 +97,15 @@ def _argvs() -> dict[str, list[str]]:
     # Refused curves: the density overflows at the top, and 1/x below ~1e-308.
     argvs["planck 1e100 K"] = ["planck", "--temperature-k", "1e100"]
     argvs["planck 1e31 K x-max 1e-320"] = ["planck", "--temperature-k", "1e31", "--x-max", "1e-320"]
-    # A non-finite CSV value and lifetimes that underflow or overflow: each
-    # exits 2 with an error that names its column or flag.
+    # A non-finite CSV or JSON value, a mass-proportional target out of
+    # reach, and lifetimes that underflow or overflow: each exits 2 with an
+    # error that names its key or flag.
     argvs["alpha eval 1e308 csv"] = ["alpha", "--eval", "--cutoff-mev", "1e308", "--format", "csv"]
+    argvs["alpha eval 1e308"] = ["alpha", "--eval", "--cutoff-mev", "1e308"]
+    for target in ("1e-320", "1e308"):
+        argvs[f"alpha fit mass-proportional --target {target}"] = [
+            "alpha", "--fit", "--policy", "mass-proportional", "--target", target,
+        ]
     for model, flags in [("k-scaled", ["--k-factor", "1e308"]),
                          ("k-scaled", ["--k-factor", "1e-320"]),
                          ("custom", ["--custom-tau-s", "1e-320"])]:
