@@ -128,7 +128,7 @@ class SpeciesRegistry:
         for s in self.species:
             if s.name == name:
                 return s
-        raise KeyError(name)
+        raise KeyError(f"the species table has no species {name}")
 
     def subset(self, names: Iterable[str]) -> "SpeciesRegistry":
         wanted = tuple(names)

@@ -265,7 +265,8 @@ def fit_cutoff(
     1e-12 of the new lower end, so fits far below 1 MeV keep their relative
     precision.
     Mass-proportional: closed form a = cbrt(6 pi target / S), which raises
-    ``ValueError`` when a overflows or underflows to 0.
+    ``ValueError`` when a overflows or underflows to 0, or when every
+    contribution at a underflows to 0.
     """
     if not 0 < target_inverse_alpha < math.inf:
         raise ValueError("target_inverse_alpha must be finite and > 0")
@@ -298,7 +299,13 @@ def fit_cutoff(
                 f"target_inverse_alpha = {target_inverse_alpha!r} is out of reach: the "
                 f"mass-proportional scale a = cbrt(6 pi target / S) is {a!r}"
             )
-        return CutoffPolicy.mass_proportional(a)
+        policy = CutoffPolicy.mass_proportional(a)
+        if inverse_alpha_total(registry, policy).total_inverse_alpha == 0.0:
+            raise ValueError(
+                f"target_inverse_alpha = {target_inverse_alpha!r} is out of reach: every 1/alpha "
+                f"contribution underflows to 0.0 at the mass-proportional scale a = {a!r}"
+            )
+        return policy
     raise ValueError(f"cannot fit policy kind {kind}")
 
 

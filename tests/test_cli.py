@@ -203,6 +203,29 @@ class TestPlanckCommand:
         assert code == 0
         assert len(out.splitlines()) == 12  # header + samples
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_curve_memory_per_point(self, capsys, tmp_path, fmt):
+        # The output is encoded straight into the file, so the peak grows by
+        # the curve's points and row dicts alone: a string of the whole
+        # output, or json.dumps's list of encoder chunks, adds ~400 B (CSV)
+        # to ~1 kB (JSON) per point.  Written to a file, as capsys would
+        # hold the text in memory.
+        def argv(points):
+            return ["planck", "--temperature-k", "300", "--points", str(points),
+                    "--format", fmt, "--output", str(tmp_path / f"curve.{fmt}")]
+
+        assert run(capsys, argv(2))[0] == 0  # warm the imports
+        peaks = []
+        for points in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                assert main(argv(points)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert (peaks[1] - peaks[0]) / 18_000 <= 350, peaks
+
     def test_zero_temperature_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["planck", "--temperature-k", "0"])
         assert code == 2
@@ -496,6 +519,26 @@ def test_csv_is_what_dict_writer_gives(capsys, argv):
     assert out == expected.getvalue()
 
 
+#: Each CSV table, plus an output with no table and a curve of ~50 batches
+#: of encoder chunks.
+JSON_OUTPUTS = CSV_TABLES | {
+    "simulate": ["simulate", "--model", "half-compton", "--length-m", "1", "--photons", "100",
+                 "--seed", "1"],
+    "planck-20000-points": ["planck", "--temperature-k", "300", "--points", "20000"],
+}
+
+
+@pytest.mark.parametrize("argv", JSON_OUTPUTS.values(), ids=JSON_OUTPUTS.keys())
+def test_json_is_what_dumps_gives(capsys, argv):
+    # json.dumps of the payload that the subcommand returns is the reference.
+    args = cli.build_parser(argv).parse_args(argv)
+    payload, _ = args.func(args)
+    capsys.readouterr()
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 # --- imports ----------------------------------------------------------------
 
 NUMPY_FREE = {
@@ -684,6 +727,42 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: target_inverse_alpha = 1e+308 is out of reach")
 
+    def test_underflowing_mass_proportional_target_is_named(self, capsys):
+        # The scale a is ~2.1e-108, so every contribution a^3/3 underflows.
+        argv = ["alpha", "--fit", "--policy", "mass-proportional", "--target", "5e-324"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: target_inverse_alpha = 5e-324 is out of reach")
+
+    @pytest.mark.parametrize("argv, species", [
+        (["dispersion", "--all", "--reference-species", "zz"], "zz"),
+        (["report", "--species-file", "{no_electron}"], "e"),
+    ], ids=["reference-species", "report-without-electron"])
+    def test_missing_species_is_named(self, capsys, tmp_path, argv, species):
+        # The built-in table without the electron.
+        records = json.loads(heavy_electron_file(tmp_path).read_text(encoding="utf-8"))
+        no_electron = tmp_path / "no-electron.json"
+        no_electron.write_text(json.dumps([r for r in records if r["name"] != "e"]),
+                               encoding="utf-8")
+        code, out, err = run(capsys, [a.format(no_electron=no_electron) for a in argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: the species table has no species {species}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["alpha", "--eval", "--cutoff-mev", "1e308"],
+        ["alpha", "--eval", "--cutoff-mev", "1e308", "--format", "csv"],
+        SIMULATE + ["--format", "csv"],
+        ["planck", "--temperature-k", "1e100"],
+    ], ids=["non-finite-json", "non-finite-csv", "no-table", "refused-curve"])
+    def test_refused_output_creates_no_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.txt"
+        code, out, err = run(capsys, argv + ["--output", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not path.exists()
+
     def test_unreachable_target_is_failure(self, capsys):
         # No finite cutoff gives a total 1/alpha above ~2.6e307.
         code, out, err = run(capsys, ["alpha", "--fit", "--target", "1e308"])
@@ -767,8 +846,9 @@ def run_entry(argv, unbuffered=False, **kwargs):
 
 
 ENTRY_OUTPUTS = {
-    # ~1 MB, far more than the 64 KiB pipe buffer: one write of it fills the
-    # pipe.  It passes straight to fd 1, so it does not test the final flush.
+    # ~1 MB, far more than the 64 KiB pipe buffer, so its writes fill the
+    # pipe.  The rows go row by row into stdout's buffer, so the last of
+    # them reach fd 1 only at main_entry's flush.
     "planck-csv": ["planck", "--temperature-k", "300", "--points", "20000", "--format", "csv"],
     # Fits the 8 KiB stdio buffer, so only main_entry's flush writes it.
     "simulate-workers": SIMULATE + ["--workers", "2"],

@@ -6,16 +6,17 @@ Usage (from the repository root):
 
 Runs each argv of ``ARGVS`` as ``python -m vacuumpairs`` on the working
 tree and on a clean export of REV (``bench.export``, a ``git archive``),
-each call in an empty working directory of its own.  An output is the exit
-code, stdout, stderr and every file the call writes; two outputs are the
-same when they are equal byte for byte.  Prints one line per argv and exits
-1, naming each output that differs, when any does.
+each call in a working directory of its own that holds only ``INPUTS``.
+An output is the exit code, stdout, stderr and every file the call writes;
+two outputs are the same when they are equal byte for byte.  Prints one
+line per argv and exits 1, naming each output that differs, when any does.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +32,17 @@ LIFETIMES = {
     "half-compton": ["--model", "half-compton", "--length-m", "1"],
     "lambda-3": ["--model", "custom", "--custom-tau-s", "1e-12", "--length-m", "8.99377374e-4"],
     "lambda-1e3": ["--model", "custom", "--custom-tau-s", "1e-12", "--length-m", "0.299792458"],
+}
+
+#: File name -> text of each file that every call finds in its working
+#: directory: a species table without the electron, which the report needs.
+INPUTS = {
+    "no-electron.json": json.dumps([
+        {"name": "mu", "mass_mev": 105.6583755, "charge_q": -1.0, "color_factor": 1,
+         "spin_degeneracy": 2},
+        {"name": "tau", "mass_mev": 1776.86, "charge_q": -1.0, "color_factor": 1,
+         "spin_degeneracy": 2},
+    ]),
 }
 
 
@@ -114,6 +126,25 @@ def _argvs() -> dict[str, list[str]]:
         "simulate", "--model", "k-scaled", "--k-factor", "1e308", "--length-m", "1",
         "--photons", "10", "--seed", "1",
     ]
+    # Encoded straight into an --output file; a refused one creates none.
+    argvs["report csv output"] = ["report", "--format", "csv", "--output", "out.csv"]
+    argvs["planck 300 K json output"] = ["planck", "--temperature-k", "300", "--output", "out.json"]
+    argvs["alpha eval 1e308 output"] = [
+        "alpha", "--eval", "--cutoff-mev", "1e308", "--output", "o.json",
+    ]
+    # ~50 batches of JSON encoder chunks, and a curve of the fewest points.
+    for points in ("20000", "2"):
+        argvs[f"planck 300 K {points} points json"] = [
+            "planck", "--temperature-k", "300", "--points", points,
+        ]
+    # Exit 2 with an error that names what is missing or out of reach.
+    argvs["dispersion all reference-species zz"] = [
+        "dispersion", "--all", "--reference-species", "zz",
+    ]
+    argvs["report no-electron species file"] = ["report", "--species-file", "no-electron.json"]
+    argvs["alpha fit mass-proportional --target 5e-324"] = [
+        "alpha", "--fit", "--policy", "mass-proportional", "--target", "5e-324",
+    ]
     return argvs
 
 
@@ -126,12 +157,15 @@ def output(tree: Path, argv: list[str]) -> dict[str, bytes]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as cwd:
+        for name, text in INPUTS.items():
+            Path(cwd, name).write_text(text, encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "vacuumpairs", *argv], cwd=cwd, env=env,
                               capture_output=True, timeout=600)
         out = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
                "stderr": proc.stderr}
         for path in sorted(Path(cwd).iterdir()):
-            out[path.name] = path.read_bytes()
+            if path.name not in INPUTS:
+                out[path.name] = path.read_bytes()
     return out
 
 
