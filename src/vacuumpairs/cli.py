@@ -5,11 +5,12 @@ curves and the thermal integral), ``dispersion`` (analytic flight-time
 fluctuations and limit verdicts), ``simulate`` (Monte Carlo photon flights)
 and ``report`` (the full reproduction table).
 
-Each ``cmd_*`` returns ``(payload, rows)``: the JSON payload, and the row
-dicts that ``--format csv`` writes (``None`` when the output has no table,
-as for ``simulate`` and ``planck --integrate``).  ``main`` alone encodes
-the output into its destination, and maps errors to exit codes.  Flag
-values are checked by the library that uses them, not a second time here.
+Each ``cmd_*`` returns one payload dict, which ``--format json`` writes.
+``--format csv`` writes the row list under the subcommand's table key in
+``SUBCOMMANDS``; an output with none (``simulate``, ``planck
+--integrate``) is refused.  ``main`` alone encodes the output into its
+destination, and maps errors to exit codes.  Flag values are checked by
+the library that uses them, not a second time here.
 
 Exit codes: 0 success; 1 numerical or acceptance failure (an
 ``errors.Failure``: an unreadable or invalid species table, a root or
@@ -20,7 +21,9 @@ rejects a value with any other ``ValueError``, ``KeyError``, ``OSError`` or
 ``ValueError`` that names the first such value's key, before the output
 opens; stdout is closed or cannot be written).  Failures print
 ``error: ...`` and never a traceback; a closed or full stderr loses that
-line but not the exit code.  Output is deterministic for identical flags;
+line but not the exit code.  A warning raised while the subcommand runs
+prints as one ``warning: <message>`` line, once per distinct message, and
+leaves the exit code as it is.  Output is deterministic for identical flags;
 Monte Carlo seeds are always explicit flags, never environment variables.
 
 A call imports only what its subcommand runs: each ``cmd_*`` imports its
@@ -31,11 +34,13 @@ argv.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
+import warnings
 from typing import TYPE_CHECKING, TextIO
 
 from .constants import CODATA
@@ -144,7 +149,7 @@ def _model_from(args: argparse.Namespace) -> dispersion.LifetimeModel:
     return _lifetime_model(args, kind)
 
 
-def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+def cmd_alpha(args: argparse.Namespace) -> dict:
     from . import vacuum_response
 
     if args.fit:
@@ -166,12 +171,7 @@ def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         raise ValueError("one of --fit or --eval with --cutoff-mev is required")
     breakdown = vacuum_response.inverse_alpha_total(registry, policy)
     payload = {
-        "policy": {
-            "kind": policy.kind.value,
-            "cutoff_mev": policy.cutoff_mev,
-            "scale_a": policy.scale_a,
-            "per_species_mev": policy.per_species_mev,
-        },
+        "policy": dataclasses.asdict(policy),
         "target_inverse_alpha": target,
         "total_inverse_alpha": breakdown.total_inverse_alpha,
         "ratio_to_target": breakdown.total_inverse_alpha / target,
@@ -181,10 +181,10 @@ def cmd_alpha(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         payload["pair_volume_compton_units"] = vacuum_response.pair_volume_compton_units(
             policy.scale_a
         )
-    return payload, payload["species"]
+    return payload
 
 
-def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+def cmd_planck(args: argparse.Namespace) -> dict:
     from . import statmech
 
     state = statmech.ThermalState(args.temperature_k)
@@ -192,13 +192,12 @@ def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         _refuse_flags(args, "--integrate", ("with_zpf", "points", "x_max"))
         quad = statmech.integrate_thermal_density(state)
         closed = statmech.stefan_boltzmann_density(state)
-        payload = {
+        return {
             "temperature_k": args.temperature_k,
             "thermal_density_quadrature_j_m3": quad,
             "stefan_boltzmann_j_m3": closed,
             "rel_dev": quad / closed - 1.0,
         }
-        return payload, None
     grid = {"x_max": args.x_max, "n_points": args.points}
     zero_point = not args.thermal_only
     curve = statmech.planck_curve(
@@ -210,10 +209,10 @@ def cmd_planck(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         {"momentum_kg_m_s": p, "energy_density_per_momentum": w, "includes_zero_point": zero_point}
         for p, w in curve
     ]
-    return {"temperature_k": args.temperature_k, "samples": rows}, rows
+    return {"temperature_k": args.temperature_k, "samples": rows}
 
 
-def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+def cmd_dispersion(args: argparse.Namespace) -> dict:
     from . import dispersion
 
     if args.all:
@@ -242,10 +241,10 @@ def cmd_dispersion(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
             }
         )
     band = list(dispersion.LIMIT_BAND_FS_PER_SQRT_M)
-    return {"limit_band_fs_per_sqrt_m": band, "models": rows}, rows
+    return {"limit_band_fs_per_sqrt_m": band, "models": rows}
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+def cmd_simulate(args: argparse.Namespace) -> dict:
     from . import dispersion
     from .particles import default_registry
 
@@ -275,12 +274,12 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
             handle.writelines(f"{i},{x!r}\n" for i, x in enumerate(delays.tolist(), start))
 
     result = dispersion.simulate_flight(config, sink=write_samples if args.samples_out else None)
-    # The config echoes the lifetime that ran; these name what was asked for.
-    payload = result.to_dict() | {"model": args.model, "reference_species": args.reference_species}
-    return payload, None
+    # The config echoes the lifetime that ran, its enums (str subclasses) as
+    # their values; the two keys after it name what was asked for.
+    return dataclasses.asdict(result) | {"model": args.model, "reference_species": args.reference_species}
 
 
-def cmd_report(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
+def cmd_report(args: argparse.Namespace) -> dict:
     from . import report
 
     seed = report.REPORT_SEED if args.seed is None else args.seed
@@ -292,7 +291,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
                 f"reference {row.reference!r} +- {row.abs_tol!r}\n"
             )
     dicts = [row.to_dict() for row in rows]
-    return {"seed": seed, "all_pass": report.all_pass(rows), "rows": dicts}, dicts
+    return {"seed": seed, "all_pass": report.all_pass(rows), "rows": dicts}
 
 
 def _common(p: argparse.ArgumentParser) -> None:
@@ -378,13 +377,14 @@ def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
-#: Each subcommand: its name, its help line, what adds its flags, what runs it.
+#: Each subcommand: its name, its help line, what adds its flags, what runs
+#: it, and the payload key of the rows that --format csv writes.
 SUBCOMMANDS = (
-    ("alpha", "inverse fine-structure fits and evaluations", _alpha_flags, cmd_alpha),
-    ("planck", "Planck spectral curve / thermal integral", _planck_flags, cmd_planck),
-    ("dispersion", "analytic flight-time fluctuation table", _dispersion_flags, cmd_dispersion),
-    ("simulate", "Monte Carlo photon flight ensemble", _simulate_flags, cmd_simulate),
-    ("report", "full reproduction table with pass/fail", _report_flags, cmd_report),
+    ("alpha", "inverse fine-structure fits and evaluations", _alpha_flags, cmd_alpha, "species"),
+    ("planck", "Planck spectral curve / thermal integral", _planck_flags, cmd_planck, "samples"),
+    ("dispersion", "analytic flight-time fluctuation table", _dispersion_flags, cmd_dispersion, "models"),
+    ("simulate", "Monte Carlo photon flight ensemble", _simulate_flags, cmd_simulate, None),
+    ("report", "full reproduction table with pass/fail", _report_flags, cmd_report, "rows"),
 )
 
 
@@ -403,11 +403,11 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_line, add_flags, func in SUBCOMMANDS:
+    for name, help_line, add_flags, func, table in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_line)
         if name in argv:
             add_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, table=table)
     return parser
 
 
@@ -418,8 +418,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload, rows = args.func(args)
-        data = payload if args.format == "json" else rows
+        # Each distinct warning is one line, with no path or source line, so
+        # that stderr does not depend on where the package is installed.
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                payload = args.func(args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    _stderr(f"warning: {message}\n")
+        data = payload if args.format == "json" else payload.get(args.table)
         # Refused before the destination opens, so that no byte is written.
         if data is None:
             raise ValueError("this output has no table; use --format json")

@@ -20,12 +20,13 @@ below 6.7e-5 (see ``_POISSON_EXACT_MAX``).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .constants import CODATA
 from .particles import ParticleSpecies, default_registry
@@ -223,16 +224,6 @@ class PhotonFlightResult:
     analytic_sigma_s: float
     config: FlightConfig
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_delay_s": self.mean_delay_s,
-            "stddev_delay_s": self.stddev_delay_s,
-            "n_photons": self.n_photons,
-            "analytic_sigma_s": self.analytic_sigma_s,
-            # The enums are str subclasses, so they serialise as their values.
-            "config": asdict(self.config),
-        }
-
 
 # Above this mean the transformed-rejection Poisson sampler loses accuracy
 # (its log-pmf differences cancel catastrophically, inflating the variance
@@ -332,17 +323,19 @@ def _chunk_moments(delays: np.ndarray) -> tuple[int, float, float, float]:
 
 
 def _merge_moments(
-    chunks: list[tuple[int, float, float, float]],
+    chunks: Iterable[tuple[int, float, float, float]],
 ) -> tuple[float, float]:
     """Mean and sample standard deviation of the chunks taken together.
 
-    Merges in the given order with the pairwise update of Chan, Golub and
-    LeVeque (1979), on offsets from the first chunk's first delay, so the
-    result depends on the chunks alone, not on which worker drew them.
+    Merges in the given order, each chunk as it comes, with the pairwise
+    update of Chan, Golub and LeVeque (1979), on offsets from the first
+    chunk's first delay, so the result depends on the chunks alone, not on
+    which worker drew them.
     """
-    shift = chunks[0][1]
+    first = next(chunks := iter(chunks))
+    shift = first[1]
     count, mean, m2 = 0, 0.0, 0.0
-    for size, base, offset_mean, chunk_m2 in chunks:
+    for size, base, offset_mean, chunk_m2 in itertools.chain([first], chunks):
         total = count + size
         delta = (base - shift) + offset_mean - mean
         mean += delta * size / total
@@ -358,14 +351,17 @@ def simulate_flight(
 
     Each photon accumulates one delay per interaction with a virtual pair.
     Each chunk of ``CHUNK_SIZE`` photons is reduced to its moments as soon
-    as it is drawn, so memory is O(``CHUNK_SIZE``) per worker.  Before
-    that, ``sink(start, delays)`` gets each chunk with the index of its
-    first photon, once and in photon order, on the calling thread; the
-    reduction then overwrites ``delays``, so a sink copies what it keeps.
-    Results are bit-identical for a fixed (seed, n_photons) regardless of
-    ``n_workers``, because randomness is derived per chunk from the seed
-    and the chunk index alone and chunks are merged in index order; without
-    a sink at most min(n_workers, chunks, CPUs) threads run.  Raises
+    as it is drawn.  Serially, those moments are merged as they come, so
+    memory is O(``CHUNK_SIZE``) whatever ``n_photons``.  Threaded, a
+    worker's block of chunks keeps its moments (~180 B per chunk) until the
+    block is merged.  Before the reduction, ``sink(start, delays)`` gets
+    each chunk with the index of its first photon, once and in photon
+    order, on the calling thread; the reduction then overwrites ``delays``,
+    so a sink copies what it keeps.  Results are bit-identical for a fixed
+    (seed, n_photons) regardless of ``n_workers``, because randomness is
+    derived per chunk from the seed and the chunk index alone and chunks
+    are merged in index order; without a sink at most min(n_workers,
+    chunks, CPUs) threads run.  Raises
     ``FlightConfigError`` when the expected interaction count per photon or
     the moments of the compound law are not finite, and for per-interaction
     sampling above ``_PER_INTERACTION_MAX``.
@@ -398,10 +394,10 @@ def simulate_flight(
             f"exceeds {_PER_INTERACTION_MAX:.0e}; use aggregate sampling"
         )
     n = config.n_photons
-    chunks = list(enumerate(range(0, n, CHUNK_SIZE)))
+    n_chunks = -(-n // CHUNK_SIZE)
 
-    def run(chunk: tuple[int, int]) -> tuple[int, float, float, float]:
-        index, start = chunk
+    def run(index: int) -> tuple[int, float, float, float]:
+        start = index * CHUNK_SIZE
         delays = _simulate_chunk(
             config, expected_n, tau, (mean, variance), index, min(CHUNK_SIZE, n - start)
         )
@@ -409,24 +405,20 @@ def simulate_flight(
             sink(start, delays)
         return _chunk_moments(delays)
 
-    workers = 1 if sink is not None else min(config.n_workers, len(chunks), os.cpu_count() or 1)
+    workers = 1 if sink is not None else min(config.n_workers, n_chunks, os.cpu_count() or 1)
     if workers > 1:
         # One task per worker, over a contiguous block of chunks: a task per
         # ~0.1 ms chunk spends as long on hand-offs and thread wake-ups as
-        # on drawing.  Blocks are joined in order, so chunks merge in index
+        # on drawing.  Blocks are merged in order, so chunks merge in index
         # order as in the serial loop.
-        blocks = [
-            chunks[len(chunks) * k // workers : len(chunks) * (k + 1) // workers]
-            for k in range(workers)
-        ]
+        blocks = [range(n_chunks * k // workers, n_chunks * (k + 1) // workers) for k in range(workers)]
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(lambda block: [run(chunk) for chunk in block], blocks)
-            parts = [part for block in done for part in block]
+            done = pool.map(lambda block: list(map(run, block)), blocks)
+            mean_delay, stddev_delay = _merge_moments(itertools.chain.from_iterable(done))
     else:
-        parts = [run(chunk) for chunk in chunks]
-    mean_delay, stddev_delay = _merge_moments(parts)
+        mean_delay, stddev_delay = _merge_moments(map(run, range(n_chunks)))
     return PhotonFlightResult(
         mean_delay_s=mean_delay,
         stddev_delay_s=stddev_delay,

@@ -304,11 +304,6 @@ STAGES = (
 
 # --- the table --------------------------------------------------------------
 
-
-_QUASISTATIONARY_SIGMA_FS = (
-    dispersion.sigma_coefficient(dispersion.LifetimeModel.quasistationary()) * 1e15
-)
-
 TABLE = (
     RowSpec("weighted-degeneracy-sum", "1", "published", 9.5, 0.0),
     RowSpec("global-cutoff-mev", "MeV", "published", 292.0, 2.0),
@@ -387,7 +382,7 @@ TABLE = (
     ),
     RowSpec(
         "quasistationary-band-excluded", "bool", "published", 1.0, 0.0,
-        f"sigma {_QUASISTATIONARY_SIGMA_FS:.3g} fs vs band 0.2-0.3 fs",
+        "sigma-quasistationary-ns-per-sqrt-m vs band 0.2-0.3 fs*m^-1/2",
     ),
 )
 
@@ -403,7 +398,10 @@ def table_rows(values: dict[str, float]) -> list[ReportRow]:
 def build_report(
     registry: SpeciesRegistry | None = None, seed: int = REPORT_SEED
 ) -> list[ReportRow]:
-    """Run every stage once and return the filled table."""
+    """Run every stage once and return the filled table.  Raises
+    ``ValueError``, naming ``seed``, for a negative seed, before any stage."""
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     reg = registry or default_registry()
     values: dict[str, float] = {}
     for stage in STAGES:

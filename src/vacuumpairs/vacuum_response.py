@@ -51,8 +51,8 @@ class CutoffPolicy:
 
     kind: PolicyKind
     cutoff_mev: float | None = None
-    per_species_mev: Mapping[str, float] | None = None
     scale_a: float | None = None
+    per_species_mev: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind is PolicyKind.GLOBAL_CONSTANT:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,13 @@ class TestDispersionCommand:
         assert code == 2
 
 
+#: 0.518 expected interactions per photon, which warns.
+DEGENERATE_SIMULATE = ["simulate", "--model", "half-compton", "--length-m", "1e-13",
+                       "--photons", "3", "--seed", "1"]
+DEGENERATE_WARNING = ("warning: expected interaction count 0.518 < 1; delay statistics are "
+                      "dominated by photons that never interact\n")
+
+
 class TestSimulateCommand:
     ARGS = [
         "simulate",
@@ -303,6 +311,27 @@ class TestSimulateCommand:
         _, serial, _ = run(capsys, self.ARGS)
         _, parallel, _ = run(capsys, self.ARGS + ["--workers", "4"])
         assert json.loads(serial)["stddev_delay_s"] == json.loads(parallel)["stddev_delay_s"]
+
+    @pytest.mark.parametrize("fmt, code, error", [
+        ("json", 0, ""),
+        ("csv", 2, "error: this output has no table; use --format json\n"),
+    ], ids=["run-succeeds", "run-fails"])
+    def test_warning_is_one_line(self, capsys, fmt, code, error):
+        argv = DEGENERATE_SIMULATE + ["--format", fmt]
+        assert run(capsys, argv)[::2] == (code, DEGENERATE_WARNING + error)
+
+    def test_repeated_warning_is_written_once(self, capsys, monkeypatch):
+        simulate_flight = dispersion.simulate_flight
+
+        def twice(config, **kwargs):
+            simulate_flight(config)
+            return simulate_flight(config, **kwargs)
+
+        monkeypatch.setattr(dispersion, "simulate_flight", twice)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, DEGENERATE_SIMULATE)
+        assert (code, err) == (0, DEGENERATE_WARNING)
 
     def test_samples_csv(self, capsys, tmp_path):
         path = tmp_path / "delays.csv"
@@ -505,10 +534,11 @@ CSV_TABLES = {
 
 @pytest.mark.parametrize("argv", CSV_TABLES.values(), ids=CSV_TABLES.keys())
 def test_csv_is_what_dict_writer_gives(capsys, argv):
-    # csv.DictWriter on the rows that the subcommand returns is the reference.
+    # csv.DictWriter on the payload's table that the subcommand returns is
+    # the reference.
     argv = argv + ["--format", "csv"]
     args = cli.build_parser(argv).parse_args(argv)
-    _, rows = args.func(args)
+    rows = args.func(args)[args.table]
     capsys.readouterr()
     expected = io.StringIO()
     writer = csv.DictWriter(expected, fieldnames=list(rows[0]), lineterminator="\n")
@@ -532,7 +562,7 @@ JSON_OUTPUTS = CSV_TABLES | {
 def test_json_is_what_dumps_gives(capsys, argv):
     # json.dumps of the payload that the subcommand returns is the reference.
     args = cli.build_parser(argv).parse_args(argv)
-    payload, _ = args.func(args)
+    payload = args.func(args)
     capsys.readouterr()
     code, out, _ = run(capsys, argv)
     assert code == 0
@@ -605,6 +635,13 @@ class TestImports:
         result = probe_imports([argv])
         assert result["codes"] == [0]
         assert "numpy" in result["modules"]
+
+    def test_report_import_loads_no_species_table(self):
+        probe = ("import vacuumpairs.report, vacuumpairs.particles as p; "
+                 "print(p.default_registry.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=child_env(), check=True, timeout=120)
+        assert proc.stdout == "0\n"
 
     def test_package_import_loads_no_submodule(self):
         result = probe_imports([])
@@ -801,12 +838,15 @@ class TestExitCodes:
         (["dispersion", "--model", "custom", "--custom-tau-s", "1e-320"], "custom_tau_s"),
         # hbar/gap is subnormal for an electron of 1e300 MeV.
         (["dispersion", "--model", "half-compton", "--species-file", "{heavy}"], "mass_mev"),
+        # Refused before any stage, not by numpy's SeedSequence after the fits.
+        (["report", "--seed", "-5"], "seed"),
     ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "overflowing-mode-density",
             "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha",
             "underflowing-stefan-boltzmann-density", "overflowing-csv-contribution",
             "overflowing-json-total", "overflowing-pair-volume",
             "underflowing-k-scaled-lifetime", "underflowing-simulated-lifetime",
-            "zero-k-scaled-gap", "subnormal-custom-lifetime", "subnormal-species-lifetime"])
+            "zero-k-scaled-gap", "subnormal-custom-lifetime", "subnormal-species-lifetime",
+            "negative-report-seed"])
     def test_degenerate_value_names_its_quantity(self, capsys, tmp_path, argv, quantity):
         heavy = heavy_electron_file(tmp_path, mass_mev=1e300)
         code, out, err = run(capsys, [a.format(heavy=heavy) for a in argv])
@@ -871,6 +911,10 @@ class TestEntry:
     ], ids=["dispersion", "help", "unreachable-target", "missing-flag"])
     def test_exit_code_is_mains(self, argv, code):
         assert run_entry(argv).returncode == code
+
+    def test_warning_names_no_path(self):
+        proc = run_entry(DEGENERATE_SIMULATE)
+        assert (proc.returncode, proc.stderr) == (0, DEGENERATE_WARNING.encode())
 
     def test_single_species_report_fails_without_traceback(self, tmp_path):
         proc = run_entry(["report", "--species-file", str(electron_only_file(tmp_path))])

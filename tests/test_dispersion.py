@@ -476,7 +476,7 @@ class TestSimulateFlight:
             seed=0,
         )
         result = simulate_flight(config)
-        payload = json.loads(json.dumps(result.to_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(result)))
         assert payload["n_photons"] == 100
         assert payload["config"]["seed"] == 0
         assert payload["config"]["lifetime_model"]["kind"] == "half-compton"
@@ -598,13 +598,17 @@ def anderson_darling(cdf, sf):
 
 def atom_checked_positive_part(config):
     """(lambda, sorted positive delays over tau) of a Poisson-count flight,
-    after a binomial z-test of its atom at 0 against e^-lambda."""
+    after a binomial z-test of its atom at 0 against e^-lambda; where
+    e^-lambda underflows to 0.0, no delay may be 0."""
     tau = lifetime(config.lifetime_model)
     lam = config.length_m / (CODATA.c_m_per_s * tau)
     delays = kept_delays(config)
-    n, p0 = delays.size, math.exp(-lam)
-    z = (np.count_nonzero(delays == 0.0) - n * p0) / math.sqrt(n * p0 * (1.0 - p0))
-    assert abs(z) < 4.0, z
+    n, p0, zeros = delays.size, math.exp(-lam), np.count_nonzero(delays == 0.0)
+    if p0 == 0.0:
+        assert zeros == 0
+    else:
+        z = (zeros - n * p0) / math.sqrt(n * p0 * (1.0 - p0))
+        assert abs(z) < 4.0, z
     return lam, np.sort(delays[delays > 0.0]) / tau
 
 
@@ -681,7 +685,7 @@ class TestSamplerLaws:
             delays = kept_delays(config)
             assert np.array_equal(delays.view(np.uint64), reference.view(np.uint64)), n_photons
 
-    @pytest.mark.parametrize("count", [1, 3, 50])
+    @pytest.mark.parametrize("count", [1, 3, 50, 1000])
     def test_fixed_count_exponential_delays_are_gamma(self, count):
         from scipy.special import gammainc, gammaincc
 
@@ -713,21 +717,20 @@ class TestSamplerLaws:
         a2 = anderson_darling(ndtr(z), ndtr(-z))
         assert a2 < AD_1PCT, a2
 
-    @pytest.mark.parametrize("expected_n", [0.5, 3.0])
+    @pytest.mark.parametrize("expected_n", [0.5, 3.0, 1e3])
     def test_poisson_exponential_delays_follow_the_compound_law(self, expected_n):
         # Atom e^-lambda at 0, and above it sum_k Pois(k; lambda) Gamma(k, tau)
-        # over k >= 1, normalised by 1 - e^-lambda; k <= 40 leaves < 1e-30.
-        from scipy.special import gammainc, gammaincc, pdtr
+        # over k >= 1, normalised by 1 - e^-lambda.  2T/tau of that law is
+        # noncentral chi-square with 0 degrees of freedom (1e-300 stands in)
+        # and noncentrality 2 lambda, whose atom at 0 is the same e^-lambda.
+        from scipy.special import chndtr
 
         config = custom_config(
             expected_n, 20_000, 41, delay_distribution=DelayDistribution.EXPONENTIAL_TAU
         )
         lam, y = atom_checked_positive_part(config)
-        k = np.arange(1, 41)[:, None]
-        weights = np.diff(pdtr(np.arange(41), lam))[:, None] / -math.expm1(-lam)
-        cdf = (weights * gammainc(k, y)).sum(axis=0)
-        sf = (weights * gammaincc(k, y)).sum(axis=0)
-        a2 = anderson_darling(cdf, sf)
+        below, positive = chndtr(2.0 * y, 1e-300, 2.0 * lam), -math.expm1(-lam)
+        a2 = anderson_darling((below - math.exp(-lam)) / positive, (1.0 - below) / positive)
         assert a2 < AD_1PCT, a2
 
     @pytest.mark.parametrize("expected_n", [0.5, 3.0])
@@ -747,7 +750,7 @@ class TestSamplerLaws:
         a2 = anderson_darling(cdf, sf)
         assert a2 < AD_1PCT, a2
 
-    @pytest.mark.parametrize("expected_n", [0.4, 3.0, 30.0])
+    @pytest.mark.parametrize("expected_n", [0.4, 3.0, 30.0, 1e3])
     def test_poisson_fixed_delays_follow_the_pmf(self, expected_n):
         # Delays lie on the lattice k*tau.  Chi-square of the counts k against
         # the Poisson pmf, bins pooled until each expects at least 5 photons.

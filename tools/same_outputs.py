@@ -34,14 +34,23 @@ LIFETIMES = {
     "lambda-1e3": ["--model", "custom", "--custom-tau-s", "1e-12", "--length-m", "0.299792458"],
 }
 
+_SPECIES = json.loads(
+    (ROOT / "src" / "vacuumpairs" / "data" / "species.json").read_text(encoding="utf-8")
+)
+
 #: File name -> text of each file that every call finds in its working
-#: directory: a species table without the electron, which the report needs.
+#: directory: a species table without the electron, which the report needs,
+#: and the built-in table with a 4x heavier electron.
 INPUTS = {
     "no-electron.json": json.dumps([
         {"name": "mu", "mass_mev": 105.6583755, "charge_q": -1.0, "color_factor": 1,
          "spin_degeneracy": 2},
         {"name": "tau", "mass_mev": 1776.86, "charge_q": -1.0, "color_factor": 1,
          "spin_degeneracy": 2},
+    ]),
+    "heavy-electron.json": json.dumps([
+        record | {"mass_mev": 4 * record["mass_mev"]} if record["name"] == "e" else record
+        for record in _SPECIES
     ]),
 }
 
@@ -145,6 +154,24 @@ def _argvs() -> dict[str, list[str]]:
     argvs["alpha fit mass-proportional --target 5e-324"] = [
         "alpha", "--fit", "--policy", "mass-proportional", "--target", "5e-324",
     ]
+    # The threaded merge: only a run without --samples-out takes it.
+    for workers in ("2", "3"):
+        argvs[f"simulate half-compton 1e5 {workers} workers"] = [
+            "simulate", *LIFETIMES["half-compton"], "--photons", "100000", "--seed", "7",
+            "--workers", workers,
+        ]
+    argvs["simulate lambda-3 exponential 2 workers"] = [
+        "simulate", *LIFETIMES["lambda-3"], "--photons", SIMULATE_PHOTONS, "--seed", "11",
+        "--delay", "exponential", "--workers", "2",
+    ]
+    # A negative report seed, a warning (0.518 expected interactions), and
+    # the report's notes under a table whose electron is not the built-in one.
+    argvs["report seed -5"] = ["report", "--seed", "-5"]
+    argvs["simulate half-compton 1e-13 m warns"] = [
+        "simulate", "--model", "half-compton", "--length-m", "1e-13", "--photons", "3",
+        "--seed", "1",
+    ]
+    argvs["report heavy-electron species file"] = ["report", "--species-file", "heavy-electron.json"]
     return argvs
 
 
