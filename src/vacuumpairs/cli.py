@@ -443,8 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     except Failure as exc:
         _stderr(f"error: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
-        # str() of a KeyError is the repr of its argument, quotes and all.
+    except (ValueError, KeyError, OSError, ArithmeticError, Warning) as exc:
+        # A Warning here is one that a filter (-W error) raised.  str() of a
+        # KeyError is the repr of its argument, quotes and all.
         _stderr(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}\n")
         return 2
     # Only the report carries a verdict; a failed row is an acceptance failure.

@@ -246,7 +246,7 @@ _POISSON_EXACT_MAX = 1e9
 _PER_INTERACTION_MAX = 1e6
 
 # Uniform-fraction photons with at most this many interactions get their
-# uniforms summed exactly, 8 bytes per photon and slot.
+# uniforms summed exactly, 16 B per drawn interaction.
 _UNIFORM_EXACT_MAX = 16
 
 
@@ -291,19 +291,17 @@ def _simulate_chunk(
         # Sum of N iid exponentials is Gamma(N, tau) exactly.
         return rng.gamma(counts, tau)
     # Uniform fractions: a sum of N uniforms is Irwin-Hall.  Up to
-    # _UNIFORM_EXACT_MAX the uniforms are summed exactly in one masked draw;
-    # above it the normal with the exact mean N*tau/2 and variance N*tau^2/12
-    # stands in.  Its clip at 0 sits sqrt(3N) > 6.9 standard deviations below
-    # the mean there, so it moves the mean by less than 1e-13 of itself.
-    small = counts <= _UNIFORM_EXACT_MAX
-    delays = np.empty(size, dtype=np.float64)
-    small_counts = counts[small]
-    uniforms = rng.random((small_counts.size, _UNIFORM_EXACT_MAX))
-    drawn = np.arange(_UNIFORM_EXACT_MAX) < small_counts[:, None]
-    delays[small] = np.where(drawn, uniforms, 0.0).sum(axis=1) * tau
-    large = counts[~small]
-    normal = rng.normal(large * (0.5 * tau), np.sqrt(large / 12.0) * tau)
-    delays[~small] = np.clip(normal, 0.0, None)
+    # _UNIFORM_EXACT_MAX each photon's own uniforms are drawn and summed in
+    # draw order; above it the normal with N times the mean and variance of
+    # one interaction stands in.  Its clip at 0 sits sqrt(3N) > 6.9 standard
+    # deviations below the mean there, so it moves the mean by less than
+    # 1e-13 of itself.
+    large = counts > _UNIFORM_EXACT_MAX
+    small = np.where(large, 0, counts).astype(np.intp)
+    delays = np.bincount(np.repeat(np.arange(size), small), rng.random(small.sum()), size) * tau
+    step_mean, step_var = compound_moments(InteractionProcess.FIXED_COUNT, dist, 1.0, tau)
+    normal = rng.normal(counts[large] * step_mean, np.sqrt(counts[large] * step_var))
+    delays[large] = np.clip(normal, 0.0, None)
     return delays
 
 

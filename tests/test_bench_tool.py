@@ -1,7 +1,8 @@
-"""The host calibration and drift flag, the metric verdicts and the CLI
-wall-time summary of ``tools/bench.py``."""
+"""The host calibration and drift flag, the metric verdicts, the CLI
+wall-time summary and the BENCH trajectory of ``tools/bench.py``."""
 
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -148,3 +149,71 @@ def test_threads2_summary_gives_the_range_over_the_pairs(bench):
     assert bench.threads2_summary(calibration) == (
         "host threads2_speedup before 1.50, after 1.25; over the 3 pairs 1.10 to 1.90"
     )
+
+
+def bench_record(src_lines, p50_ms, ops_per_s, calibration=None):
+    """A BENCH record with one end-to-end change median per unit for two
+    workloads, and ``calibration`` under ``host`` unless it is None."""
+    metrics = {"op_p50_ms": ("ms", p50_ms), "ops_per_s": ("1/s", ops_per_s),
+               "peak_rss_mb": ("MiB", 42.5)}
+    end_to_end = {name: {"unit": unit, "change": {"median": value}}
+                  for name, (unit, value) in metrics.items()}
+    host = {} if calibration is None else {"calibration": calibration}
+    return {
+        "src_lines": {"parent": src_lines + 1, "change": src_lines},
+        "host": host,
+        "workloads": {w: {"end_to_end": end_to_end} for w in ("alpha_scan", "mc_flight")},
+    }
+
+
+def write_bench_files(directory, records):
+    for n, record in records.items():
+        (directory / f"BENCH_{n}.json").write_text(json.dumps(record), encoding="utf-8")
+
+
+def test_trajectory_normalises_by_each_kind_of_calibration(bench, tmp_path):
+    write_bench_files(tmp_path, {
+        # No calibration (BENCH_6-10): raw values only.
+        7: bench_record(2500, 80.0, 10.0),
+        # A reading before the first pair and after the last (BENCH_12-19).
+        12: bench_record(2600, 80.0, 10.0, {
+            "before": {"loop_ns_per_iter": 20.0, "normal_ns_per_draw": 16.0},
+            "after": {"loop_ns_per_iter": 99.0, "normal_ns_per_draw": 99.0},
+        }),
+        # A reading before every pair (BENCH_20 on): each workload's median.
+        20: bench_record(2700, 80.0, 10.0, {
+            "before": {"loop_ns_per_iter": 99.0, "normal_ns_per_draw": 99.0},
+            "after": {"loop_ns_per_iter": 99.0, "normal_ns_per_draw": 99.0},
+            "pairs": [{"workload": w, "pair": p, "loop_ns_per_iter": loop,
+                       "normal_ns_per_draw": draw}
+                      for w, readings in [("alpha_scan", [(40.0, 1.0), (10.0, 1.0), (20.0, 1.0)]),
+                                          ("mc_flight", [(1.0, 5.0), (1.0, 8.0), (1.0, 2.0)])]
+                      for p, (loop, draw) in enumerate(readings)],
+        }),
+    })
+    assert bench.trajectory(tmp_path) == [
+        "BENCH_7   src_lines 2500"
+        " | alpha_scan op_p50_ms 80 ops_per_s 10 peak_rss_mb 42.5"
+        " | mc_flight op_p50_ms 80 ops_per_s 10 peak_rss_mb 42.5",
+        # alpha_scan over loop_ns_per_iter 20, mc_flight over normal_ns_per_draw 16.
+        "BENCH_12  src_lines 2600"
+        " | alpha_scan op_p50_ms 80/4 ops_per_s 10/200 peak_rss_mb 42.5"
+        " | mc_flight op_p50_ms 80/5 ops_per_s 10/160 peak_rss_mb 42.5",
+        # Medians over the workload's own pairs: 20 and 5.
+        "BENCH_20  src_lines 2700"
+        " | alpha_scan op_p50_ms 80/4 ops_per_s 10/200 peak_rss_mb 42.5"
+        " | mc_flight op_p50_ms 80/16 ops_per_s 10/50 peak_rss_mb 42.5",
+    ]
+
+
+def test_trajectory_orders_files_by_number(bench, tmp_path):
+    write_bench_files(tmp_path, {n: bench_record(n, 1.0, 1.0) for n in (10, 9, 100, 24)})
+    lines = bench.trajectory(tmp_path)
+    assert [line.split()[0] for line in lines] == ["BENCH_9", "BENCH_10", "BENCH_24", "BENCH_100"]
+    assert [int(line.split()[2]) for line in lines] == [9, 10, 24, 100]
+
+
+def test_trajectory_of_every_checked_in_bench_file(bench):
+    lines = bench.trajectory(BENCH_TOOL.parent.parent)
+    assert len(lines) == len(list(BENCH_TOOL.parent.parent.glob("BENCH_*.json")))
+    assert all(line.count(" | ") == len(bench.WORKLOADS) for line in lines)

@@ -279,6 +279,8 @@ DEGENERATE_SIMULATE = ["simulate", "--model", "half-compton", "--length-m", "1e-
                        "--photons", "3", "--seed", "1"]
 DEGENERATE_WARNING = ("warning: expected interaction count 0.518 < 1; delay statistics are "
                       "dominated by photons that never interact\n")
+#: The same warning, raised as an error by a filter (-W error).
+DEGENERATE_ERROR = "error: " + DEGENERATE_WARNING.removeprefix("warning: ")
 
 
 class TestSimulateCommand:
@@ -319,6 +321,11 @@ class TestSimulateCommand:
     def test_warning_is_one_line(self, capsys, fmt, code, error):
         argv = DEGENERATE_SIMULATE + ["--format", fmt]
         assert run(capsys, argv)[::2] == (code, DEGENERATE_WARNING + error)
+
+    def test_warning_raised_by_a_filter_is_a_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, DEGENERATE_SIMULATE) == (2, "", DEGENERATE_ERROR)
 
     def test_repeated_warning_is_written_once(self, capsys, monkeypatch):
         simulate_flight = dispersion.simulate_flight
@@ -872,10 +879,11 @@ class TestExitCodes:
 
 # --- the process entry ------------------------------------------------------
 
-def run_entry(argv, unbuffered=False, **kwargs):
+def run_entry(argv, unbuffered=False, env=None, **kwargs):
     """``python -m vacuumpairs ARGV`` in a fresh interpreter, with stdout
-    block-buffered or, with ``unbuffered``, written through."""
-    env = child_env()
+    block-buffered or, with ``unbuffered``, written through, and with the
+    variables of ``env`` added to its environment."""
+    env = child_env() | (env or {})
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -915,6 +923,11 @@ class TestEntry:
     def test_warning_names_no_path(self):
         proc = run_entry(DEGENERATE_SIMULATE)
         assert (proc.returncode, proc.stderr) == (0, DEGENERATE_WARNING.encode())
+
+    def test_warnings_as_errors_end_without_traceback(self):
+        proc = run_entry(DEGENERATE_SIMULATE, env={"PYTHONWARNINGS": "error"})
+        assert b"Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (2, DEGENERATE_ERROR.encode())
 
     def test_single_species_report_fails_without_traceback(self, tmp_path):
         proc = run_entry(["report", "--species-file", str(electron_only_file(tmp_path))])

@@ -3,6 +3,7 @@
 Usage (from the repository root):
 
     python3 tools/bench.py --parent REV --out BENCH_<n>.json
+    python3 tools/bench.py --trajectory
 
 For every workload of perfbench it runs PAIRS pairs of
 ``perfbench/run.py --seconds SECONDS --trace 0``: one run on the working
@@ -37,6 +38,10 @@ warning.
 ``cli_wall_ms`` holds the CLI wall time per subcommand: CLI_CALLS fresh
 ``python -m vacuumpairs`` calls of one fixed argv (CLI_ARGVS) per subcommand
 and tree, the trees alternating call by call.  It is reported, not gated.
+``--trajectory`` runs no benchmark: it prints one line per BENCH file of
+the repository, in numeric order, with the change's ``src_lines`` and every
+workload's end-to-end change medians, raw and over the host's calibration
+(``trajectory_line``), so that files from other hosts or days compare.
 """
 
 from __future__ import annotations
@@ -288,11 +293,68 @@ def compare(trees: dict[str, Path]) -> tuple[dict, list[dict]]:
     return workloads, pair_calibrations
 
 
+#: The host reading that each workload's metrics are normalised by.
+CALIBRATION_READING = {
+    "cli_session": "loop_ns_per_iter",
+    "alpha_scan": "loop_ns_per_iter",
+    "mc_flight": "normal_ns_per_draw",
+}
+
+
+def calibration_ns(record: dict, workload: str) -> float | None:
+    """The host reading that normalises ``workload`` in a BENCH record: its
+    median over the readings taken before that workload's pairs (BENCH_20
+    on), else the one taken before the first pair, else None (no
+    calibration recorded)."""
+    calibration = record["host"].get("calibration")
+    if calibration is None:
+        return None
+    reading = CALIBRATION_READING[workload]
+    pairs = [p[reading] for p in calibration.get("pairs", []) if p["workload"] == workload]
+    return statistics.median(pairs) if pairs else calibration["before"][reading]
+
+
+def normalised(value: float, unit: str, ns: float) -> float | None:
+    """A time over the host's ns per loop iteration or draw, a rate times
+    it; None for any other unit (memory), which the host's speed leaves as
+    it is."""
+    return {"s": value / ns, "ms": value / ns, "1/s": value * ns}.get(unit)
+
+
+def trajectory_line(name: str, record: dict) -> str:
+    """One BENCH record: the change's ``src_lines`` and, per workload, each
+    end-to-end metric's change median, then ``/`` and its ``normalised``
+    value where the record has a calibration and the unit scales with it."""
+    parts = [f"{name:9s} src_lines {record['src_lines']['change']}"]
+    for workload, w in record["workloads"].items():
+        ns = calibration_ns(record, workload)
+        metrics = []
+        for metric, m in w["end_to_end"].items():
+            value = m["change"]["median"]
+            norm = None if ns is None else normalised(value, m["unit"], ns)
+            metrics.append(f"{metric} {value:.4g}" + ("" if norm is None else f"/{norm:.4g}"))
+        parts.append(f"{workload} {' '.join(metrics)}")
+    return " | ".join(parts)
+
+
+def trajectory(directory: Path) -> list[str]:
+    """``trajectory_line`` of every BENCH_<n>.json in ``directory``, by n."""
+    paths = sorted(directory.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    return [trajectory_line(p.stem, json.loads(p.read_text(encoding="utf-8"))) for p in paths]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
+    parser.add_argument("--parent", help="git revision to compare against")
+    parser.add_argument("--out", type=Path, help="BENCH file to write")
+    parser.add_argument("--trajectory", action="store_true",
+                        help="print one line per BENCH file of the repository and run nothing")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        print("\n".join(trajectory(ROOT)))
+        return 0
+    if args.parent is None or args.out is None:
+        parser.error("--parent and --out are required unless --trajectory is given")
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)

@@ -4,7 +4,8 @@ Usage (from the repository root):
 
     python3 tools/same_outputs.py --parent REV
 
-Runs each argv of ``ARGVS`` as ``python -m vacuumpairs`` on the working
+Runs each argv of ``ARGVS`` as ``python -m vacuumpairs`` (after the
+interpreter's ``-W`` flag, where the argv starts with one) on the working
 tree and on a clean export of REV (``bench.export``, a ``git archive``),
 each call in a working directory of its own that holds only ``INPUTS``.
 An output is the exit code, stdout, stderr and every file the call writes;
@@ -172,6 +173,21 @@ def _argvs() -> dict[str, list[str]]:
         "--seed", "1",
     ]
     argvs["report heavy-electron species file"] = ["report", "--species-file", "heavy-electron.json"]
+    # Uniform fractions with every count summed exactly (lambda = 0.5), and
+    # with most counts above 16, where the normal stand-in draws (lambda = 20).
+    for lam, length in (("0.5", "1.49896229e-4"), ("20", "5.99584916e-3")):
+        for process in ("poisson", "fixed"):
+            argvs[f"simulate lambda-{lam} uniform-fraction {process} aggregate"] = [
+                "simulate", "--model", "custom", "--custom-tau-s", "1e-12", "--length-m", length,
+                "--photons", SIMULATE_PHOTONS, "--seed", "11", "--delay", "uniform-fraction",
+                "--process", process, "--samples-out", "samples.csv",
+            ]
+    # Warnings turned into errors: the warning ends the run with exit 2, and
+    # a run without one is unchanged.
+    argvs["-W error simulate half-compton 1e-13 m"] = [
+        "-W", "error", *argvs["simulate half-compton 1e-13 m warns"],
+    ]
+    argvs["-W error report"] = ["-W", "error", "report"]
     return argvs
 
 
@@ -186,8 +202,10 @@ def output(tree: Path, argv: list[str]) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as cwd:
         for name, text in INPUTS.items():
             Path(cwd, name).write_text(text, encoding="utf-8")
-        proc = subprocess.run([sys.executable, "-m", "vacuumpairs", *argv], cwd=cwd, env=env,
-                              capture_output=True, timeout=600)
+        # An argv may start with the interpreter's own "-W" flag.
+        flags = argv[:2] if argv[0] == "-W" else []
+        proc = subprocess.run([sys.executable, *flags, "-m", "vacuumpairs", *argv[len(flags):]],
+                              cwd=cwd, env=env, capture_output=True, timeout=600)
         out = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
                "stderr": proc.stderr}
         for path in sorted(Path(cwd).iterdir()):
