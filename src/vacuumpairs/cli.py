@@ -7,10 +7,10 @@ and ``report`` (the full reproduction table).
 
 Each ``cmd_*`` returns one payload dict, which ``--format json`` writes.
 ``--format csv`` writes the row list under the subcommand's table key in
-``SUBCOMMANDS``; an output with none (``simulate``, ``planck
---integrate``) is refused.  ``main`` alone encodes the output into its
-destination, and maps errors to exit codes.  Flag values are checked by
-the library that uses them, not a second time here.
+``SUBCOMMANDS``; an output with none is refused, ``simulate``'s before
+it runs and ``planck --integrate``'s after.  ``main`` alone encodes the
+output into its destination, and maps errors to exit codes.  Flag values
+are checked by the library that uses them, not a second time here.
 
 Exit codes: 0 success; 1 numerical or acceptance failure (an
 ``errors.Failure``: an unreadable or invalid species table, a root or
@@ -386,6 +386,7 @@ SUBCOMMANDS = (
     ("simulate", "Monte Carlo photon flight ensemble", _simulate_flags, cmd_simulate, None),
     ("report", "full reproduction table with pass/fail", _report_flags, cmd_report, "rows"),
 )
+_NO_TABLE = "this output has no table; use --format json"
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
@@ -418,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # Refused before the run too, so that simulate draws nothing and
+        # writes no --samples-out file.
+        if args.format == "csv" and args.table is None:
+            raise ValueError(_NO_TABLE)
         # Each distinct warning is one line, with no path or source line, so
         # that stderr does not depend on where the package is installed.
         with warnings.catch_warnings(record=True) as caught:
@@ -429,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         data = payload if args.format == "json" else payload.get(args.table)
         # Refused before the destination opens, so that no byte is written.
         if data is None:
-            raise ValueError("this output has no table; use --format json")
+            raise ValueError(_NO_TABLE)
         if (bad := _non_finite(data)) is not None:
             fmt, other = ("JSON", "CSV") if args.format == "json" else ("CSV", "JSON")
             raise ValueError(f"{bad} is not finite; {fmt} refuses it as {other} does")

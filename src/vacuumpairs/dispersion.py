@@ -279,8 +279,11 @@ def _simulate_chunk(
     elif expected_n <= _POISSON_EXACT_MAX:
         counts = rng.poisson(expected_n, size=size)
     else:
-        normal = rng.normal(expected_n, math.sqrt(expected_n), size=size)
-        counts = np.clip(np.rint(normal), 0.0, None)
+        # No clip at 0: a negative count needs z < -(lambda+0.5)/sqrt(lambda)
+        # < -31 622, and numpy's ziggurat never returns |z| >= 14 (its tail
+        # draw r - log1p(-U)/r with a 53-bit U gives |z| <= 3.65 + 36.8/3.65).
+        counts = rng.normal(expected_n, math.sqrt(expected_n), size=size)
+        np.rint(counts, out=counts)
     if dist is DelayDistribution.FIXED_TAU:
         return counts * tau
     if config.sampling is SamplingMethod.PER_INTERACTION:

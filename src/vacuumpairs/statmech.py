@@ -54,7 +54,8 @@ class ThermalState:
 
 
 def dispersion_energy(mass_energy_mev: float, pc_mev: float) -> float:
-    """Relativistic energy sqrt((mc^2)^2 + (pc)^2) in MeV."""
+    """Relativistic energy sqrt((mc^2)^2 + (pc)^2) in MeV.
+    Library surface: no reproduction row reads it."""
     if mass_energy_mev < 0 or pc_mev < 0:
         raise ValueError("mass_energy_mev and pc_mev must be >= 0")
     return math.hypot(mass_energy_mev, pc_mev)
@@ -173,7 +174,8 @@ def count_box_modes(
 
 
 def mode_energy(omega_rad_per_s: float, n: int) -> float:
-    """Oscillator level energy hbar*omega*(n + 1/2) in joules."""
+    """Oscillator level energy hbar*omega*(n + 1/2) in joules.
+    Library surface: no reproduction row reads it."""
     if omega_rad_per_s <= 0:
         raise ValueError("omega must be > 0")
     if n < 0:
@@ -182,7 +184,8 @@ def mode_energy(omega_rad_per_s: float, n: int) -> float:
 
 
 def partition_function(omega_rad_per_s: float, state: ThermalState) -> float:
-    """Single-mode partition function e^(-x/2)/(1 - e^(-x)), x = hw/kT."""
+    """Single-mode partition function e^(-x/2)/(1 - e^(-x)), x = hw/kT.
+    Library surface: no reproduction row reads it."""
     x = state.hw_over_kt(omega_rad_per_s)
     return math.exp(-0.5 * x) / -math.expm1(-x)
 

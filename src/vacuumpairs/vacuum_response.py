@@ -145,6 +145,7 @@ def dipole_max(mass_energy_mev: float, omega_rad_per_s: float) -> float:
 
     This is q_e <psi_1|x|psi_0> for the two lowest oscillator states; the
     tests reproduce it by direct quadrature of the Gaussian matrix element.
+    Library surface: no reproduction row reads it.
     """
     if mass_energy_mev <= 0 or omega_rad_per_s <= 0:
         raise ValueError("mass_energy_mev and omega must be > 0")
@@ -157,7 +158,8 @@ def dipole_max(mass_energy_mev: float, omega_rad_per_s: float) -> float:
 def dipole_time_averaged(
     mass_energy_mev: float, omega_rad_per_s: float, field_v_per_m: float
 ) -> float:
-    """Time-averaged induced dipole 2 d_max^2/(hbar omega) * E = q_e^2 E/(m omega^2)."""
+    """Time-averaged induced dipole 2 d_max^2/(hbar omega) * E = q_e^2 E/(m omega^2).
+    Library surface: no reproduction row reads it."""
     if field_v_per_m < 0:
         raise ValueError("field_v_per_m must be >= 0")
     m_kg = CODATA.mass_kg(mass_energy_mev)
@@ -373,7 +375,7 @@ def average_pair_volume(species: ParticleSpecies, scale_a: float) -> float:
     """Average volume per virtual pair, (6 pi^2 / a^3) * (hbar/(m c))^3, in m^3.
 
     Inverse of the vacuum density integrated up to the per-species cutoff
-    A = a*mc^2.
+    A = a*mc^2.  Library surface: no reproduction row reads it.
     """
     return pair_volume_compton_units(scale_a) * CODATA.compton_length_m(species.mass_mev) ** 3
 
@@ -398,6 +400,7 @@ def permeability_from_alpha(inverse_alpha: float) -> VacuumResponse:
 
     A bare vacuum (inverse_alpha = 0) has vanishing response on both sides
     and the light speed c = 1/sqrt(eps0 mu0) becomes undefined.
+    Library surface: no reproduction row reads it.
     """
     if inverse_alpha < 0:
         raise ValueError("inverse_alpha must be >= 0")
@@ -418,6 +421,7 @@ def relativistic_magnetic_moment(fermion_energy_mev: float) -> float:
 
     Generalises the Bohr magneton by replacing the rest mass with the total
     fermion energy; reduces to the Bohr magneton at eps_f = m_e c^2.
+    Library surface: no reproduction row reads it.
     """
     if fermion_energy_mev <= 0:
         raise ValueError("fermion_energy_mev must be > 0")
@@ -427,7 +431,8 @@ def relativistic_magnetic_moment(fermion_energy_mev: float) -> float:
 
 def pair_electric_dipole(fermion_energy_mev: float) -> float:
     """Pair dipole moment d = q_e x in C*m, with the effective separation
-    x = hbar/(eps_f/c): the reduced Compton length at energy eps_f."""
+    x = hbar/(eps_f/c): the reduced Compton length at energy eps_f.
+    Library surface: no reproduction row reads it."""
     if fermion_energy_mev <= 0:
         raise ValueError("fermion_energy_mev must be > 0")
     return CODATA.q_e_coulomb * CODATA.compton_length_m(fermion_energy_mev)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -314,13 +315,15 @@ class TestSimulateCommand:
         _, parallel, _ = run(capsys, self.ARGS + ["--workers", "4"])
         assert json.loads(serial)["stddev_delay_s"] == json.loads(parallel)["stddev_delay_s"]
 
-    @pytest.mark.parametrize("fmt, code, error", [
-        ("json", 0, ""),
-        ("csv", 2, "error: this output has no table; use --format json\n"),
+    # The failing run warns, then cannot open its --output.
+    @pytest.mark.parametrize("flags, code, error", [
+        ([], 0, ""),
+        (["--output", "{missing}"], 2, "error: [Errno 2] No such file or directory: '{missing}'\n"),
     ], ids=["run-succeeds", "run-fails"])
-    def test_warning_is_one_line(self, capsys, fmt, code, error):
-        argv = DEGENERATE_SIMULATE + ["--format", fmt]
-        assert run(capsys, argv)[::2] == (code, DEGENERATE_WARNING + error)
+    def test_warning_is_one_line(self, capsys, tmp_path, flags, code, error):
+        missing = tmp_path / "no-such-dir" / "out.json"
+        argv = DEGENERATE_SIMULATE + [flag.format(missing=missing) for flag in flags]
+        assert run(capsys, argv)[::2] == (code, DEGENERATE_WARNING + error.format(missing=missing))
 
     def test_warning_raised_by_a_filter_is_a_usage_error(self, capsys):
         with warnings.catch_warnings():
@@ -798,14 +801,18 @@ class TestExitCodes:
         ["alpha", "--eval", "--cutoff-mev", "1e308", "--format", "csv"],
         SIMULATE + ["--format", "csv"],
         ["planck", "--temperature-k", "1e100"],
-    ], ids=["non-finite-json", "non-finite-csv", "no-table", "refused-curve"])
+        # Refused before the run, so that no delay is drawn or written.
+        SIMULATE + ["--format", "csv", "--samples-out", "{samples}"],
+    ], ids=["non-finite-json", "non-finite-csv", "no-table", "refused-curve", "no-table-samples"])
     def test_refused_output_creates_no_file(self, capsys, tmp_path, argv):
-        path = tmp_path / "out.txt"
+        path, samples = tmp_path / "out.txt", tmp_path / "samples.csv"
+        argv = [arg.format(samples=samples) for arg in argv]
         code, out, err = run(capsys, argv + ["--output", str(path)])
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
         assert not path.exists()
+        assert not samples.exists()
 
     def test_unreachable_target_is_failure(self, capsys):
         # No finite cutoff gives a total 1/alpha above ~2.6e307.
@@ -1047,3 +1054,41 @@ def test_fuzzed_argv_keeps_exit_code_contract(argv):
     elif code == 0:
         cells = {cell.lower() for row in csv.reader(io.StringIO(out.getvalue())) for cell in row}
         assert not cells & {"nan", "inf", "-inf"}
+
+
+#: Large --photons and --points, each beside one value that is refused
+#: before anything is drawn or tabulated, with the quantity that it names.
+LARGE = st.sampled_from(["1000000000", "1000000000000"])
+REFUSED_LARGE = st.one_of(
+    st.builds(
+        lambda photons, refused, workers: (
+            ["simulate", "--model", "half-compton", "--photons", photons, *refused[0], *workers],
+            refused[1],
+        ),
+        LARGE,
+        st.sampled_from([(["--length-m", "1", "--seed", "-1"], "seed"),
+                         (["--length-m", "inf", "--seed", "1"], "length_m")]),
+        choice([], ["--workers", "2"]),
+    ),
+    st.builds(
+        lambda points, refused, fmt: (["planck", "--points", points, *refused[0], *fmt], refused[1]),
+        LARGE,
+        st.sampled_from([(["--temperature-k", "300", "--x-max", "inf"], "x_max"),
+                         (["--temperature-k", "1e-320"], "temperature_k")]),
+        FORMAT,
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(case=REFUSED_LARGE)
+def test_large_counts_beside_a_refused_value_fail_fast(case):
+    argv, quantity = case
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out.getvalue()) == (2, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and quantity in lines[0], lines

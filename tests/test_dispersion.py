@@ -653,13 +653,15 @@ def irwin_hall_mixture(weights, y):
     return cdf, sf
 
 
-# Each count law: Poisson at lambda, normal counts at the half-Compton
-# lambda ~ 5e12 (None), and fixed counts round(lambda).  The per-photon loop
-# runs up to lambda = 1e3 only; at 1e5 it would draw ~1e9 variates.
+# Each count law: Poisson at lambda, normal counts just above the switch
+# (1.0000001e9, where 0 sits only sqrt(lambda) ~ 31 623 standard deviations
+# below the mean) and at the half-Compton lambda ~ 5e12 (None), and fixed
+# counts round(lambda).  The per-photon loop runs up to lambda = 1e3 only; at
+# 1e5 it would draw ~1e9 variates.
 REFERENCE_CASES = [
     (process, lam, delay, sampling)
     for process in InteractionProcess
-    for lam in (0.4, 3.0, 1e3, 1e5, None)
+    for lam in (0.4, 3.0, 1e3, 1e5, 1.0000001e9, None)
     for delay in DelayDistribution
     for sampling in SamplingMethod
     if sampling is SamplingMethod.AGGREGATE or lam is not None and lam <= 1e3

@@ -28,11 +28,13 @@ from bench import ROOT, export, git
 
 SIMULATE_PHOTONS = "12295"  # three chunks of 4096 photons and a short fourth
 #: Lifetime flags per count law: half-Compton gives normal counts (lambda
-#: ~ 5e12 per metre); tau = 1 ps with L = lambda * c * tau gives lambda.
+#: ~ 5e12 per metre); tau = 1 ps with L = lambda * c * tau gives lambda, and
+#: lambda ~ 1.0000001e9 gives normal counts just above the switch.
 LIFETIMES = {
     "half-compton": ["--model", "half-compton", "--length-m", "1"],
     "lambda-3": ["--model", "custom", "--custom-tau-s", "1e-12", "--length-m", "8.99377374e-4"],
     "lambda-1e3": ["--model", "custom", "--custom-tau-s", "1e-12", "--length-m", "0.299792458"],
+    "lambda-1e9": ["--model", "custom", "--custom-tau-s", "1e-12", "--length-m", "299792.488"],
 }
 
 _SPECIES = json.loads(
@@ -84,6 +86,11 @@ def _argvs() -> dict[str, list[str]]:
             "simulate", *LIFETIMES["half-compton"], "--photons", photons, "--seed", "7",
             "--samples-out", "samples.csv",
         ]
+    # CSV has no table to write: refused before the run, so no samples file.
+    argvs["simulate half-compton csv samples"] = [
+        "simulate", *LIFETIMES["half-compton"], "--photons", SIMULATE_PHOTONS, "--seed", "11",
+        "--format", "csv", "--samples-out", "samples.csv",
+    ]
     # Refused before its first chunk (c*tau overflows): no samples file.
     argvs["simulate custom 1e300 s samples"] = [
         "simulate", "--model", "custom", "--custom-tau-s", "1e300", "--length-m", "1",
@@ -161,6 +168,10 @@ def _argvs() -> dict[str, list[str]]:
             "simulate", *LIFETIMES["half-compton"], "--photons", "100000", "--seed", "7",
             "--workers", workers,
         ]
+    argvs["simulate lambda-1e9 fixed 2 workers"] = [
+        "simulate", *LIFETIMES["lambda-1e9"], "--photons", SIMULATE_PHOTONS, "--seed", "11",
+        "--workers", "2",
+    ]
     argvs["simulate lambda-3 exponential 2 workers"] = [
         "simulate", *LIFETIMES["lambda-3"], "--photons", SIMULATE_PHOTONS, "--seed", "11",
         "--delay", "exponential", "--workers", "2",
