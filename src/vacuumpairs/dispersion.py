@@ -11,6 +11,11 @@ fluctuation; it is noted here for completeness and not simulated.
 The Monte Carlo draws each chunk of photons from its own stream, then the
 chunk's interaction counts, then their delays, with one expression per
 count law, delay law and sampling method.  A count of 0 draws nothing.
+Chunk c's stream is PCG64 seeded as ``SeedSequence(entropy=seed,
+spawn_key=(c,))`` seeds it, with the states of a batch of chunks derived
+at once, bit for bit (``_chunk_states``): ~2.3 us per chunk for its
+state and generator instead of ~11.4 us with a SeedSequence each (2-CPU
+host, numpy 2.4; end to end in ``BENCH_27.json``).
 Above 1e9 expected interactions per photon, fixed delays keep a rounded
 normal count, and any other delay law is one normal draw per photon with
 the compound law's exact mean and variance; the skewness this drops is
@@ -20,13 +25,15 @@ below 6.7e-5 (see ``_POISSON_EXACT_MAX``).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
+import operator
 import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .constants import CODATA
 from .particles import ParticleSpecies, default_registry
@@ -204,7 +211,11 @@ class FlightConfig:
             raise FlightConfigError("length_m must be finite and > 0")
         if self.n_photons < 2:
             raise FlightConfigError("n_photons must be >= 2")
-        if self.seed < 0:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise FlightConfigError(f"seed must be an integer, not {self.seed!r}") from None
+        if seed < 0:
             raise FlightConfigError("seed must be a non-negative integer")
         if self.n_workers < 1:
             raise FlightConfigError("n_workers must be >= 1")
@@ -249,16 +260,142 @@ _PER_INTERACTION_MAX = 1e6
 # uniforms summed exactly, 16 B per drawn interaction.
 _UNIFORM_EXACT_MAX = 16
 
+# The hash constants of numpy's SeedSequence (O'Neill's seed_seq, whose
+# streams NEP 19 keeps stable): none depends on the data hashed.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Chunk states are derived this many chunks at a time, 4 KiB of states,
+# by the serial loop and by each thread for its own block.
+_STATE_BATCH = 128
+
+
+def _words32(n: int) -> list[int]:
+    """The 32-bit words of ``n >= 0``, least significant first, as
+    SeedSequence splits an integer: 0 is one word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(first: int, mult: int, steps: int) -> tuple[int, ...]:
+    """``first`` and the ``steps`` 32-bit products that follow it: hash
+    step k XORs in constant k and multiplies by constant k + 1.  Cached:
+    they depend only on how many words were hashed before."""
+    return tuple(itertools.accumulate(range(steps), lambda h, _: h * mult & _MASK32, initial=first))
+
+
+# SeedSequence.generate_state's (XORed in, multiplied by) constants of its
+# eight uint32 words, each split as (words 0-3, words 4-7).
+_GENERATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
+_GENERATE = tuple((c[:4], c[4:]) for c in (_GENERATE_HASHES[:-1], _GENERATE_HASHES[1:]))
+
+
+# (source, destination) pool words of SeedSequence's cross-mixing steps.
+_POOL_MIXES = tuple(itertools.permutations(range(4), 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool of four words once it has hashed ``seed``, and
+    the hash constant of its next step.  The pool's four words are each
+    hashed in place, then mixed into the others; the seed's further words
+    are then each mixed into all four.  Cached, so ensembles rerun with
+    one seed hash it once."""
+    pool = _words32(seed)
+    pool += [0] * (4 - len(pool))
+    hashes = _hash_constants(_INIT_A, _MULT_A, 4 * len(pool))
+    for k in range(4):
+        hashed = (pool[k] ^ hashes[k]) * hashes[k + 1] & _MASK32
+        pool[k] = hashed ^ hashed >> 16
+    mixes = _POOL_MIXES + tuple(itertools.product(range(4, len(pool)), range(4)))
+    for k, (src, dst) in enumerate(mixes, start=4):
+        hashed = (pool[src] ^ hashes[k]) * hashes[k + 1] & _MASK32
+        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (hashed ^ hashed >> 16)) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+    return tuple(pool[:4]), hashes[-1]
+
+
+def _chunk_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed states of chunks ``start`` to ``stop - 1``, four uint64 each.
+
+    Row i is ``SeedSequence(entropy=seed, spawn_key=(start + i,))
+    .generate_state(4, np.uint64)``, bit for bit.  SeedSequence hashes the
+    seed's words, padded with zeros to its pool of four, then the chunk
+    index's words, with constants that do not depend on them.  So the
+    seed's words are mixed into the pool once, with Python ints, and the
+    index words and ``generate_state`` run as uint32 operations over the
+    rows.  The rows are split where an index is a multiple of 2**32, so
+    that only the lowest index word varies within a piece.
+    """
+    import numpy as np
+
+    pool, hash_const = _seed_pool(seed)
+    u32 = np.uint32
+    generate = np.array(_GENERATE, u32)
+    # Little-endian words, paired as generate_state pairs them on any host.
+    states = np.empty((stop - start, 2, 4), "<u4")
+    low = start
+    while low < stop:
+        high = min(stop, (low | _MASK32) + 1)
+        index_words = _words32(low)
+        index_hashes = np.array(_hash_constants(hash_const, _MULT_A, 4 * len(index_words)), u32)
+        index_words[0] = np.arange(index_words[0], index_words[0] + high - low, dtype=u32)[:, None]
+        mixed = np.array(pool, u32)
+        for k, word in enumerate(index_words):
+            hashed = (word ^ index_hashes[4 * k:4 * k + 4]) * index_hashes[4 * k + 1:4 * k + 5]
+            hashed ^= hashed >> 16
+            hashed *= _MIX_MULT_R
+            mixed = mixed * _MIX_MULT_L - hashed
+            mixed ^= mixed >> 16
+        piece = states[low - start:high - start]
+        np.bitwise_xor(mixed[:, None], generate[0], out=piece)
+        piece *= generate[1]
+        piece ^= piece >> 16
+        low = high
+    return states.view("<u8").reshape(-1, 4).astype(np.uint64, copy=False)
+
+
+class _ChunkSeed:
+    """One row of ``_chunk_states``, handed to ``np.random.PCG64`` as the
+    ``numpy.random.bit_generator.ISeedSequence`` that seeds it (registered
+    as one in ``_chunk_streams``, where numpy is imported)."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype: object = None) -> np.ndarray:
+        return self.state
+
+
+def _chunk_streams(seed: int, chunks: range) -> Iterator[np.random.Generator]:
+    """The generator of each chunk of ``chunks``, in order: chunk c draws
+    as ``default_rng(SeedSequence(entropy=seed, spawn_key=(c,)))`` does.
+    States are derived ``_STATE_BATCH`` chunks at a time."""
+    import numpy as np
+
+    np.random.bit_generator.ISeedSequence.register(_ChunkSeed)
+    for first in range(chunks.start, chunks.stop, _STATE_BATCH):
+        for state in _chunk_states(seed, first, min(first + _STATE_BATCH, chunks.stop)):
+            yield np.random.Generator(np.random.PCG64(_ChunkSeed(state)))
+
 
 def _simulate_chunk(
     config: FlightConfig,
     expected_n: float,
     tau: float,
     moments: tuple[float, float],
-    chunk_index: int,
+    rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    """Delays of one chunk: its stream, then its counts, then its delays.
+    """Delays of one chunk drawn from its stream ``rng``: its counts, then
+    its delays.
 
     Above ``_POISSON_EXACT_MAX`` a delay law other than fixed skips the
     counts: each delay is one normal draw with the compound law's
@@ -268,8 +405,6 @@ def _simulate_chunk(
     """
     import numpy as np
 
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(chunk_index,))
-    rng = np.random.default_rng(seq)
     dist = config.delay_distribution
     if expected_n > _POISSON_EXACT_MAX and dist is not DelayDistribution.FIXED_TAU:
         mean, variance = moments
@@ -362,7 +497,10 @@ def simulate_flight(
     (seed, n_photons) regardless of ``n_workers``, because randomness is
     derived per chunk from the seed and the chunk index alone and chunks
     are merged in index order; without a sink at most min(n_workers,
-    chunks, CPUs) threads run.  Raises
+    chunks, CPUs) threads run.  Chunk c draws from PCG64 seeded with the
+    state of ``SeedSequence(entropy=seed, spawn_key=(c,))``, which the
+    serial loop and each thread derive for ``_STATE_BATCH`` chunks at a
+    time, without a SeedSequence per chunk.  Raises
     ``FlightConfigError`` when the expected interaction count per photon or
     the moments of the compound law are not finite, and for per-interaction
     sampling above ``_PER_INTERACTION_MAX``.
@@ -396,15 +534,19 @@ def simulate_flight(
         )
     n = config.n_photons
     n_chunks = -(-n // CHUNK_SIZE)
+    seed = operator.index(config.seed)
 
-    def run(index: int) -> tuple[int, float, float, float]:
+    def run(index: int, rng: np.random.Generator) -> tuple[int, float, float, float]:
         start = index * CHUNK_SIZE
         delays = _simulate_chunk(
-            config, expected_n, tau, (mean, variance), index, min(CHUNK_SIZE, n - start)
+            config, expected_n, tau, (mean, variance), rng, min(CHUNK_SIZE, n - start)
         )
         if sink is not None:
             sink(start, delays)
         return _chunk_moments(delays)
+
+    def run_block(chunks: range) -> Iterator[tuple[int, float, float, float]]:
+        return map(run, chunks, _chunk_streams(seed, chunks))
 
     workers = 1 if sink is not None else min(config.n_workers, n_chunks, os.cpu_count() or 1)
     if workers > 1:
@@ -416,10 +558,10 @@ def simulate_flight(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(lambda block: list(map(run, block)), blocks)
+            done = pool.map(lambda block: list(run_block(block)), blocks)
             mean_delay, stddev_delay = _merge_moments(itertools.chain.from_iterable(done))
     else:
-        mean_delay, stddev_delay = _merge_moments(map(run, range(n_chunks)))
+        mean_delay, stddev_delay = _merge_moments(run_block(range(n_chunks)))
     return PhotonFlightResult(
         mean_delay_s=mean_delay,
         stddev_delay_s=stddev_delay,

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vacuumpairs import dispersion
 from vacuumpairs.cli import main
@@ -388,6 +390,27 @@ class TestSimulateFlight:
         )
         assert_same_chunks(drawn, serial_drawn)
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_no_seed_sequence_per_chunk(self, monkeypatch, n_workers):
+        made = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            made.append((args, kwargs))
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.half_compton(),
+            n_photons=3 * dispersion.CHUNK_SIZE,
+            seed=12,
+            n_workers=n_workers,
+        )
+        simulate_flight(config)
+        assert made == []
+
     def test_sink_sees_every_chunk_once_in_order(self, monkeypatch):
         config = FlightConfig(
             length_m=1.0,
@@ -470,6 +493,26 @@ class TestSimulateFlight:
             FlightConfig(length_m=0.0, lifetime_model=model, n_photons=10, seed=0)
         with pytest.raises(FlightConfigError):
             FlightConfig(length_m=1.0, lifetime_model=model, n_photons=10, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", None, np.float64(2.0)], ids=repr)
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(FlightConfigError, match="seed"):
+            FlightConfig(length_m=1.0, lifetime_model=LifetimeModel.half_compton(),
+                         n_photons=10, seed=seed)
+
+    @pytest.mark.parametrize("seed, same_as", [(True, 1), (np.int64(5), 5)], ids=["True", "int64"])
+    def test_integer_like_seed_draws_as_its_int(self, seed, same_as):
+        config = FlightConfig(length_m=1.0, lifetime_model=LifetimeModel.half_compton(),
+                              n_photons=dispersion.CHUNK_SIZE + 3, seed=seed)
+        tau = lifetime(config.lifetime_model)
+        lam = config.length_m / (CODATA.c_m_per_s * tau)
+        # SeedSequence takes either as the entropy its int gives.
+        reference = np.concatenate([reference_chunk(config, lam, tau, 0, dispersion.CHUNK_SIZE),
+                                    reference_chunk(config, lam, tau, 1, 3)])
+        assert np.array_equal(kept_delays(config), reference)
+        assert simulate_flight(config) == dataclasses.replace(
+            simulate_flight(dataclasses.replace(config, seed=same_as)), config=config
+        )
 
     def test_result_serialises(self):
         config = FlightConfig(
@@ -566,15 +609,27 @@ def kept_delays(config):
         return kept_flight(config)[1]
 
 
+def reference_state(seed, chunk_index):
+    """Chunk ``chunk_index``'s PCG64 seed state, as ``SeedSequence`` derives it."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)).generate_state(
+        4, np.uint64
+    )
+
+
 def drawn_chunks(config):
     """(result, {chunk index: delays}) of a flight without a sink, recorded
-    where ``_simulate_chunk`` draws each chunk, on whichever thread runs it."""
+    where ``_simulate_chunk`` draws each chunk, on whichever thread runs it.
+    A chunk is known by its stream's seed state, which must be the state
+    ``reference_state`` gives one of the flight's chunks."""
+    n_chunks = -(-config.n_photons // dispersion.CHUNK_SIZE)
+    index_of = {reference_state(config.seed, index).tobytes(): index for index in range(n_chunks)}
     drawn = {}
     draw = dispersion._simulate_chunk
 
-    def record(config, expected_n, tau, moments, chunk_index, size):
-        delays = draw(config, expected_n, tau, moments, chunk_index, size)
-        drawn[chunk_index] = delays.copy()
+    def record(config, expected_n, tau, moments, rng, size):
+        index = index_of[rng.bit_generator.seed_seq.generate_state(4, np.uint64).tobytes()]
+        delays = draw(config, expected_n, tau, moments, rng, size)
+        drawn[index] = delays.copy()
         return delays
 
     with pytest.MonkeyPatch.context() as patch:
@@ -659,31 +714,54 @@ def irwin_hall_mixture(weights, y):
 # counts round(lambda).  The per-photon loop runs up to lambda = 1e3 only; at
 # 1e5 it would draw ~1e9 variates.
 REFERENCE_CASES = [
-    (process, lam, delay, sampling)
+    (process, lam, delay, sampling, 23)
     for process in InteractionProcess
     for lam in (0.4, 3.0, 1e3, 1e5, 1.0000001e9, None)
     for delay in DelayDistribution
     for sampling in SamplingMethod
     if sampling is SamplingMethod.AGGREGATE or lam is not None and lam <= 1e3
 ]
+# Seeds of two words and of five, past SeedSequence's pool of four.
+REFERENCE_CASES += [
+    (process, lam, delay, SamplingMethod.AGGREGATE, seed)
+    for seed in (2**32, 2**128 + 1)
+    for process in InteractionProcess
+    for lam in (3.0, None)
+    for delay in DelayDistribution
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**256 - 1), start=st.integers(0, 2**40 - 1),
+       count=st.integers(1, 5))
+@example(seed=0, start=0, count=3)
+@example(seed=2**32 - 1, start=2**32 - 1, count=1)
+@example(seed=2**32, start=2**32, count=2)
+@example(seed=2**128 + 1, start=2**32 - 2, count=5)
+@example(seed=2**32 - 1, start=2**32 - 3, count=5)
+def test_chunk_states_match_seed_sequence(seed, start, count):
+    states = dispersion._chunk_states(seed, start, start + count)
+    expected = [reference_state(seed, index) for index in range(start, start + count)]
+    assert states.dtype == np.uint64 and np.array_equal(states, expected)
 
 
 class TestSamplerLaws:
     @pytest.mark.parametrize(
-        "process, expected_n, delay, sampling", REFERENCE_CASES,
-        ids=["-".join([p.value, str(lam or "half-compton"), d.value, s.value])
-             for p, lam, d, s in REFERENCE_CASES],
+        "process, expected_n, delay, sampling, seed", REFERENCE_CASES,
+        ids=["-".join([p.value, str(lam or "half-compton"), d.value, s.value]
+                      + ([] if seed == 23 else [f"seed-{seed}"]))
+             for p, lam, d, s, seed in REFERENCE_CASES],
     )
-    def test_delays_bit_identical_to_reference(self, process, expected_n, delay, sampling):
+    def test_delays_bit_identical_to_reference(self, process, expected_n, delay, sampling, seed):
         size = dispersion.CHUNK_SIZE
         fields = dict(delay_distribution=delay, interaction_process=process, sampling=sampling)
         for n_photons in (2, size + 1, 3 * size + 7):
             if expected_n is None:
                 config = FlightConfig(
-                    1.0, LifetimeModel.half_compton(), n_photons=n_photons, seed=23, **fields
+                    1.0, LifetimeModel.half_compton(), n_photons=n_photons, seed=seed, **fields
                 )
             else:
-                config = custom_config(expected_n, n_photons, 23, **fields)
+                config = custom_config(expected_n, n_photons, seed, **fields)
             tau = lifetime(config.lifetime_model)
             lam = config.length_m / (CODATA.c_m_per_s * tau)
             reference = np.concatenate([
@@ -692,6 +770,26 @@ class TestSamplerLaws:
             ])
             delays = kept_delays(config)
             assert np.array_equal(delays.view(np.uint64), reference.view(np.uint64)), n_photons
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_ensemble_across_state_batches_bit_identical_to_reference(
+        self, monkeypatch, n_workers
+    ):
+        # Two full state batches and part of a third; two or three workers
+        # start their blocks inside a batch.
+        n_chunks = 2 * dispersion._STATE_BATCH + 44
+        config = FlightConfig(
+            1.0, LifetimeModel.half_compton(), n_photons=(n_chunks - 1) * dispersion.CHUNK_SIZE + 5,
+            seed=29, n_workers=n_workers,
+        )
+        monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
+        _, drawn = drawn_chunks(config)
+        tau = lifetime(config.lifetime_model)
+        lam = config.length_m / (CODATA.c_m_per_s * tau)
+        assert sorted(drawn) == list(range(n_chunks))
+        for index, delays in drawn.items():
+            reference = reference_chunk(config, lam, tau, index, delays.size)
+            assert np.array_equal(delays.view(np.uint64), reference.view(np.uint64)), index
 
     @pytest.mark.parametrize("count", [1, 3, 50, 1000])
     def test_fixed_count_exponential_delays_are_gamma(self, count):

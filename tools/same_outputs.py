@@ -168,6 +168,21 @@ def _argvs() -> dict[str, list[str]]:
             "simulate", *LIFETIMES["half-compton"], "--photons", "100000", "--seed", "7",
             "--workers", workers,
         ]
+    # Seeds of one, two and five 32-bit words, serially and threaded.
+    for seed in ("0", "4294967296", "340282366920938463463374607431768211457"):
+        argvs[f"simulate half-compton seed {seed} samples"] = [
+            "simulate", *LIFETIMES["half-compton"], "--photons", SIMULATE_PHOTONS, "--seed", seed,
+            "--samples-out", "samples.csv",
+        ]
+        argvs[f"simulate half-compton seed {seed} 2 workers"] = [
+            "simulate", *LIFETIMES["half-compton"], "--photons", SIMULATE_PHOTONS, "--seed", seed,
+            "--workers", "2",
+        ]
+    # 269 chunks: each worker's block spans more than one batch of chunk states.
+    argvs["simulate half-compton 1.1e6 2 workers"] = [
+        "simulate", *LIFETIMES["half-compton"], "--photons", "1100000", "--seed", "7",
+        "--workers", "2",
+    ]
     argvs["simulate lambda-1e9 fixed 2 workers"] = [
         "simulate", *LIFETIMES["lambda-1e9"], "--photons", SIMULATE_PHOTONS, "--seed", "11",
         "--workers", "2",
