@@ -11,11 +11,9 @@ fluctuation; it is noted here for completeness and not simulated.
 The Monte Carlo draws each chunk of photons from its own stream, then the
 chunk's interaction counts, then their delays, with one expression per
 count law, delay law and sampling method.  A count of 0 draws nothing.
-Chunk c's stream is PCG64 seeded as ``SeedSequence(entropy=seed,
-spawn_key=(c,))`` seeds it, with the states of a batch of chunks derived
-at once, bit for bit (``_chunk_states``): ~2.3 us per chunk for its
-state and generator instead of ~11.4 us with a SeedSequence each (2-CPU
-host, numpy 2.4; end to end in ``BENCH_27.json``).
+Chunk c's stream is PCG64 seeded with the state that
+``SeedSequence(entropy=seed, spawn_key=(c,))`` gives it, bit for bit; the
+states of a batch of chunks are derived at once (``_chunk_states``).
 Above 1e9 expected interactions per photon, fixed delays keep a rounded
 normal count, and any other delay law is one normal draw per photon with
 the compound law's exact mean and variance; the skewness this drops is
@@ -25,7 +23,6 @@ below 6.7e-5 (see ``_POISSON_EXACT_MAX``).
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import operator
@@ -267,9 +264,27 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# Chunk states are derived this many chunks at a time, 4 KiB of states,
-# by the serial loop and by each thread for its own block.
-_STATE_BATCH = 128
+
+def _hash_constants(first: int, mult: int, steps: int) -> list[int]:
+    """``first`` and the ``steps`` 32-bit products that follow it: hash
+    step k XORs in constant k and multiplies by constant k + 1."""
+    hashes = [first]
+    for _ in range(steps):
+        hashes.append(hashes[-1] * mult & _MASK32)
+    return hashes
+
+
+# SeedSequence.generate_state's hash constants for its eight uint32 words.
+_GENERATE = _hash_constants(_INIT_B, _MULT_B, 8)
+
+# (source, destination) pool words of SeedSequence's cross-mixing steps.
+_POOL_MIXES = tuple(itertools.permutations(range(4), 2))
+
+# Chunk states are derived this many chunks at a time, by the serial loop
+# and by each thread for its own block, 16 KiB of states.  Any size gives
+# the same states; the cost per chunk falls by ~5% from 128 to 512 and
+# little beyond.
+_STATE_BATCH = 512
 
 
 def _words32(n: int) -> list[int]:
@@ -281,80 +296,61 @@ def _words32(n: int) -> list[int]:
     return words
 
 
-@functools.lru_cache(maxsize=None)
-def _hash_constants(first: int, mult: int, steps: int) -> tuple[int, ...]:
-    """``first`` and the ``steps`` 32-bit products that follow it: hash
-    step k XORs in constant k and multiplies by constant k + 1.  Cached:
-    they depend only on how many words were hashed before."""
-    return tuple(itertools.accumulate(range(steps), lambda h, _: h * mult & _MASK32, initial=first))
-
-
-# SeedSequence.generate_state's (XORed in, multiplied by) constants of its
-# eight uint32 words, each split as (words 0-3, words 4-7).
-_GENERATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
-_GENERATE = tuple((c[:4], c[4:]) for c in (_GENERATE_HASHES[:-1], _GENERATE_HASHES[1:]))
-
-
-# (source, destination) pool words of SeedSequence's cross-mixing steps.
-_POOL_MIXES = tuple(itertools.permutations(range(4), 2))
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+def _seed_pool(seed: int) -> tuple[list[int], int]:
     """SeedSequence's pool of four words once it has hashed ``seed``, and
     the hash constant of its next step.  The pool's four words are each
     hashed in place, then mixed into the others; the seed's further words
-    are then each mixed into all four.  Cached, so ensembles rerun with
-    one seed hash it once."""
+    are then each mixed into all four."""
+    mask, mult, mix_l, mix_r = _MASK32, _MULT_A, _MIX_MULT_L, _MIX_MULT_R
     pool = _words32(seed)
     pool += [0] * (4 - len(pool))
-    hashes = _hash_constants(_INIT_A, _MULT_A, 4 * len(pool))
+    h = _INIT_A
     for k in range(4):
-        hashed = (pool[k] ^ hashes[k]) * hashes[k + 1] & _MASK32
+        hashed = (pool[k] ^ h) * (h := h * mult & mask) & mask
         pool[k] = hashed ^ hashed >> 16
-    mixes = _POOL_MIXES + tuple(itertools.product(range(4, len(pool)), range(4)))
-    for k, (src, dst) in enumerate(mixes, start=4):
-        hashed = (pool[src] ^ hashes[k]) * hashes[k + 1] & _MASK32
-        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (hashed ^ hashed >> 16)) & _MASK32
+    for src, dst in _POOL_MIXES + tuple(itertools.product(range(4, len(pool)), range(4))):
+        hashed = (pool[src] ^ h) * (h := h * mult & mask) & mask
+        mixed = (mix_l * pool[dst] - mix_r * (hashed ^ hashed >> 16)) & mask
         pool[dst] = mixed ^ mixed >> 16
-    return tuple(pool[:4]), hashes[-1]
+    return pool[:4], h
 
 
-def _chunk_states(seed: int, start: int, stop: int) -> np.ndarray:
-    """PCG64 seed states of chunks ``start`` to ``stop - 1``, four uint64 each.
+def _chunk_states(pool: list[int], hash_const: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed states of chunks ``start`` to ``stop - 1``, four uint64
+    each, from ``pool, hash_const = _seed_pool(seed)``.
 
     Row i is ``SeedSequence(entropy=seed, spawn_key=(start + i,))
-    .generate_state(4, np.uint64)``, bit for bit.  SeedSequence hashes the
-    seed's words, padded with zeros to its pool of four, then the chunk
-    index's words, with constants that do not depend on them.  So the
-    seed's words are mixed into the pool once, with Python ints, and the
-    index words and ``generate_state`` run as uint32 operations over the
-    rows.  The rows are split where an index is a multiple of 2**32, so
-    that only the lowest index word varies within a piece.
+    .generate_state(4, np.uint64)``, bit for bit: SeedSequence hashes the
+    chunk index's words into the seed's pool with constants that do not
+    depend on them, so those words and ``generate_state`` run as uint32
+    operations over the rows.  The rows are split where an index is a
+    multiple of 2**32, so that only the lowest index word varies within a
+    piece.
     """
     import numpy as np
 
-    pool, hash_const = _seed_pool(seed)
     u32 = np.uint32
-    generate = np.array(_GENERATE, u32)
     # Little-endian words, paired as generate_state pairs them on any host.
     states = np.empty((stop - start, 2, 4), "<u4")
     low = start
     while low < stop:
         high = min(stop, (low | _MASK32) + 1)
         index_words = _words32(low)
-        index_hashes = np.array(_hash_constants(hash_const, _MULT_A, 4 * len(index_words)), u32)
+        hashes = _hash_constants(hash_const, _MULT_A, 4 * len(index_words))
+        # One array, then numpy scalars and views: cheaper than ufuncs on ints.
+        consts = np.array([_MIX_MULT_L, _MIX_MULT_R, *pool, *_GENERATE, *hashes], u32)
+        mix_l, mix_r, mixed = consts[0], consts[1], consts[2:6]
+        gen_xor, gen_mult, hashes = consts[6:14].reshape(2, 4), consts[7:15].reshape(2, 4), consts[15:]
         index_words[0] = np.arange(index_words[0], index_words[0] + high - low, dtype=u32)[:, None]
-        mixed = np.array(pool, u32)
         for k, word in enumerate(index_words):
-            hashed = (word ^ index_hashes[4 * k:4 * k + 4]) * index_hashes[4 * k + 1:4 * k + 5]
+            hashed = (word ^ hashes[4 * k:4 * k + 4]) * hashes[4 * k + 1:4 * k + 5]
             hashed ^= hashed >> 16
-            hashed *= _MIX_MULT_R
-            mixed = mixed * _MIX_MULT_L - hashed
+            hashed *= mix_r
+            mixed = mixed * mix_l - hashed
             mixed ^= mixed >> 16
         piece = states[low - start:high - start]
-        np.bitwise_xor(mixed[:, None], generate[0], out=piece)
-        piece *= generate[1]
+        np.bitwise_xor(mixed[:, None], gen_xor, out=piece)
+        piece *= gen_mult
         piece ^= piece >> 16
         low = high
     return states.view("<u8").reshape(-1, 4).astype(np.uint64, copy=False)
@@ -377,12 +373,14 @@ class _ChunkSeed:
 def _chunk_streams(seed: int, chunks: range) -> Iterator[np.random.Generator]:
     """The generator of each chunk of ``chunks``, in order: chunk c draws
     as ``default_rng(SeedSequence(entropy=seed, spawn_key=(c,)))`` does.
-    States are derived ``_STATE_BATCH`` chunks at a time."""
+    The seed is hashed once per call, and states are derived
+    ``_STATE_BATCH`` chunks at a time."""
     import numpy as np
 
     np.random.bit_generator.ISeedSequence.register(_ChunkSeed)
+    pool, hash_const = _seed_pool(seed)
     for first in range(chunks.start, chunks.stop, _STATE_BATCH):
-        for state in _chunk_states(seed, first, min(first + _STATE_BATCH, chunks.stop)):
+        for state in _chunk_states(pool, hash_const, first, min(first + _STATE_BATCH, chunks.stop)):
             yield np.random.Generator(np.random.PCG64(_ChunkSeed(state)))
 
 
@@ -498,9 +496,9 @@ def simulate_flight(
     derived per chunk from the seed and the chunk index alone and chunks
     are merged in index order; without a sink at most min(n_workers,
     chunks, CPUs) threads run.  Chunk c draws from PCG64 seeded with the
-    state of ``SeedSequence(entropy=seed, spawn_key=(c,))``, which the
-    serial loop and each thread derive for ``_STATE_BATCH`` chunks at a
-    time, without a SeedSequence per chunk.  Raises
+    state of ``SeedSequence(entropy=seed, spawn_key=(c,))``, bit for bit,
+    which the serial loop and each thread derive ``_STATE_BATCH`` chunks
+    at a time.  Raises
     ``FlightConfigError`` when the expected interaction count per photon or
     the moments of the compound law are not finite, and for per-interaction
     sampling above ``_PER_INTERACTION_MAX``.

@@ -740,7 +740,7 @@ REFERENCE_CASES += [
 @example(seed=2**128 + 1, start=2**32 - 2, count=5)
 @example(seed=2**32 - 1, start=2**32 - 3, count=5)
 def test_chunk_states_match_seed_sequence(seed, start, count):
-    states = dispersion._chunk_states(seed, start, start + count)
+    states = dispersion._chunk_states(*dispersion._seed_pool(seed), start, start + count)
     expected = [reference_state(seed, index) for index in range(start, start + count)]
     assert states.dtype == np.uint64 and np.array_equal(states, expected)
 

@@ -178,9 +178,9 @@ def _argvs() -> dict[str, list[str]]:
             "simulate", *LIFETIMES["half-compton"], "--photons", SIMULATE_PHOTONS, "--seed", seed,
             "--workers", "2",
         ]
-    # 269 chunks: each worker's block spans more than one batch of chunk states.
-    argvs["simulate half-compton 1.1e6 2 workers"] = [
-        "simulate", *LIFETIMES["half-compton"], "--photons", "1100000", "--seed", "7",
+    # 1075 chunks: each worker's block spans two batches of 512 chunk states.
+    argvs["simulate half-compton 4.4e6 2 workers"] = [
+        "simulate", *LIFETIMES["half-compton"], "--photons", "4400000", "--seed", "7",
         "--workers", "2",
     ]
     argvs["simulate lambda-1e9 fixed 2 workers"] = [
