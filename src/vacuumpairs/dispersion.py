@@ -12,8 +12,11 @@ The Monte Carlo draws each chunk of photons from its own stream, then the
 chunk's interaction counts, then their delays, with one expression per
 count law, delay law and sampling method.  A count of 0 draws nothing.
 Chunk c's stream is PCG64 seeded with the state that
-``SeedSequence(entropy=seed, spawn_key=(c,))`` gives it, bit for bit; the
-states of a batch of chunks are derived at once (``_chunk_states``).
+``SeedSequence(entropy=seed, spawn_key=(c,))`` gives it, bit for bit.
+numpy's ``SeedSequence(seed)`` hashes the seed once per call; the chunk
+indices' words and ``generate_state`` then run as uint32 arrays, the
+serial loop and each thread deriving ``_STATE_BATCH`` chunks' states at
+a time (``_chunk_states``).
 Above 1e9 expected interactions per photon, fixed delays keep a rounded
 normal count, and any other delay law is one normal draw per photon with
 the compound law's exact mean and variance; the skewness this drops is
@@ -206,16 +209,14 @@ class FlightConfig:
     def __post_init__(self) -> None:
         if not 0 < self.length_m < math.inf:
             raise FlightConfigError("length_m must be finite and > 0")
-        if self.n_photons < 2:
-            raise FlightConfigError("n_photons must be >= 2")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise FlightConfigError(f"seed must be an integer, not {self.seed!r}") from None
-        if seed < 0:
-            raise FlightConfigError("seed must be a non-negative integer")
-        if self.n_workers < 1:
-            raise FlightConfigError("n_workers must be >= 1")
+        for name, least in (("n_photons", 2), ("seed", 0), ("n_workers", 1)):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise FlightConfigError(f"{name} must be an integer, not {value!r}") from None
+            if value < least:
+                raise FlightConfigError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,6 @@ def _hash_constants(first: int, mult: int, steps: int) -> list[int]:
 # SeedSequence.generate_state's hash constants for its eight uint32 words.
 _GENERATE = _hash_constants(_INIT_B, _MULT_B, 8)
 
-# (source, destination) pool words of SeedSequence's cross-mixing steps.
-_POOL_MIXES = tuple(itertools.permutations(range(4), 2))
-
 # Chunk states are derived this many chunks at a time, by the serial loop
 # and by each thread for its own block, 16 KiB of states.  Any size gives
 # the same states; the cost per chunk falls by ~5% from 128 to 512 and
@@ -296,40 +294,26 @@ def _words32(n: int) -> list[int]:
     return words
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence's pool of four words once it has hashed ``seed``, and
-    the hash constant of its next step.  The pool's four words are each
-    hashed in place, then mixed into the others; the seed's further words
-    are then each mixed into all four."""
-    mask, mult, mix_l, mix_r = _MASK32, _MULT_A, _MIX_MULT_L, _MIX_MULT_R
-    pool = _words32(seed)
-    pool += [0] * (4 - len(pool))
-    h = _INIT_A
-    for k in range(4):
-        hashed = (pool[k] ^ h) * (h := h * mult & mask) & mask
-        pool[k] = hashed ^ hashed >> 16
-    for src, dst in _POOL_MIXES + tuple(itertools.product(range(4, len(pool)), range(4))):
-        hashed = (pool[src] ^ h) * (h := h * mult & mask) & mask
-        mixed = (mix_l * pool[dst] - mix_r * (hashed ^ hashed >> 16)) & mask
-        pool[dst] = mixed ^ mixed >> 16
-    return pool[:4], h
-
-
-def _chunk_states(pool: list[int], hash_const: int, start: int, stop: int) -> np.ndarray:
+def _chunk_states(seed_seq: np.random.SeedSequence, start: int, stop: int) -> np.ndarray:
     """PCG64 seed states of chunks ``start`` to ``stop - 1``, four uint64
-    each, from ``pool, hash_const = _seed_pool(seed)``.
+    each, from ``seed_seq = SeedSequence(seed)``.
 
     Row i is ``SeedSequence(entropy=seed, spawn_key=(start + i,))
     .generate_state(4, np.uint64)``, bit for bit: SeedSequence hashes the
-    chunk index's words into the seed's pool with constants that do not
+    chunk index's words into ``seed_seq.pool`` with constants that do not
     depend on them, so those words and ``generate_state`` run as uint32
-    operations over the rows.  The rows are split where an index is a
-    multiple of 2**32, so that only the lowest index word varies within a
-    piece.
+    operations over the rows.  Their first constant is
+    ``_INIT_A * _MULT_A**(4 * max(4, w))`` for a seed of w words: the seed
+    took 4 hash steps to load the pool, 12 to cross-mix it and 4 more per
+    word past the fourth.  The rows are split where an index is a multiple
+    of 2**32, so that only the lowest index word varies within a piece.
     """
     import numpy as np
 
     u32 = np.uint32
+    pool = seed_seq.pool.tolist()
+    seed_words = len(_words32(seed_seq.entropy))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * max(4, seed_words), 1 << 32) & _MASK32
     # Little-endian words, paired as generate_state pairs them on any host.
     states = np.empty((stop - start, 2, 4), "<u4")
     low = start
@@ -370,17 +354,18 @@ class _ChunkSeed:
         return self.state
 
 
-def _chunk_streams(seed: int, chunks: range) -> Iterator[np.random.Generator]:
-    """The generator of each chunk of ``chunks``, in order: chunk c draws
-    as ``default_rng(SeedSequence(entropy=seed, spawn_key=(c,)))`` does.
-    The seed is hashed once per call, and states are derived
-    ``_STATE_BATCH`` chunks at a time."""
+def _chunk_streams(
+    seed_seq: np.random.SeedSequence, chunks: range
+) -> Iterator[np.random.Generator]:
+    """The generator of each chunk of ``chunks``, in order, from
+    ``seed_seq = SeedSequence(seed)``: chunk c draws as
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(c,)))`` does.
+    States are derived ``_STATE_BATCH`` chunks at a time."""
     import numpy as np
 
     np.random.bit_generator.ISeedSequence.register(_ChunkSeed)
-    pool, hash_const = _seed_pool(seed)
     for first in range(chunks.start, chunks.stop, _STATE_BATCH):
-        for state in _chunk_states(pool, hash_const, first, min(first + _STATE_BATCH, chunks.stop)):
+        for state in _chunk_states(seed_seq, first, min(first + _STATE_BATCH, chunks.stop)):
             yield np.random.Generator(np.random.PCG64(_ChunkSeed(state)))
 
 
@@ -494,11 +479,8 @@ def simulate_flight(
     so a sink copies what it keeps.  Results are bit-identical for a fixed
     (seed, n_photons) regardless of ``n_workers``, because randomness is
     derived per chunk from the seed and the chunk index alone and chunks
-    are merged in index order; without a sink at most min(n_workers,
-    chunks, CPUs) threads run.  Chunk c draws from PCG64 seeded with the
-    state of ``SeedSequence(entropy=seed, spawn_key=(c,))``, bit for bit,
-    which the serial loop and each thread derive ``_STATE_BATCH`` chunks
-    at a time.  Raises
+    are merged in index order (seeding as in the module docstring); without
+    a sink at most min(n_workers, chunks, CPUs) threads run.  Raises
     ``FlightConfigError`` when the expected interaction count per photon or
     the moments of the compound law are not finite, and for per-interaction
     sampling above ``_PER_INTERACTION_MAX``.
@@ -532,7 +514,10 @@ def simulate_flight(
         )
     n = config.n_photons
     n_chunks = -(-n // CHUNK_SIZE)
-    seed = operator.index(config.seed)
+    import numpy as np
+
+    # Hashed once per call; the workers only read it.
+    seed_seq = np.random.SeedSequence(operator.index(config.seed))
 
     def run(index: int, rng: np.random.Generator) -> tuple[int, float, float, float]:
         start = index * CHUNK_SIZE
@@ -544,7 +529,7 @@ def simulate_flight(
         return _chunk_moments(delays)
 
     def run_block(chunks: range) -> Iterator[tuple[int, float, float, float]]:
-        return map(run, chunks, _chunk_streams(seed, chunks))
+        return map(run, chunks, _chunk_streams(seed_seq, chunks))
 
     workers = 1 if sink is not None else min(config.n_workers, n_chunks, os.cpu_count() or 1)
     if workers > 1:

@@ -409,7 +409,8 @@ class TestSimulateFlight:
             n_workers=n_workers,
         )
         simulate_flight(config)
-        assert made == []
+        # One for the call, from the seed alone; none per chunk.
+        assert made == [((12,), {})]
 
     def test_sink_sees_every_chunk_once_in_order(self, monkeypatch):
         config = FlightConfig(
@@ -499,6 +500,22 @@ class TestSimulateFlight:
         with pytest.raises(FlightConfigError, match="seed"):
             FlightConfig(length_m=1.0, lifetime_model=LifetimeModel.half_compton(),
                          n_photons=10, seed=seed)
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("n_photons", "n_workers")
+        for value in (5000.0, 1.5, "7", np.float64(2.0))
+    ], ids=repr)
+    def test_non_integer_count_refused(self, field, value):
+        fields = {"n_photons": 10, "n_workers": 1, field: value}
+        with pytest.raises(FlightConfigError, match=field):
+            FlightConfig(length_m=1.0, lifetime_model=LifetimeModel.half_compton(), seed=1, **fields)
+
+    def test_integer_like_counts_draw_as_their_ints(self):
+        config = FlightConfig(length_m=1.0, lifetime_model=LifetimeModel.half_compton(),
+                              n_photons=np.int64(dispersion.CHUNK_SIZE + 3), seed=1,
+                              n_workers=np.int64(2))
+        plain = dataclasses.replace(config, n_photons=dispersion.CHUNK_SIZE + 3, n_workers=2)
+        assert simulate_flight(config) == dataclasses.replace(simulate_flight(plain), config=config)
 
     @pytest.mark.parametrize("seed, same_as", [(True, 1), (np.int64(5), 5)], ids=["True", "int64"])
     def test_integer_like_seed_draws_as_its_int(self, seed, same_as):
@@ -739,8 +756,11 @@ REFERENCE_CASES += [
 @example(seed=2**32, start=2**32, count=2)
 @example(seed=2**128 + 1, start=2**32 - 2, count=5)
 @example(seed=2**32 - 1, start=2**32 - 3, count=5)
+# The last seed of four words, whose hash takes 16 steps, and the first of five.
+@example(seed=2**128 - 1, start=0, count=2)
+@example(seed=2**128, start=0, count=2)
 def test_chunk_states_match_seed_sequence(seed, start, count):
-    states = dispersion._chunk_states(*dispersion._seed_pool(seed), start, start + count)
+    states = dispersion._chunk_states(np.random.SeedSequence(seed), start, start + count)
     expected = [reference_state(seed, index) for index in range(start, start + count)]
     assert states.dtype == np.uint64 and np.array_equal(states, expected)
 

@@ -168,8 +168,10 @@ def _argvs() -> dict[str, list[str]]:
             "simulate", *LIFETIMES["half-compton"], "--photons", "100000", "--seed", "7",
             "--workers", workers,
         ]
-    # Seeds of one, two and five 32-bit words, serially and threaded.
-    for seed in ("0", "4294967296", "340282366920938463463374607431768211457"):
+    # Seeds of one, two, four and five 32-bit words, serially and threaded:
+    # 2**128 - 1 is the last seed whose hash takes 16 steps.
+    for seed in ("0", "4294967296", "340282366920938463463374607431768211455",
+                 "340282366920938463463374607431768211457"):
         argvs[f"simulate half-compton seed {seed} samples"] = [
             "simulate", *LIFETIMES["half-compton"], "--photons", SIMULATE_PHOTONS, "--seed", seed,
             "--samples-out", "samples.csv",
