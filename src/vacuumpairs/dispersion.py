@@ -131,7 +131,7 @@ def analytic_sigma(
     model: LifetimeModel, length_m: float, species: ParticleSpecies | None = None
 ) -> float:
     """Flight-time standard deviation sigma_T = sqrt(tau/c)*sqrt(L) in seconds."""
-    if length_m <= 0:
+    if not length_m > 0:
         raise ValueError("length_m must be > 0")
     return sigma_coefficient(model, species) * math.sqrt(length_m)
 
@@ -574,7 +574,7 @@ def pulse_broadening(
 ) -> float:
     """RMS width after propagation: sqrt(T^2 + sigma^2 * L) (widths add in
     quadrature)."""
-    if pulse_rms_s < 0 or sigma_s_per_sqrt_m < 0 or length_m < 0:
+    if not (pulse_rms_s >= 0 and sigma_s_per_sqrt_m >= 0 and length_m >= 0):
         raise ValueError("all arguments must be >= 0")
     return math.hypot(pulse_rms_s, sigma_s_per_sqrt_m * math.sqrt(length_m))
 
@@ -587,7 +587,7 @@ def experiment_sensitivity(
     From sqrt(T^2 + sigma^2 L) - T = sigma_frac * T:
     sigma = T * sqrt(sigma_frac * (2 + sigma_frac) / L).
     """
-    if pulse_rms_s <= 0 or precision_fraction <= 0 or length_m <= 0:
+    if not (pulse_rms_s > 0 and precision_fraction > 0 and length_m > 0):
         raise ValueError("all arguments must be > 0")
     return pulse_rms_s * math.sqrt(
         precision_fraction * (2.0 + precision_fraction) / length_m

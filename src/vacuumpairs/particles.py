@@ -10,6 +10,7 @@ use PDG central values.  Any table can be swapped in via ``load_registry``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -46,16 +47,19 @@ ALLOWED_CHARGES = (
 _CHARGE_SNAP_TOL = 1e-6
 
 
-def _as_charge_fraction(value: float | int | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
-        candidate = value
-        if candidate in ALLOWED_CHARGES:
-            return candidate
-        raise RegistryValidationError(f"charge_q {value} not in {{+-1, +-2/3, +-1/3}}")
-    for allowed in ALLOWED_CHARGES:
-        if abs(float(value) - float(allowed)) <= _CHARGE_SNAP_TOL:
-            return allowed
-    raise RegistryValidationError(f"charge_q {value} not in {{+-1, +-2/3, +-1/3}}")
+def _is_number(value: object) -> bool:
+    """An int, float or Fraction that is not a bool: JSON's ``true`` is no count."""
+    return isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+
+
+def _as_charge_fraction(value: object) -> Fraction | None:
+    """The allowed charge that ``value`` is, or as a float snaps to; else None."""
+    if isinstance(value, float):
+        for allowed in ALLOWED_CHARGES:
+            if abs(value - float(allowed)) <= _CHARGE_SNAP_TOL:
+                return allowed
+        return None
+    return Fraction(value) if _is_number(value) and value in ALLOWED_CHARGES else None
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,11 @@ class ParticleSpecies:
 
     ``mass_mev`` is the rest-mass energy m*c^2, ``charge_q`` the charge in
     units of q_e, ``color_factor`` the colour degeneracy (3 for quarks) and
-    ``spin_degeneracy`` 2 for fermions or 3 for the spin-1 W pair.
-    ``charge_weight`` is Q^2 * c * g/2, the exact species weight in
-    polarisation sums, and ``charge_weight_float`` its float; both are
-    formed once, when the species is made.
+    ``spin_degeneracy`` 2 for fermions or 3 for the spin-1 W pair.  Each
+    is an int, float or Fraction, never a bool; the mass is stored as a
+    float, the factors as ints.  ``charge_weight`` is Q^2 * c * g/2, the
+    exact species weight in polarisation sums, and ``charge_weight_float``
+    its float; both are formed once, when the species is made.
     """
 
     name: str
@@ -79,17 +84,23 @@ class ParticleSpecies:
     charge_weight_float: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise RegistryValidationError("species name must be non-empty")
-        if not self.mass_mev > 0:
-            raise RegistryValidationError(f"{self.name}: mass_mev must be > 0")
-        object.__setattr__(self, "charge_q", _as_charge_fraction(self.charge_q))
-        if self.color_factor not in (1, 3):
-            raise RegistryValidationError(f"{self.name}: color_factor must be 1 or 3")
-        if self.spin_degeneracy not in (2, 3):
+        if not isinstance(self.name, str) or not self.name:
+            raise RegistryValidationError(f"species name {self.name!r} must be a non-empty string")
+        if not (_is_number(self.mass_mev) and 0 < self.mass_mev <= sys.float_info.max):
+            raise RegistryValidationError(f"{self.name}: mass_mev must be finite and > 0")
+        object.__setattr__(self, "mass_mev", float(self.mass_mev))
+        charge = _as_charge_fraction(self.charge_q)
+        if charge is None:
             raise RegistryValidationError(
-                f"{self.name}: spin_degeneracy must be 2 or 3"
+                f"{self.name}: charge_q {self.charge_q!r} not in {{+-1, +-2/3, +-1/3}}"
             )
+        object.__setattr__(self, "charge_q", charge)
+        if not (_is_number(self.color_factor) and self.color_factor in (1, 3)):
+            raise RegistryValidationError(f"{self.name}: color_factor must be 1 or 3")
+        if not (_is_number(self.spin_degeneracy) and self.spin_degeneracy in (2, 3)):
+            raise RegistryValidationError(f"{self.name}: spin_degeneracy must be 2 or 3")
+        object.__setattr__(self, "color_factor", int(self.color_factor))
+        object.__setattr__(self, "spin_degeneracy", int(self.spin_degeneracy))
         weight = self.charge_q**2 * self.color_factor * Fraction(self.spin_degeneracy, 2)
         object.__setattr__(self, "charge_weight", weight)
         object.__setattr__(self, "charge_weight_float", float(weight))
@@ -107,6 +118,8 @@ class SpeciesRegistry:
     charge_weight_sum: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.species:
+            raise EmptyRegistryError("registry has no species")
         names = [s.name for s in self.species]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -148,25 +161,7 @@ def _records_to_registry(records: object, origin: str) -> SpeciesRegistry:
         missing = [k for k in _REQUIRED_FIELDS if k not in rec]
         if missing:
             raise RegistryParseError(f"{origin}: record {i} missing fields {missing}")
-        name = rec["name"]
-        if not isinstance(name, str):
-            raise RegistryParseError(f"{origin}: record {i} name must be a string")
-        try:
-            mass = float(rec["mass_mev"])
-            charge = float(rec["charge_q"])
-            color = int(rec["color_factor"])
-            spin = int(rec["spin_degeneracy"])
-        except (TypeError, ValueError) as exc:
-            raise RegistryParseError(f"{origin}: record {i} has a non-numeric field") from exc
-        species.append(
-            ParticleSpecies(
-                name=name,
-                mass_mev=mass,
-                charge_q=charge,  # snapped to an exact Fraction in __post_init__
-                color_factor=color,
-                spin_degeneracy=spin,
-            )
-        )
+        species.append(ParticleSpecies(**{k: rec[k] for k in _REQUIRED_FIELDS}))
     return SpeciesRegistry(tuple(species))
 
 
@@ -176,7 +171,8 @@ def load_registry(path: str | Path) -> SpeciesRegistry:
     The file is a JSON array of records with fields ``name``, ``mass_mev``,
     ``charge_q`` (rational charge written as a decimal), ``color_factor``
     and ``spin_degeneracy``.  Malformed files raise ``RegistryParseError``;
-    records violating the invariants raise ``RegistryValidationError``.
+    records violating the invariants of ``ParticleSpecies`` raise
+    ``RegistryValidationError``, and an empty array ``EmptyRegistryError``.
     """
     path = Path(path)
     try:
@@ -203,6 +199,4 @@ def weighted_degeneracy_sum(registry: SpeciesRegistry) -> float:
     The exact ``registry.charge_weight_sum`` converted to float, so dyadic
     results such as 9.5 are exact.
     """
-    if len(registry) == 0:
-        raise EmptyRegistryError("registry has no species")
     return float(registry.charge_weight_sum)

@@ -402,7 +402,7 @@ def build_report(
     ``ValueError``, naming ``seed``, for a negative seed, before any stage."""
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    reg = registry or default_registry()
+    reg = default_registry() if registry is None else registry
     values: dict[str, float] = {}
     for stage in STAGES:
         values.update(stage(reg, seed))

@@ -56,7 +56,7 @@ class ThermalState:
 def dispersion_energy(mass_energy_mev: float, pc_mev: float) -> float:
     """Relativistic energy sqrt((mc^2)^2 + (pc)^2) in MeV.
     Library surface: no reproduction row reads it."""
-    if mass_energy_mev < 0 or pc_mev < 0:
+    if not (mass_energy_mev >= 0 and pc_mev >= 0):
         raise ValueError("mass_energy_mev and pc_mev must be >= 0")
     return math.hypot(mass_energy_mev, pc_mev)
 
@@ -71,7 +71,7 @@ def mode_density(p_kg_m_s: float) -> float:
     It is also the density of virtual fluctuations: their 1/2 zero-point
     factor is compensated by the g=2 degeneracy.
     """
-    if p_kg_m_s < 0:
+    if not p_kg_m_s >= 0:
         raise ValueError("momentum must be >= 0")
     return _FOUR_PI * p_kg_m_s**2 / _H_CUBED
 
@@ -81,9 +81,11 @@ def _lattice_radii(
     energy_max_mev: float,
     mass_energy_mev: float,
 ) -> tuple[float, float, float]:
-    if any(length <= 0 for length in box_lengths_m):
-        raise ValueError("box lengths must be > 0")
-    if energy_max_mev < mass_energy_mev:
+    if not all(length > 0 for length in box_lengths_m):
+        raise ValueError("box_lengths_m must be > 0")
+    if not 0 <= mass_energy_mev < math.inf:
+        raise ValueError("mass_energy_mev must be finite and >= 0")
+    if not energy_max_mev >= mass_energy_mev:
         raise ValueError("energy_max_mev must be >= mass_energy_mev")
     pc_max = math.sqrt(energy_max_mev**2 - mass_energy_mev**2)
     # Momentum per lattice step along axis i: h*c/(2*L_i) in MeV.  A radius
@@ -176,7 +178,7 @@ def count_box_modes(
 def mode_energy(omega_rad_per_s: float, n: int) -> float:
     """Oscillator level energy hbar*omega*(n + 1/2) in joules.
     Library surface: no reproduction row reads it."""
-    if omega_rad_per_s <= 0:
+    if not omega_rad_per_s > 0:
         raise ValueError("omega must be > 0")
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -203,7 +205,7 @@ def state_probability(omega_rad_per_s: float, n: int, state: ThermalState) -> fl
 
 
 def _occupation_from_x(x: float) -> float:
-    if x <= 0:
+    if not x > 0:
         raise ValueError("hbar*omega/(kT) must be > 0")
     if x > 700.0:  # expm1 overflows past ~709; Wien tail is exact e^-x there
         return math.exp(-x)
@@ -234,7 +236,7 @@ def planck_energy_density(
     Photon dispersion epsilon = p*c and polarisation degeneracy g = 2.
     With ``include_zero_point`` false only the thermal part remains.
     """
-    if p_kg_m_s < 0:
+    if not p_kg_m_s >= 0:
         raise ValueError("momentum must be >= 0")
     return _planck(p_kg_m_s, state.beta_per_j, 0.5 if include_zero_point else 0.0)
 

@@ -147,7 +147,7 @@ def dipole_max(mass_energy_mev: float, omega_rad_per_s: float) -> float:
     tests reproduce it by direct quadrature of the Gaussian matrix element.
     Library surface: no reproduction row reads it.
     """
-    if mass_energy_mev <= 0 or omega_rad_per_s <= 0:
+    if not (mass_energy_mev > 0 and omega_rad_per_s > 0):
         raise ValueError("mass_energy_mev and omega must be > 0")
     m_kg = CODATA.mass_kg(mass_energy_mev)
     return CODATA.q_e_coulomb * math.sqrt(
@@ -160,7 +160,7 @@ def dipole_time_averaged(
 ) -> float:
     """Time-averaged induced dipole 2 d_max^2/(hbar omega) * E = q_e^2 E/(m omega^2).
     Library surface: no reproduction row reads it."""
-    if field_v_per_m < 0:
+    if not field_v_per_m >= 0:
         raise ValueError("field_v_per_m must be >= 0")
     m_kg = CODATA.mass_kg(mass_energy_mev)
     return CODATA.q_e_coulomb**2 / (m_kg * omega_rad_per_s**2) * field_v_per_m
@@ -402,7 +402,7 @@ def permeability_from_alpha(inverse_alpha: float) -> VacuumResponse:
     and the light speed c = 1/sqrt(eps0 mu0) becomes undefined.
     Library surface: no reproduction row reads it.
     """
-    if inverse_alpha < 0:
+    if not inverse_alpha >= 0:
         raise ValueError("inverse_alpha must be >= 0")
     eps0 = (
         inverse_alpha
@@ -423,7 +423,7 @@ def relativistic_magnetic_moment(fermion_energy_mev: float) -> float:
     fermion energy; reduces to the Bohr magneton at eps_f = m_e c^2.
     Library surface: no reproduction row reads it.
     """
-    if fermion_energy_mev <= 0:
+    if not fermion_energy_mev > 0:
         raise ValueError("fermion_energy_mev must be > 0")
     energy_j = fermion_energy_mev * CODATA.mev_to_j
     return CODATA.q_e_coulomb * CODATA.hbar_j_s * CODATA.c_m_per_s**2 / (2.0 * energy_j)
@@ -433,7 +433,7 @@ def pair_electric_dipole(fermion_energy_mev: float) -> float:
     """Pair dipole moment d = q_e x in C*m, with the effective separation
     x = hbar/(eps_f/c): the reduced Compton length at energy eps_f.
     Library surface: no reproduction row reads it."""
-    if fermion_energy_mev <= 0:
+    if not fermion_energy_mev > 0:
         raise ValueError("fermion_energy_mev must be > 0")
     return CODATA.q_e_coulomb * CODATA.compton_length_m(fermion_energy_mev)
 
@@ -459,7 +459,7 @@ def landau_energy(
     first-order:      eps_f + q_e hbar c^2 B (2n + 1 - g s) / (2 eps_f)
     non-relativistic: p_z^2/(2m) + q_e hbar B (2n + 1 - g s) / (2m), no rest term.
     """
-    if b_tesla < 0:
+    if not b_tesla >= 0:
         raise ValueError("b_tesla must be >= 0")
     if n < 0:
         raise ValueError("n must be >= 0")

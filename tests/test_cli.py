@@ -883,6 +883,32 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: registry has no species\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["alpha", "--fit", "--policy", "mass-proportional"],
+        ["alpha", "--fit", "--policy", "global-constant"],
+        ["alpha", "--eval", "--cutoff-mev", "292"],
+        ["dispersion", "--all"],
+        SIMULATE,
+        ["report"],
+    ], ids=["fit-mass-proportional", "fit-global-constant", "eval", "dispersion", "simulate",
+            "report"])
+    def test_empty_species_file_is_failure_for_every_table_command(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.json"
+        path.write_text("[]", encoding="utf-8")
+        code, out, err = run(capsys, argv + ["--species-file", str(path)])
+        assert (code, out, err) == (1, "", "error: registry has no species\n")
+
+    def test_malformed_species_record_is_failure(self, capsys, tmp_path):
+        # true is no colour factor, though int(True) == 1.
+        records = json.loads(heavy_electron_file(tmp_path).read_text(encoding="utf-8"))
+        records[3]["color_factor"] = True
+        path = tmp_path / "bool-colour.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+        argv = ["alpha", "--fit", "--policy", "global-constant", "--species-file", str(path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: u: color_factor must be 1 or 3\n"
+
 
 # --- the process entry ------------------------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 
 from vacuumpairs import vacuum_response
 from vacuumpairs.constants import CODATA
+from vacuumpairs.errors import Failure
 from vacuumpairs.particles import (
     ALLOWED_CHARGES,
     EmptyRegistryError,
@@ -154,6 +155,57 @@ class TestLoadRegistry:
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(RegistryParseError):
             load_registry(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("field, value", [
+        ("color_factor", 1.7),
+        ("color_factor", True),
+        ("color_factor", "3"),
+        ("spin_degeneracy", 2.5),
+        ("spin_degeneracy", False),
+        ("charge_q", True),
+        ("charge_q", "-1"),
+        ("mass_mev", math.inf),
+        ("mass_mev", math.nan),
+        ("mass_mev", "0.5"),
+        ("mass_mev", True),
+        # An integer past the largest float, which float() cannot convert.
+        pytest.param("mass_mev", 10**400, id="mass_mev-int-1e400"),
+        pytest.param("charge_q", -(10**400), id="charge_q-int-1e400"),
+        ("name", 7),
+    ])
+    def test_malformed_field_is_refused_by_name(self, tmp_path, field, value):
+        # json writes and reads inf and nan as the literals Infinity and NaN.
+        records = registry_records()
+        records[0][field] = value
+        path = tmp_path / "species.json"
+        path.write_text(json.dumps(records), encoding="utf-8")
+        with pytest.raises(Failure, match=field):
+            load_registry(path)
+
+    def test_integral_floats_load_as_the_default_table(self, tmp_path):
+        records = registry_records()
+        for rec in records:
+            rec["color_factor"] = float(rec["color_factor"])
+            rec["spin_degeneracy"] = float(rec["spin_degeneracy"])
+            if rec["mass_mev"].is_integer():  # c, b, t and W
+                rec["mass_mev"] = int(rec["mass_mev"])
+        text = json.dumps(records)
+        assert '"color_factor": 3.0' in text and '"mass_mev": 80377,' in text
+        path = tmp_path / "species.json"
+        path.write_text(text, encoding="utf-8")
+        loaded = load_registry(path)
+        assert loaded == default_registry()
+        for got, want in zip(loaded, default_registry()):
+            for name in ("name", "mass_mev", "charge_q", "color_factor", "spin_degeneracy"):
+                assert type(getattr(got, name)) is type(getattr(want, name))
+
+    def test_empty_table_is_refused_where_it_is_made(self, tmp_path):
+        path = tmp_path / "species.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(EmptyRegistryError, match="^registry has no species$"):
+            load_registry(path)
+        with pytest.raises(EmptyRegistryError):
+            default_registry().subset([])
 
 
 class TestSpeciesValidation:

@@ -105,6 +105,25 @@ class TestBoxModes:
         with pytest.raises(ValueError):
             count_box_modes((1.0, 1.0, 1.0), 1.0, 2.0)
 
+    @pytest.mark.parametrize("args, name", [
+        (((math.nan, 1.0, 1.0), 1.0), "box_lengths_m"),
+        (((1.0, 0.0, 1.0), 1.0), "box_lengths_m"),
+        (((1.0, 1.0, 1.0), math.nan), "energy_max_mev"),
+        (((1.0, 1.0, 1.0), 1.0, math.nan), "mass_energy_mev"),
+        (((1.0, 1.0, 1.0), 1.0, -1.0), "mass_energy_mev"),
+        (((1.0, 1.0, 1.0), math.inf, math.inf), "mass_energy_mev"),
+    ], ids=["nan-length", "zero-length", "nan-energy", "nan-mass", "negative-mass",
+            "infinite-mass"])
+    def test_bad_input_is_named(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            count_box_modes(*args)
+
+    @pytest.mark.parametrize("args", [((math.inf, 1.0, 1.0), 1.0), ((1.0, 1.0, 1.0), math.inf)],
+                             ids=["infinite-length", "infinite-energy"])
+    def test_infinite_box_or_energy_overflows(self, args):
+        with pytest.raises(ModeCountOverflowError):
+            count_box_modes(*args)
+
     def test_energy_at_the_mass_has_no_modes(self):
         # Every lattice radius is 0: only the excluded origin is left.
         box = (self.LENGTH, self.LENGTH, self.LENGTH)

@@ -543,3 +543,41 @@ class TestCutoffPolicy:
         )
         with pytest.raises(KeyError):
             CutoffPolicy.per_species({"u": 100.0}).cutoff_for(ELECTRON)
+
+
+THERMAL = statmech.ThermalState(300.0)
+HALF_COMPTON = dispersion.LifetimeModel.half_compton()
+
+#: One call per sign-guarded argument, as a function of that argument alone.
+SIGN_GUARDS = {
+    "analytic_sigma": lambda x: dispersion.analytic_sigma(HALF_COMPTON, x),
+    "pulse_broadening-pulse_rms_s": lambda x: dispersion.pulse_broadening(x, 1e-17, 1.0),
+    "pulse_broadening-sigma": lambda x: dispersion.pulse_broadening(1e-15, x, 1.0),
+    "pulse_broadening-length_m": lambda x: dispersion.pulse_broadening(1e-15, 1e-17, x),
+    "experiment_sensitivity-pulse_rms_s": lambda x: dispersion.experiment_sensitivity(x, 0.01, 1.0),
+    "experiment_sensitivity-precision": lambda x: dispersion.experiment_sensitivity(1e-15, x, 1.0),
+    "experiment_sensitivity-length_m": lambda x: dispersion.experiment_sensitivity(1e-15, 0.01, x),
+    "mode_density": statmech.mode_density,
+    "planck_energy_density": lambda x: statmech.planck_energy_density(x, THERMAL),
+    "dispersion_energy-mass": lambda x: statmech.dispersion_energy(x, 1.0),
+    "dispersion_energy-pc": lambda x: statmech.dispersion_energy(1.0, x),
+    "mode_energy": lambda x: statmech.mode_energy(x, 0),
+    "mean_occupation": lambda x: statmech.mean_occupation(x, THERMAL),
+    "dipole_max-mass": lambda x: dipole_max(x, 1e20),
+    "dipole_max-omega": lambda x: dipole_max(ELECTRON.mass_mev, x),
+    "dipole_time_averaged": lambda x: dipole_time_averaged(ELECTRON.mass_mev, 1e20, x),
+    "permeability_from_alpha": permeability_from_alpha,
+    "relativistic_magnetic_moment": relativistic_magnetic_moment,
+    "pair_electric_dipole": pair_electric_dipole,
+    "landau_energy-b_tesla": lambda x: landau_energy(ELECTRON.mass_mev, 0.0, x, 0),
+}
+
+
+@pytest.mark.parametrize("call", SIGN_GUARDS.values(), ids=SIGN_GUARDS.keys())
+def test_nan_fails_the_sign_guard_as_a_negative_value_does(call):
+    call(1.0)  # a valid value passes, so the guard is what refuses the others
+    with pytest.raises(ValueError) as negative:
+        call(-1.0)
+    with pytest.raises(type(negative.value)) as nan:
+        call(math.nan)
+    assert str(nan.value) == str(negative.value)
