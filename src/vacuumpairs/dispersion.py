@@ -14,9 +14,8 @@ count law, delay law and sampling method.  A count of 0 draws nothing.
 Chunk c's stream is PCG64 seeded with the state that
 ``SeedSequence(entropy=seed, spawn_key=(c,))`` gives it, bit for bit.
 numpy's ``SeedSequence(seed)`` hashes the seed once per call; the chunk
-indices' words and ``generate_state`` then run as uint32 arrays, the
-serial loop and each thread deriving ``_STATE_BATCH`` chunks' states at
-a time (``_chunk_states``).
+indices' words and ``generate_state`` then run as uint32 arrays over a
+batch of at most ``_STATE_BATCH`` chunks (``_chunk_states``).
 Above 1e9 expected interactions per photon, fixed delays keep a rounded
 normal count, and any other delay law is one normal draw per photon with
 the compound law's exact mean and variance; the skewness this drops is
@@ -33,7 +32,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .constants import CODATA
 from .particles import ParticleSpecies, default_registry
@@ -278,10 +277,10 @@ def _hash_constants(first: int, mult: int, steps: int) -> list[int]:
 # SeedSequence.generate_state's hash constants for its eight uint32 words.
 _GENERATE = _hash_constants(_INIT_B, _MULT_B, 8)
 
-# Chunk states are derived this many chunks at a time, by the serial loop
-# and by each thread for its own block, 16 KiB of states.  Any size gives
-# the same states; the cost per chunk falls by ~5% from 128 to 512 and
-# little beyond.
+# The most chunks in one batch, the unit of work of the serial loop and of
+# each thread: its states are derived together (16 KiB at most) and its
+# moments kept until it is merged.  Any size gives the same states; the
+# cost per chunk falls by ~5% from 128 to 512 and little beyond.
 _STATE_BATCH = 512
 
 
@@ -343,7 +342,7 @@ def _chunk_states(seed_seq: np.random.SeedSequence, start: int, stop: int) -> np
 class _ChunkSeed:
     """One row of ``_chunk_states``, handed to ``np.random.PCG64`` as the
     ``numpy.random.bit_generator.ISeedSequence`` that seeds it (registered
-    as one in ``_chunk_streams``, where numpy is imported)."""
+    as one in ``simulate_flight``, where numpy is imported)."""
 
     __slots__ = ("state",)
 
@@ -352,21 +351,6 @@ class _ChunkSeed:
 
     def generate_state(self, n_words: int, dtype: object = None) -> np.ndarray:
         return self.state
-
-
-def _chunk_streams(
-    seed_seq: np.random.SeedSequence, chunks: range
-) -> Iterator[np.random.Generator]:
-    """The generator of each chunk of ``chunks``, in order, from
-    ``seed_seq = SeedSequence(seed)``: chunk c draws as
-    ``default_rng(SeedSequence(entropy=seed, spawn_key=(c,)))`` does.
-    States are derived ``_STATE_BATCH`` chunks at a time."""
-    import numpy as np
-
-    np.random.bit_generator.ISeedSequence.register(_ChunkSeed)
-    for first in range(chunks.start, chunks.stop, _STATE_BATCH):
-        for state in _chunk_states(seed_seq, first, min(first + _STATE_BATCH, chunks.stop)):
-            yield np.random.Generator(np.random.PCG64(_ChunkSeed(state)))
 
 
 def _simulate_chunk(
@@ -470,13 +454,13 @@ def simulate_flight(
 
     Each photon accumulates one delay per interaction with a virtual pair.
     Each chunk of ``CHUNK_SIZE`` photons is reduced to its moments as soon
-    as it is drawn.  Serially, those moments are merged as they come, so
-    memory is O(``CHUNK_SIZE``) whatever ``n_photons``.  Threaded, a
-    worker's block of chunks keeps its moments (~180 B per chunk) until the
-    block is merged.  Before the reduction, ``sink(start, delays)`` gets
-    each chunk with the index of its first photon, once and in photon
-    order, on the calling thread; the reduction then overwrites ``delays``,
-    so a sink copies what it keeps.  Results are bit-identical for a fixed
+    as it is drawn; a batch of at most ``_STATE_BATCH`` chunks keeps them
+    (~180 B per chunk) until it is merged, and threads take one round of
+    one batch each, merged before the next, so memory is bounded whatever
+    ``n_photons``.  Before the reduction, ``sink(start, delays)`` gets each
+    chunk with the index of its first photon, once and in photon order, on
+    the calling thread; the reduction then overwrites ``delays``, so a sink
+    copies what it keeps.  Results are bit-identical for a fixed
     (seed, n_photons) regardless of ``n_workers``, because randomness is
     derived per chunk from the seed and the chunk index alone and chunks
     are merged in index order (seeding as in the module docstring); without
@@ -516,35 +500,40 @@ def simulate_flight(
     n_chunks = -(-n // CHUNK_SIZE)
     import numpy as np
 
+    np.random.bit_generator.ISeedSequence.register(_ChunkSeed)
     # Hashed once per call; the workers only read it.
     seed_seq = np.random.SeedSequence(operator.index(config.seed))
-
-    def run(index: int, rng: np.random.Generator) -> tuple[int, float, float, float]:
-        start = index * CHUNK_SIZE
-        delays = _simulate_chunk(
-            config, expected_n, tau, (mean, variance), rng, min(CHUNK_SIZE, n - start)
-        )
-        if sink is not None:
-            sink(start, delays)
-        return _chunk_moments(delays)
-
-    def run_block(chunks: range) -> Iterator[tuple[int, float, float, float]]:
-        return map(run, chunks, _chunk_streams(seed_seq, chunks))
-
     workers = 1 if sink is not None else min(config.n_workers, n_chunks, os.cpu_count() or 1)
+    # Rounds of ``workers`` equal batches of at most _STATE_BATCH chunks; the last may be short.
+    rounds = -(-n_chunks // (workers * _STATE_BATCH))
+    size = -(-n_chunks // (workers * rounds))
+    batches = range(0, n_chunks, size)
+
+    def run_batch(first: int) -> list[tuple[int, float, float, float]]:
+        moments = []
+        states = _chunk_states(seed_seq, first, min(first + size, n_chunks))
+        for start, state in zip(range(first * CHUNK_SIZE, n, CHUNK_SIZE), states):
+            rng = np.random.Generator(np.random.PCG64(_ChunkSeed(state)))
+            delays = _simulate_chunk(
+                config, expected_n, tau, (mean, variance), rng, min(CHUNK_SIZE, n - start)
+            )
+            if sink is not None:
+                sink(start, delays)
+            moments.append(_chunk_moments(delays))
+        return moments
+
+    def merge(map_round: Callable) -> tuple[float, float]:
+        # A round is mapped once the one before it is merged, in index order.
+        done = (map_round(run_batch, batches[k:k + workers]) for k in range(0, len(batches), workers))
+        return _merge_moments(itertools.chain.from_iterable(itertools.chain.from_iterable(done)))
+
     if workers > 1:
-        # One task per worker, over a contiguous block of chunks: a task per
-        # ~0.1 ms chunk spends as long on hand-offs and thread wake-ups as
-        # on drawing.  Blocks are merged in order, so chunks merge in index
-        # order as in the serial loop.
-        blocks = [range(n_chunks * k // workers, n_chunks * (k + 1) // workers) for k in range(workers)]
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(lambda block: list(run_block(block)), blocks)
-            mean_delay, stddev_delay = _merge_moments(itertools.chain.from_iterable(done))
+            mean_delay, stddev_delay = merge(pool.map)
     else:
-        mean_delay, stddev_delay = _merge_moments(run_block(range(n_chunks)))
+        mean_delay, stddev_delay = merge(map)
     return PhotonFlightResult(
         mean_delay_s=mean_delay,
         stddev_delay_s=stddev_delay,

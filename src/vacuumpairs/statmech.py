@@ -180,7 +180,7 @@ def mode_energy(omega_rad_per_s: float, n: int) -> float:
     Library surface: no reproduction row reads it."""
     if not omega_rad_per_s > 0:
         raise ValueError("omega must be > 0")
-    if n < 0:
+    if not n >= 0:
         raise ValueError("n must be >= 0")
     return CODATA.hbar_j_s * omega_rad_per_s * (n + 0.5)
 
@@ -188,6 +188,8 @@ def mode_energy(omega_rad_per_s: float, n: int) -> float:
 def partition_function(omega_rad_per_s: float, state: ThermalState) -> float:
     """Single-mode partition function e^(-x/2)/(1 - e^(-x)), x = hw/kT.
     Library surface: no reproduction row reads it."""
+    if not omega_rad_per_s > 0:
+        raise ValueError("omega must be > 0")
     x = state.hw_over_kt(omega_rad_per_s)
     return math.exp(-0.5 * x) / -math.expm1(-x)
 
@@ -198,7 +200,9 @@ def state_probability(omega_rad_per_s: float, n: int, state: ThermalState) -> fl
     The zero-point offset cancels between numerator and partition function,
     so the probability does not contain it.
     """
-    if n < 0:
+    if not omega_rad_per_s > 0:
+        raise ValueError("omega must be > 0")
+    if not n >= 0:
         raise ValueError("n must be >= 0")
     x = state.hw_over_kt(omega_rad_per_s)
     return math.exp(-n * x) * -math.expm1(-x)

@@ -160,6 +160,8 @@ def dipole_time_averaged(
 ) -> float:
     """Time-averaged induced dipole 2 d_max^2/(hbar omega) * E = q_e^2 E/(m omega^2).
     Library surface: no reproduction row reads it."""
+    if not (mass_energy_mev > 0 and omega_rad_per_s > 0):
+        raise ValueError("mass_energy_mev and omega must be > 0")
     if not field_v_per_m >= 0:
         raise ValueError("field_v_per_m must be >= 0")
     m_kg = CODATA.mass_kg(mass_energy_mev)
@@ -308,7 +310,7 @@ def fit_cutoff(
                 f"contribution underflows to 0.0 at the mass-proportional scale a = {a!r}"
             )
         return policy
-    raise ValueError(f"cannot fit policy kind {kind}")
+    raise ValueError(f"cannot fit policy kind {kind.value}")
 
 
 def _widen_bracket(
@@ -459,9 +461,13 @@ def landau_energy(
     first-order:      eps_f + q_e hbar c^2 B (2n + 1 - g s) / (2 eps_f)
     non-relativistic: p_z^2/(2m) + q_e hbar B (2n + 1 - g s) / (2m), no rest term.
     """
+    if not mass_energy_mev > 0:
+        raise ValueError("mass_energy_mev must be > 0")
+    if math.isnan(p_z_c_mev):
+        raise ValueError("p_z_c_mev must not be NaN")
     if not b_tesla >= 0:
         raise ValueError("b_tesla must be >= 0")
-    if n < 0:
+    if not n >= 0:
         raise ValueError("n must be >= 0")
     mode = LandauMode(mode)
     # q_e*hbar*c^2*B has units of (energy)^2; express it in MeV^2.

@@ -825,8 +825,10 @@ class TestExitCodes:
         # c*tau overflows, so L/(c tau) is 0.0 and the variance 0*inf.
         (["simulate", "--model", "custom", "--custom-tau-s", "1e300", "--length-m", "1",
           "--photons", "10", "--seed", "1"], "lifetime"),
-        # kT/c underflows to 0.0, so every momentum would read 0.0.
+        # kT is subnormal, so beta = 1/kT overflows.
         (["planck", "--temperature-k", "1e-300"], "temperature_k"),
+        # kT is normal but kT/c is subnormal, so the momenta would lose precision.
+        (["planck", "--temperature-k", "1e-280"], "temperature_k = 1e-280 gives a momentum scale"),
         # p**2 in the mode density overflows at the largest momentum.
         (["planck", "--temperature-k", "1e300"], "temperature_k"),
         # kT underflows to 0.0, so beta = 1/kT does not exist.
@@ -854,7 +856,8 @@ class TestExitCodes:
         (["dispersion", "--model", "half-compton", "--species-file", "{heavy}"], "mass_mev"),
         # Refused before any stage, not by numpy's SeedSequence after the fits.
         (["report", "--seed", "-5"], "seed"),
-    ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "overflowing-mode-density",
+    ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "subnormal-momentum-scale",
+            "overflowing-mode-density",
             "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha",
             "underflowing-stefan-boltzmann-density", "overflowing-csv-contribution",
             "overflowing-json-total", "overflowing-pair-volume",
@@ -908,6 +911,17 @@ class TestExitCodes:
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err == "error: u: color_factor must be 1 or 3\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "expected a JSON array of records"),
+        ("[1]", "record 0 is not an object"),
+    ], ids=["object", "number-record"])
+    def test_malformed_species_file_is_failure(self, capsys, tmp_path, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["alpha", "--eval", "--cutoff-mev", "292", "--species-file", str(path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
 
 # --- the process entry ------------------------------------------------------

@@ -290,6 +290,28 @@ class TestSimulateFlight:
         kept = 8 * dispersion.CHUNK_SIZE if with_sink else 0
         assert peak < kept + 2 * 2**20
 
+    def test_threaded_memory_does_not_grow_with_photons(self, monkeypatch):
+        # Threads keep one round of batch moments, not ~180 B per chunk of
+        # their whole share.  Both ensembles run batches of _STATE_BATCH
+        # chunks, in one round and in four.
+        monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
+        config = FlightConfig(
+            length_m=1.0, lifetime_model=LifetimeModel.half_compton(),
+            n_photons=2 * dispersion.CHUNK_SIZE, seed=8, n_workers=2,
+        )
+        # Warm numpy and the threads' lazily built state.
+        simulate_flight(config)
+        peaks = []
+        for n_batches in (2, 8):
+            n_photons = n_batches * dispersion._STATE_BATCH * dispersion.CHUNK_SIZE
+            tracemalloc.start()
+            try:
+                simulate_flight(dataclasses.replace(config, n_photons=n_photons))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 128 * 2**10, peaks
+
     @pytest.mark.parametrize("expected_n", [0.5, 1.0, 3.0])
     def test_uniform_fraction_exact_at_small_counts(self, expected_n):
         # A normal clipped at 0 in place of the Irwin-Hall sum biases the
@@ -795,8 +817,8 @@ class TestSamplerLaws:
     def test_ensemble_across_state_batches_bit_identical_to_reference(
         self, monkeypatch, n_workers
     ):
-        # Two full state batches and part of a third; two or three workers
-        # start their blocks inside a batch.
+        # More than two full state batches: three batches of 356 chunks at
+        # one or three workers, two rounds of two batches of 267 at two.
         n_chunks = 2 * dispersion._STATE_BATCH + 44
         config = FlightConfig(
             1.0, LifetimeModel.half_compton(), n_photons=(n_chunks - 1) * dispersion.CHUNK_SIZE + 5,

@@ -64,6 +64,16 @@ class TestIntegrate:
         with pytest.raises(NonFiniteIntegrandError):
             integrate(lambda x: float("inf") if x == 0.0 else 1.0 / x, 0.0, 1.0)
 
+    @pytest.mark.parametrize("f, message", [
+        # NaN on (0.3, 0.35) first meets the centre node of the panel [0.25, 0.375].
+        (lambda x: math.nan if 0.3 < x < 0.35 else 1.0, "integrand is nan at x=0.3125"),
+        # Each value is finite; their weighted sum is not.
+        (lambda x: 1e308, "overflow their sum"),
+    ], ids=["nan-on-a-subinterval", "overflowing-sum"])
+    def test_non_finite_integrand_is_named(self, f, message):
+        with pytest.raises(NonFiniteIntegrandError, match=message):
+            integrate(f, 0.0, 1.0)
+
     def test_max_depth_exceeded(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MAX_DEPTH", 2)
         spec = QuadratureSpec(rel_tol=1e-14)
@@ -120,6 +130,7 @@ class TestFindRoot:
 
     def test_endpoint_root_returned(self):
         assert find_root(lambda x: x - 1.0, RootSpec(1.0, 2.0)) == 1.0
+        assert find_root(lambda x: x - 2.0, RootSpec(1.0, 2.0)) == 2.0
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):

@@ -376,6 +376,10 @@ class TestFitCutoff:
         with pytest.raises(ValueError, match=r"target_inverse_alpha .* out of reach.*\[.*, inf\)"):
             fit_cutoff(feather, 1e-30)
 
+    def test_per_species_kind_cannot_be_fitted(self):
+        with pytest.raises(ValueError, match=r"^cannot fit policy kind per-species$"):
+            fit_cutoff(REG, 137.0, "per-species")
+
 
 class TestAveragePairVolume:
     def test_published_scale(self):
@@ -496,6 +500,10 @@ class TestLandauLevels:
             landau_energy(self.M, 0.0, -1.0, 0)
         with pytest.raises(ValueError):
             landau_energy(self.M, 0.0, 1.0, -1)
+        # A negative momentum is valid; a NaN one is refused by name.
+        assert landau_energy(self.M, -0.3, 0.0, 2) == landau_energy(self.M, 0.3, 0.0, 2)
+        with pytest.raises(ValueError, match="p_z_c_mev"):
+            landau_energy(self.M, math.nan, 1.0, 0)
 
 
 class TestCutoffPolicy:
@@ -562,14 +570,22 @@ SIGN_GUARDS = {
     "dispersion_energy-mass": lambda x: statmech.dispersion_energy(x, 1.0),
     "dispersion_energy-pc": lambda x: statmech.dispersion_energy(1.0, x),
     "mode_energy": lambda x: statmech.mode_energy(x, 0),
+    "mode_energy-n": lambda x: statmech.mode_energy(1.0, x),
+    "partition_function": lambda x: statmech.partition_function(x, THERMAL),
+    "state_probability-omega": lambda x: statmech.state_probability(x, 0, THERMAL),
+    "state_probability-n": lambda x: statmech.state_probability(1e13, x, THERMAL),
     "mean_occupation": lambda x: statmech.mean_occupation(x, THERMAL),
     "dipole_max-mass": lambda x: dipole_max(x, 1e20),
     "dipole_max-omega": lambda x: dipole_max(ELECTRON.mass_mev, x),
     "dipole_time_averaged": lambda x: dipole_time_averaged(ELECTRON.mass_mev, 1e20, x),
+    "dipole_time_averaged-mass": lambda x: dipole_time_averaged(x, 1e20, 1.0),
+    "dipole_time_averaged-omega": lambda x: dipole_time_averaged(ELECTRON.mass_mev, x, 1.0),
     "permeability_from_alpha": permeability_from_alpha,
     "relativistic_magnetic_moment": relativistic_magnetic_moment,
     "pair_electric_dipole": pair_electric_dipole,
     "landau_energy-b_tesla": lambda x: landau_energy(ELECTRON.mass_mev, 0.0, x, 0),
+    "landau_energy-mass": lambda x: landau_energy(x, 0.0, 1.0, 0),
+    "landau_energy-n": lambda x: landau_energy(ELECTRON.mass_mev, 0.0, 1.0, x),
 }
 
 

@@ -180,10 +180,16 @@ def _argvs() -> dict[str, list[str]]:
             "simulate", *LIFETIMES["half-compton"], "--photons", SIMULATE_PHOTONS, "--seed", seed,
             "--workers", "2",
         ]
-    # 1075 chunks: each worker's block spans two batches of 512 chunk states.
+    # 1075 chunks at 2 workers: two rounds of two batches of <= 269 chunks.
     argvs["simulate half-compton 4.4e6 2 workers"] = [
         "simulate", *LIFETIMES["half-compton"], "--photons", "4400000", "--seed", "7",
         "--workers", "2",
+    ]
+    # 1539 chunks at 3 workers: two rounds with a short last batch, 6 of
+    # <= 257 chunks on 3 or more CPUs, 4 of <= 385 on 2.
+    argvs["simulate half-compton 6.3e6 3 workers"] = [
+        "simulate", *LIFETIMES["half-compton"], "--photons", "6300000", "--seed", "7",
+        "--workers", "3",
     ]
     argvs["simulate lambda-1e9 fixed 2 workers"] = [
         "simulate", *LIFETIMES["lambda-1e9"], "--photons", SIMULATE_PHOTONS, "--seed", "11",
