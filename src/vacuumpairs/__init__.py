@@ -20,11 +20,10 @@ _SUBMODULE = {
         "numerics": "QuadratureSpec RootSpec find_root integrate integrate_half_line",
         "particles": "ParticleSpecies SpeciesRegistry default_registry load_registry"
         " weighted_degeneracy_sum",
-        "statmech": "ThermalState count_box_modes dispersion_energy mean_energy mean_occupation"
-        " mode_density mode_energy partition_function planck_energy_density state_probability",
-        "vacuum_response": "AlphaBreakdown CutoffPolicy LandauMode OscillatorModel PolicyKind"
-        " average_pair_volume dipole_max dipole_time_averaged fit_cutoff inverse_alpha_single"
-        " inverse_alpha_total landau_energy permeability_from_alpha relativistic_magnetic_moment",
+        "statmech": "ThermalState count_box_modes mean_energy mean_occupation mode_density"
+        " planck_energy_density state_probability",
+        "vacuum_response": "AlphaBreakdown CutoffPolicy OscillatorModel PolicyKind fit_cutoff"
+        " inverse_alpha_single inverse_alpha_total",
     }.items()
     for name in names.split()
 }

@@ -1,4 +1,5 @@
-"""Physical constants (CODATA 2018) and the unit conversions built on them."""
+"""Physical constants (CODATA 2018), the 1/alpha fit target, and the MeV-to-SI
+conversions built on them."""
 
 from __future__ import annotations
 
@@ -32,22 +33,9 @@ class PhysicalConstants:
         return 1.0e6 * self.q_e_coulomb
 
     @property
-    def hbar_c_mev_m(self) -> float:
-        """hbar*c in MeV*m (197.327 MeV*fm)."""
-        return self.hbar_j_s * self.c_m_per_s / self.mev_to_j
-
-    @property
     def h_c_mev_m(self) -> float:
         """h*c in MeV*m."""
         return self.h_j_s * self.c_m_per_s / self.mev_to_j
-
-    def mass_kg(self, mass_energy_mev: float) -> float:
-        """Rest mass in kg for a rest energy given in MeV."""
-        return mass_energy_mev * self.mev_to_j / self.c_m_per_s**2
-
-    def compton_length_m(self, mass_energy_mev: float) -> float:
-        """Reduced Compton wavelength hbar/(m c) in metres."""
-        return self.hbar_c_mev_m / mass_energy_mev
 
 
 CODATA = PhysicalConstants()

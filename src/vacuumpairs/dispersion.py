@@ -463,11 +463,12 @@ def simulate_flight(
     copies what it keeps.  Results are bit-identical for a fixed
     (seed, n_photons) regardless of ``n_workers``, because randomness is
     derived per chunk from the seed and the chunk index alone and chunks
-    are merged in index order (seeding as in the module docstring); without
-    a sink at most min(n_workers, chunks, CPUs) threads run.  Raises
-    ``FlightConfigError`` when the expected interaction count per photon or
-    the moments of the compound law are not finite, and for per-interaction
-    sampling above ``_PER_INTERACTION_MAX``.
+    are merged in index order (seeding as in the module docstring).  Without
+    a sink at most min(n_workers, chunks, CPUs) threads run; a fixed count
+    of fixed delays draws no random numbers and runs on the calling thread.
+    Raises ``FlightConfigError`` when the expected interaction count per
+    photon or the moments of the compound law are not finite, and for
+    per-interaction sampling above ``_PER_INTERACTION_MAX``.
     """
     tau = lifetime(config.lifetime_model)
     expected_n = config.length_m / (CODATA.c_m_per_s * tau)
@@ -503,7 +504,12 @@ def simulate_flight(
     np.random.bit_generator.ISeedSequence.register(_ChunkSeed)
     # Hashed once per call; the workers only read it.
     seed_seq = np.random.SeedSequence(operator.index(config.seed))
-    workers = 1 if sink is not None else min(config.n_workers, n_chunks, os.cpu_count() or 1)
+    # A fixed count of fixed delays draws nothing, so threads would only pass the GIL around.
+    serial = sink is not None or (
+        config.interaction_process is InteractionProcess.FIXED_COUNT
+        and config.delay_distribution is DelayDistribution.FIXED_TAU
+    )
+    workers = 1 if serial else min(config.n_workers, n_chunks, os.cpu_count() or 1)
     # Rounds of ``workers`` equal batches of at most _STATE_BATCH chunks; the last may be short.
     rounds = -(-n_chunks // (workers * _STATE_BATCH))
     size = -(-n_chunks // (workers * rounds))

@@ -1,6 +1,6 @@
 """Standing-wave mode statistics for a relativistic particle in a box:
-mode counting, the single-mode partition function, Planck's spectral energy
-density and the mode density ``mode_density``, which is also the
+mode counting, the thermal occupation of a single mode, Planck's spectral
+energy density and the mode density ``mode_density``, which is also the
 non-thermal vacuum density behind the virtual-pair picture.  Planck's law
 has one home, ``_planck``, which both the spectral density and the thermal
 quadrature evaluate; ``planck_curve`` samples it as plain (momentum,
@@ -11,6 +11,7 @@ quadrature's tolerance and the Wien root's bracket are module constants.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -51,14 +52,6 @@ class ThermalState:
     def hw_over_kt(self, omega_rad_per_s: float) -> float:
         """Dimensionless mode energy hbar*omega/(kT)."""
         return CODATA.hbar_j_s * omega_rad_per_s * self.beta_per_j
-
-
-def dispersion_energy(mass_energy_mev: float, pc_mev: float) -> float:
-    """Relativistic energy sqrt((mc^2)^2 + (pc)^2) in MeV.
-    Library surface: no reproduction row reads it."""
-    if not (mass_energy_mev >= 0 and pc_mev >= 0):
-        raise ValueError("mass_energy_mev and pc_mev must be >= 0")
-    return math.hypot(mass_energy_mev, pc_mev)
 
 
 _FOUR_PI = 4.0 * math.pi
@@ -175,25 +168,6 @@ def count_box_modes(
     return _lattice_sum(radii, _MAX_COUNT + 1) - 1  # the origin is no mode
 
 
-def mode_energy(omega_rad_per_s: float, n: int) -> float:
-    """Oscillator level energy hbar*omega*(n + 1/2) in joules.
-    Library surface: no reproduction row reads it."""
-    if not omega_rad_per_s > 0:
-        raise ValueError("omega must be > 0")
-    if not n >= 0:
-        raise ValueError("n must be >= 0")
-    return CODATA.hbar_j_s * omega_rad_per_s * (n + 0.5)
-
-
-def partition_function(omega_rad_per_s: float, state: ThermalState) -> float:
-    """Single-mode partition function e^(-x/2)/(1 - e^(-x)), x = hw/kT.
-    Library surface: no reproduction row reads it."""
-    if not omega_rad_per_s > 0:
-        raise ValueError("omega must be > 0")
-    x = state.hw_over_kt(omega_rad_per_s)
-    return math.exp(-0.5 * x) / -math.expm1(-x)
-
-
 def state_probability(omega_rad_per_s: float, n: int, state: ThermalState) -> float:
     """Occupation probability p(n) = e^(-n x) * (1 - e^(-x)).
 
@@ -202,7 +176,11 @@ def state_probability(omega_rad_per_s: float, n: int, state: ThermalState) -> fl
     """
     if not omega_rad_per_s > 0:
         raise ValueError("omega must be > 0")
-    if not n >= 0:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, not {n!r}") from None
+    if n < 0:
         raise ValueError("n must be >= 0")
     x = state.hw_over_kt(omega_rad_per_s)
     return math.exp(-n * x) * -math.expm1(-x)

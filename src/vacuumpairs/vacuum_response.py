@@ -1,13 +1,11 @@
-"""Vacuum response from virtual pairs: induced dipole moments, the
-cutoff-regularized permittivity / fine-structure-constant integrals with
-their fits, average pair volume, permeability consistency, relativistic
-magnetic moments and Landau levels.  The pair volume in Compton units,
-6 pi^2/a^3, depends on the cutoff scale a alone and has one home,
-``pair_volume_compton_units``.
+"""Vacuum response from virtual pairs: the cutoff-regularized permittivity /
+fine-structure-constant integrals over the species table, in closed form
+and by quadrature, with their cutoff fits.  The average volume per pair in
+Compton units, 6 pi^2/a^3, depends on the cutoff scale a alone and has one
+home, ``pair_volume_compton_units``.
 
-Unit discipline: energies and momenta stay in MeV (pc in MeV) inside this
-module; SI enters only at the dipole, magnetic-moment and permittivity
-boundaries.
+Unit discipline: energies, momenta and cutoffs are MeV (pc in MeV)
+throughout, and no SI constant enters.
 """
 
 from __future__ import annotations
@@ -19,14 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import numerics
-from .constants import CODATA
 from .particles import ParticleSpecies, SpeciesRegistry, weighted_degeneracy_sum
 
 _TWO_PI = 2.0 * math.pi
-
-
-class NegativeRadicandError(ValueError):
-    """Magnetic term drives the squared level energy negative."""
 
 
 class OscillatorModel(enum.Enum):
@@ -136,36 +129,6 @@ class AlphaBreakdown:
                 for name, value in self.per_species.items()
             ],
         }
-
-
-# --- oscillator dipole moments -------------------------------------------
-
-def dipole_max(mass_energy_mev: float, omega_rad_per_s: float) -> float:
-    """Peak induced dipole moment q_e*sqrt(hbar/(2 m omega)) in C*m.
-
-    This is q_e <psi_1|x|psi_0> for the two lowest oscillator states; the
-    tests reproduce it by direct quadrature of the Gaussian matrix element.
-    Library surface: no reproduction row reads it.
-    """
-    if not (mass_energy_mev > 0 and omega_rad_per_s > 0):
-        raise ValueError("mass_energy_mev and omega must be > 0")
-    m_kg = CODATA.mass_kg(mass_energy_mev)
-    return CODATA.q_e_coulomb * math.sqrt(
-        CODATA.hbar_j_s / (2.0 * m_kg * omega_rad_per_s)
-    )
-
-
-def dipole_time_averaged(
-    mass_energy_mev: float, omega_rad_per_s: float, field_v_per_m: float
-) -> float:
-    """Time-averaged induced dipole 2 d_max^2/(hbar omega) * E = q_e^2 E/(m omega^2).
-    Library surface: no reproduction row reads it."""
-    if not (mass_energy_mev > 0 and omega_rad_per_s > 0):
-        raise ValueError("mass_energy_mev and omega must be > 0")
-    if not field_v_per_m >= 0:
-        raise ValueError("field_v_per_m must be >= 0")
-    m_kg = CODATA.mass_kg(mass_energy_mev)
-    return CODATA.q_e_coulomb**2 / (m_kg * omega_rad_per_s**2) * field_v_per_m
 
 
 # --- cutoff-regularized inverse-alpha integrals ---------------------------
@@ -363,7 +326,7 @@ def chiral_cutoff_policy(
     )
 
 
-# --- geometry and field-relation helpers ----------------------------------
+# --- pair volume ----------------------------------------------------------
 
 def pair_volume_compton_units(scale_a: float) -> float:
     """Average volume per virtual pair, 6 pi^2 / a^3, in units of the cubed
@@ -371,122 +334,3 @@ def pair_volume_compton_units(scale_a: float) -> float:
     if not 0 < scale_a < math.inf:
         raise ValueError("scale_a must be finite and > 0")
     return 6.0 * math.pi**2 / scale_a**3
-
-
-def average_pair_volume(species: ParticleSpecies, scale_a: float) -> float:
-    """Average volume per virtual pair, (6 pi^2 / a^3) * (hbar/(m c))^3, in m^3.
-
-    Inverse of the vacuum density integrated up to the per-species cutoff
-    A = a*mc^2.  Library surface: no reproduction row reads it.
-    """
-    return pair_volume_compton_units(scale_a) * CODATA.compton_length_m(species.mass_mev) ** 3
-
-
-@dataclass(frozen=True)
-class VacuumResponse:
-    """Permittivity and inverse permeability implied by a 1/alpha value."""
-
-    epsilon0_f_per_m: float
-    inv_mu0_m_per_henry: float
-    light_speed_defined: bool
-
-    @property
-    def mu0_h_per_m(self) -> float | None:
-        if not self.light_speed_defined:
-            return None
-        return 1.0 / self.inv_mu0_m_per_henry
-
-
-def permeability_from_alpha(inverse_alpha: float) -> VacuumResponse:
-    """epsilon_0 = (1/alpha) q_e^2/(4 pi hbar c) and 1/mu_0 = epsilon_0 c^2.
-
-    A bare vacuum (inverse_alpha = 0) has vanishing response on both sides
-    and the light speed c = 1/sqrt(eps0 mu0) becomes undefined.
-    Library surface: no reproduction row reads it.
-    """
-    if not inverse_alpha >= 0:
-        raise ValueError("inverse_alpha must be >= 0")
-    eps0 = (
-        inverse_alpha
-        * CODATA.q_e_coulomb**2
-        / (4.0 * math.pi * CODATA.hbar_j_s * CODATA.c_m_per_s)
-    )
-    return VacuumResponse(
-        epsilon0_f_per_m=eps0,
-        inv_mu0_m_per_henry=eps0 * CODATA.c_m_per_s**2,
-        light_speed_defined=inverse_alpha > 0,
-    )
-
-
-def relativistic_magnetic_moment(fermion_energy_mev: float) -> float:
-    """Magnetic moment q_e*hbar/(2 eps_f/c^2) in J/T.
-
-    Generalises the Bohr magneton by replacing the rest mass with the total
-    fermion energy; reduces to the Bohr magneton at eps_f = m_e c^2.
-    Library surface: no reproduction row reads it.
-    """
-    if not fermion_energy_mev > 0:
-        raise ValueError("fermion_energy_mev must be > 0")
-    energy_j = fermion_energy_mev * CODATA.mev_to_j
-    return CODATA.q_e_coulomb * CODATA.hbar_j_s * CODATA.c_m_per_s**2 / (2.0 * energy_j)
-
-
-def pair_electric_dipole(fermion_energy_mev: float) -> float:
-    """Pair dipole moment d = q_e x in C*m, with the effective separation
-    x = hbar/(eps_f/c): the reduced Compton length at energy eps_f.
-    Library surface: no reproduction row reads it."""
-    if not fermion_energy_mev > 0:
-        raise ValueError("fermion_energy_mev must be > 0")
-    return CODATA.q_e_coulomb * CODATA.compton_length_m(fermion_energy_mev)
-
-
-class LandauMode(str, enum.Enum):
-    RELATIVISTIC = "relativistic"
-    FIRST_ORDER = "first-order"
-    NON_RELATIVISTIC = "non-relativistic"
-
-
-def landau_energy(
-    mass_energy_mev: float,
-    p_z_c_mev: float,
-    b_tesla: float,
-    n: int,
-    g_lande: float = 2.0,
-    spin: float = 0.5,
-    mode: LandauMode | str = LandauMode.RELATIVISTIC,
-) -> float:
-    """Landau-level energy of a charged fermion in a magnetic field, in MeV.
-
-    relativistic:     sqrt(m^2 c^4 + p_z^2 c^2 + 2 q_e hbar c^2 B (n + 1/2 - g s/2))
-    first-order:      eps_f + q_e hbar c^2 B (2n + 1 - g s) / (2 eps_f)
-    non-relativistic: p_z^2/(2m) + q_e hbar B (2n + 1 - g s) / (2m), no rest term.
-    """
-    if not mass_energy_mev > 0:
-        raise ValueError("mass_energy_mev must be > 0")
-    if math.isnan(p_z_c_mev):
-        raise ValueError("p_z_c_mev must not be NaN")
-    if not b_tesla >= 0:
-        raise ValueError("b_tesla must be >= 0")
-    if not n >= 0:
-        raise ValueError("n must be >= 0")
-    mode = LandauMode(mode)
-    # q_e*hbar*c^2*B has units of (energy)^2; express it in MeV^2.
-    k_mev2 = (
-        CODATA.q_e_coulomb
-        * CODATA.hbar_j_s
-        * CODATA.c_m_per_s**2
-        * b_tesla
-        / CODATA.mev_to_j**2
-    )
-    level = 2.0 * n + 1.0 - g_lande * spin
-    if mode is LandauMode.RELATIVISTIC:
-        radicand = mass_energy_mev**2 + p_z_c_mev**2 + k_mev2 * level
-        if radicand < 0:
-            raise NegativeRadicandError(
-                f"squared level energy {radicand!r} MeV^2 is negative"
-            )
-        return math.sqrt(radicand)
-    eps_f = math.hypot(mass_energy_mev, p_z_c_mev)
-    if mode is LandauMode.FIRST_ORDER:
-        return eps_f + k_mev2 * level / (2.0 * eps_f)
-    return (p_z_c_mev**2 + k_mev2 * level) / (2.0 * mass_energy_mev)

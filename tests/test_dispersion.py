@@ -358,7 +358,10 @@ class TestSimulateFlight:
         assert abs(agg.stddev_delay_s - loop.stddev_delay_s) < 4.0 * sd_se
         assert abs(agg.mean_delay_s - loop.mean_delay_s) < 4.0 * mean_se
 
-    def test_thread_count_is_bounded(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "process", [InteractionProcess.POISSON_COUNT, InteractionProcess.FIXED_COUNT]
+    )
+    def test_thread_count_is_bounded(self, monkeypatch, process):
         started = []
 
         class Recorder(concurrent.futures.ThreadPoolExecutor):
@@ -372,10 +375,17 @@ class TestSimulateFlight:
             lifetime_model=LifetimeModel.half_compton(),
             n_photons=3 * dispersion.CHUNK_SIZE,
             seed=4,
+            interaction_process=process,
         )
         parallel = simulate_flight(dataclasses.replace(config, n_workers=64))
-        assert all(n <= min(3, os.cpu_count() or 1) for n in started)
-        assert parallel.stddev_delay_s == simulate_flight(config).stddev_delay_s
+        if process is InteractionProcess.FIXED_COUNT:
+            # A fixed count of fixed delays draws nothing: no pool starts.
+            assert started == []
+        else:
+            assert all(n <= min(3, os.cpu_count() or 1) for n in started)
+        serial = simulate_flight(config)
+        assert parallel.mean_delay_s == serial.mean_delay_s
+        assert parallel.stddev_delay_s == serial.stddev_delay_s
 
     @pytest.mark.parametrize("n_workers", [2, 3])
     @pytest.mark.parametrize(

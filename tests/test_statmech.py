@@ -14,13 +14,10 @@ from vacuumpairs.statmech import (
     ModeCountOverflowError,
     ThermalState,
     count_box_modes,
-    dispersion_energy,
     integrate_thermal_density,
     mean_energy,
     mean_occupation,
     mode_density,
-    mode_energy,
-    partition_function,
     planck_curve,
     planck_energy_density,
     state_probability,
@@ -33,21 +30,6 @@ def state_with_x(x, omega=1e14):
     """Thermal state for which hbar*omega/(kT) equals x at the given omega."""
     t_k = CODATA.hbar_j_s * omega / (CODATA.k_boltzmann_j_per_k * x)
     return ThermalState(t_k)
-
-
-class TestDispersionEnergy:
-    def test_massless(self):
-        assert dispersion_energy(0.0, 5.0) == 5.0
-
-    def test_at_rest(self):
-        assert dispersion_energy(0.511, 0.0) == 0.511
-
-    def test_pythagorean(self):
-        assert dispersion_energy(3.0, 4.0) == 5.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            dispersion_energy(-1.0, 0.0)
 
 
 class TestBoxModes:
@@ -271,50 +253,6 @@ class TestModeDensity:
             exact = 4 * mp.pi * mp.mpf(p) ** 2 / h**3
             assert abs(mode_density(p) / exact - 1) < 1e-15, p
 
-class TestModeEnergy:
-    def test_zero_point_level(self):
-        omega = 2.3e15
-        assert mode_energy(omega, 0) == 0.5 * CODATA.hbar_j_s * omega
-
-    def test_quantum_spacing(self):
-        omega = 2.3e15
-        spacing = mode_energy(omega, 1) - mode_energy(omega, 0)
-        assert abs(spacing / (CODATA.hbar_j_s * omega) - 1.0) < 1e-12
-
-    def test_linear_in_omega(self):
-        omega = 7.7e13
-        assert mode_energy(2.0 * omega, 4) == 2.0 * mode_energy(omega, 4)
-
-
-class TestPartitionFunction:
-    def series_z(self, x):
-        total, n = 0.0, 0
-        while True:
-            term = math.exp(-(n + 0.5) * x)
-            total += term
-            if term < 1e-20 * total:
-                return total
-            n += 1
-
-    def test_unit_ratio_value(self):
-        # Frozen series oracle at x=1: 0.9595173756674712.
-        omega = 1e14
-        z = partition_function(omega, state_with_x(1.0, omega))
-        assert abs(z - 0.9595173756674712) < 1e-12
-
-    def test_matches_series_oracle(self):
-        omega = 1e14
-        for x in (0.1, 0.5, 2.0, 10.0):
-            z = partition_function(omega, state_with_x(x, omega))
-            assert abs(z / self.series_z(x) - 1.0) < 1e-12
-
-    def test_ground_state_dominates_cold_limit(self):
-        omega = 1e14
-        x = 60.0
-        z = partition_function(omega, state_with_x(x, omega))
-        assert abs(z / math.exp(-0.5 * x) - 1.0) < 1e-12
-
-
 class TestStateProbability:
     def test_half_at_log2(self):
         omega = 1e14
@@ -329,14 +267,32 @@ class TestStateProbability:
             assert abs(total - 1.0) < 1e-12
 
     def test_zero_point_offset_cancels(self):
-        # Ratio built with explicit mode energies (offset included) matches
-        # the cancelled closed form.
+        # Boltzmann weights of the levels hbar*omega*(n + 1/2), offset
+        # included, over their summed series match the cancelled closed form.
         omega = 1e14
         state = state_with_x(0.8, omega)
-        z = partition_function(omega, state)
+
+        def weight(n):
+            return math.exp(-CODATA.hbar_j_s * omega * (n + 0.5) * state.beta_per_j)
+
+        z = math.fsum(weight(n) for n in range(200))
         for n in (0, 1, 5):
-            direct = math.exp(-mode_energy(omega, n) * state.beta_per_j) / z
-            assert abs(direct / state_probability(omega, n, state) - 1.0) < 1e-12
+            assert abs(weight(n) / z / state_probability(omega, n, state) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0.5, "n must be an integer, not 0.5"),
+            (2.0, "n must be an integer, not 2.0"),
+            (math.nan, "n must be an integer, not nan"),
+            (-1, "n must be >= 0"),
+        ],
+        ids=["half", "integral-float", "nan", "negative"],
+    )
+    def test_level_must_be_a_non_negative_integer(self, n, message):
+        with pytest.raises(ValueError) as refused:
+            state_probability(1e13, n, ThermalState(300.0))
+        assert str(refused.value) == message
 
 
 class TestMeanEnergyAndOccupation:

@@ -16,104 +16,19 @@ from vacuumpairs.errors import Failure
 from vacuumpairs.particles import ParticleSpecies, SpeciesRegistry, default_registry
 from vacuumpairs.vacuum_response import (
     CutoffPolicy,
-    LandauMode,
-    NegativeRadicandError,
     OscillatorModel,
     PolicyKind,
-    average_pair_volume,
     chiral_cutoff_policy,
-    dipole_max,
-    dipole_time_averaged,
     fit_cutoff,
     inverse_alpha_single,
     inverse_alpha_single_quadrature,
     inverse_alpha_total,
-    landau_energy,
-    pair_electric_dipole,
     pair_volume_compton_units,
-    permeability_from_alpha,
-    relativistic_magnetic_moment,
 )
 
 TARGET = CODATA.inverse_alpha_target
 REG = default_registry()
 ELECTRON = REG.get("e")
-
-
-def oscillator_matrix_element(mass_energy_mev, omega):
-    """Quadrature oracle for q_e <psi_1|x|psi_0> of the harmonic oscillator.
-
-    In z = x*sqrt(m w/hbar) the integrand is sqrt(2/pi) z^2 exp(-z^2); the
-    Gaussian tail is negligible beyond |z| = 12.
-    """
-    m_kg = CODATA.mass_kg(mass_energy_mev)
-    scale = math.sqrt(CODATA.hbar_j_s / (m_kg * omega))
-    value = numerics.integrate(
-        lambda z: math.sqrt(2.0 / math.pi) * z * z * math.exp(-z * z),
-        -12.0,
-        12.0,
-        numerics.QuadratureSpec(rel_tol=1e-12),
-    )
-    return CODATA.q_e_coulomb * scale * value
-
-
-def fixed_gap_omega(mass_energy_mev):
-    """omega with hbar*omega = 2 m c^2: the inverse half-Compton lifetime."""
-    species = dataclasses.replace(ELECTRON, mass_mev=mass_energy_mev)
-    return 1.0 / dispersion.lifetime(dispersion.LifetimeModel.half_compton(), species)
-
-
-class TestDipoleMoments:
-    def test_omega_scaling(self):
-        omega = fixed_gap_omega(ELECTRON.mass_mev)
-        assert abs(
-            dipole_max(ELECTRON.mass_mev, 4.0 * omega)
-            / (0.5 * dipole_max(ELECTRON.mass_mev, omega))
-            - 1.0
-        ) < 1e-12
-
-    def test_gaussian_quadrature_oracle(self):
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            mass = float(10.0 ** rng.uniform(-0.5, 3.0))
-            omega = fixed_gap_omega(mass) * float(rng.uniform(0.2, 5.0))
-            oracle = oscillator_matrix_element(mass, omega)
-            assert abs(dipole_max(mass, omega) / oracle - 1.0) < 1e-8
-
-    def test_electron_fixed_gap_is_half_compton_length(self):
-        # With hbar*w = 2 m c^2 the closed form collapses to q_e*hbar/(2 m c).
-        omega = fixed_gap_omega(ELECTRON.mass_mev)
-        value = dipole_max(ELECTRON.mass_mev, omega)
-        exact = CODATA.q_e_coulomb * CODATA.compton_length_m(ELECTRON.mass_mev) / 2.0
-        assert abs(value / exact - 1.0) < 1e-12
-        assert abs(value / oscillator_matrix_element(ELECTRON.mass_mev, omega) - 1.0) < 1e-8
-
-    def test_time_averaged_zero_field(self):
-        omega = fixed_gap_omega(ELECTRON.mass_mev)
-        assert dipole_time_averaged(ELECTRON.mass_mev, omega, 0.0) == 0.0
-
-    def test_time_averaged_identity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            mass = float(10.0 ** rng.uniform(-0.5, 3.0))
-            omega = fixed_gap_omega(mass) * float(rng.uniform(0.3, 3.0))
-            field = float(10.0 ** rng.uniform(0.0, 6.0))
-            via_dmax = 2.0 * dipole_max(mass, omega) ** 2 / (
-                CODATA.hbar_j_s * omega
-            ) * field
-            assert abs(dipole_time_averaged(mass, omega, field) / via_dmax - 1.0) < 1e-12
-
-    def test_half_of_doubled_reference_expression(self):
-        # The fixed-gap expressions here carry factors 1/sqrt(2) and 1/2
-        # relative to the variant that doubles the dipole response.
-        omega = fixed_gap_omega(ELECTRON.mass_mev)
-        field = 1e4
-        doubled = 2.0 * CODATA.q_e_coulomb**2 / (
-            CODATA.mass_kg(ELECTRON.mass_mev) * omega**2
-        ) * field
-        assert abs(
-            dipole_time_averaged(ELECTRON.mass_mev, omega, field) / doubled - 0.5
-        ) < 1e-12
 
 
 class TestInverseAlphaSingle:
@@ -384,18 +299,16 @@ class TestFitCutoff:
 class TestAveragePairVolume:
     def test_published_scale(self):
         # a ~ 6.476 reproduces the ~0.22 Compton-cubed volume within 1%.
-        lam3 = CODATA.compton_length_m(ELECTRON.mass_mev) ** 3
-        assert abs(average_pair_volume(ELECTRON, 6.476) / (0.22 * lam3) - 1.0) < 0.01
+        assert abs(pair_volume_compton_units(6.476) / 0.22 - 1.0) < 0.01
 
     def test_fitted_scale(self):
-        lam3 = CODATA.compton_length_m(ELECTRON.mass_mev) ** 3
-        volume = average_pair_volume(ELECTRON, 6.478444302297101)
-        assert abs(volume / lam3 - 0.21779043774550835) < 1e-12
+        volume = pair_volume_compton_units(6.478444302297101)
+        assert abs(volume - 0.21779043774550835) < 1e-12
 
     def test_inverse_cube_scaling(self):
         assert abs(
-            average_pair_volume(ELECTRON, 13.0)
-            / (average_pair_volume(ELECTRON, 6.5) / 8.0)
+            pair_volume_compton_units(13.0)
+            / (pair_volume_compton_units(6.5) / 8.0)
             - 1.0
         ) < 1e-12
 
@@ -407,103 +320,17 @@ class TestAveragePairVolume:
             exact = 6 * mp.pi**2 / mp.mpf(float(a)) ** 3
             value = pair_volume_compton_units(float(a))
             assert abs(mp.mpf(value) / exact - 1) < 2 * sys.float_info.epsilon, float(a)
-        lam3 = CODATA.compton_length_m(ELECTRON.mass_mev) ** 3
-        assert average_pair_volume(ELECTRON, 6.5) == pair_volume_compton_units(6.5) * lam3
 
     def test_consistent_with_vacuum_density_integral(self):
+        # The volume in m^3, times the electron's cubed reduced Compton
+        # length hbar/(m c), inverts the vacuum density up to A = a*mc^2.
         a = 6.478444302297101
         p_max = a * ELECTRON.mass_mev * CODATA.mev_to_j / CODATA.c_m_per_s
         density = numerics.integrate(
             statmech.mode_density, 0.0, p_max, numerics.QuadratureSpec(rel_tol=1e-12)
         )
-        assert abs(average_pair_volume(ELECTRON, a) * density - 1.0) < 1e-10
-
-
-class TestPermeability:
-    def test_epsilon0(self):
-        response = permeability_from_alpha(137.035999)
-        assert abs(response.epsilon0_f_per_m / 8.8541878128e-12 - 1.0) < 1e-4
-        assert response.light_speed_defined
-
-    def test_product_consistency(self):
-        response = permeability_from_alpha(123.0)
-        product = response.epsilon0_f_per_m * response.mu0_h_per_m * CODATA.c_m_per_s**2
-        assert abs(product - 1.0) < 1e-12
-
-    def test_bare_vacuum(self):
-        response = permeability_from_alpha(0.0)
-        assert response.epsilon0_f_per_m == 0.0
-        assert response.inv_mu0_m_per_henry == 0.0
-        assert not response.light_speed_defined
-        assert response.mu0_h_per_m is None
-
-
-class TestMagneticMoment:
-    def test_bohr_magneton(self):
-        value = relativistic_magnetic_moment(ELECTRON.mass_mev)
-        assert abs(value / 9.2740100783e-24 - 1.0) < 1e-4
-
-    def test_inverse_energy_scaling(self):
-        assert abs(
-            relativistic_magnetic_moment(2.0 * ELECTRON.mass_mev)
-            / (0.5 * relativistic_magnetic_moment(ELECTRON.mass_mev))
-            - 1.0
-        ) < 1e-12
-
-    def test_dipole_relation_beta_equals_half_d_c(self):
-        # beta = (d/2) c with d = q_e * hbar c / eps_f holds algebraically.
-        for energy in (0.511, 1.0, 939.0, 1e5):
-            beta = relativistic_magnetic_moment(energy)
-            d = pair_electric_dipole(energy)
-            assert abs(beta / (0.5 * d * CODATA.c_m_per_s) - 1.0) < 1e-12
-
-    def test_pair_separation_is_compton_length_at_rest(self):
-        assert pair_electric_dipole(ELECTRON.mass_mev) == (
-            CODATA.q_e_coulomb * CODATA.compton_length_m(ELECTRON.mass_mev)
-        )
-
-
-class TestLandauLevels:
-    M = ELECTRON.mass_mev
-
-    def test_field_off_reduces_to_dispersion(self):
-        value = landau_energy(self.M, 0.3, 0.0, 2)
-        assert abs(value / statmech.dispersion_energy(self.M, 0.3) - 1.0) < 1e-12
-
-    def test_first_order_matches_relativistic_at_common_fields(self):
-        for spin in (0.5, -0.5):
-            rel = landau_energy(self.M, 0.0, 1.0, 0, 2.0, spin, LandauMode.RELATIVISTIC)
-            first = landau_energy(self.M, 0.0, 1.0, 0, 2.0, spin, LandauMode.FIRST_ORDER)
-            assert abs(rel / first - 1.0) < 1e-9
-
-    def test_non_relativistic_matches_expanded_relativistic(self):
-        p_z = 1e-3 * self.M
-        rel = landau_energy(self.M, p_z, 1.0, 0, 2.0, -0.5, LandauMode.RELATIVISTIC)
-        nr = landau_energy(self.M, p_z, 1.0, 0, 2.0, -0.5, LandauMode.NON_RELATIVISTIC)
-        assert abs((rel - self.M) / nr - 1.0) < 1e-6
-
-    def test_magnetic_term_scale(self):
-        # Level shift for (n=0, s=-1/2, g=2) is 2 * beta_B * B.
-        b = 1.0
-        shift = (
-            landau_energy(self.M, 0.0, b, 0, 2.0, -0.5, LandauMode.NON_RELATIVISTIC)
-            * CODATA.mev_to_j
-        )
-        assert abs(shift / (2.0 * 9.2740100783e-24 * b) - 1.0) < 1e-4
-
-    def test_negative_radicand(self):
-        with pytest.raises(NegativeRadicandError):
-            landau_energy(self.M, 0.0, 1e12, 0, 10.0, 0.5, LandauMode.RELATIVISTIC)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            landau_energy(self.M, 0.0, -1.0, 0)
-        with pytest.raises(ValueError):
-            landau_energy(self.M, 0.0, 1.0, -1)
-        # A negative momentum is valid; a NaN one is refused by name.
-        assert landau_energy(self.M, -0.3, 0.0, 2) == landau_energy(self.M, 0.3, 0.0, 2)
-        with pytest.raises(ValueError, match="p_z_c_mev"):
-            landau_energy(self.M, math.nan, 1.0, 0)
+        compton_m = CODATA.hbar_j_s * CODATA.c_m_per_s / (ELECTRON.mass_mev * CODATA.mev_to_j)
+        assert abs(pair_volume_compton_units(a) * compton_m**3 * density - 1.0) < 1e-10
 
 
 class TestCutoffPolicy:
@@ -567,25 +394,8 @@ SIGN_GUARDS = {
     "experiment_sensitivity-length_m": lambda x: dispersion.experiment_sensitivity(1e-15, 0.01, x),
     "mode_density": statmech.mode_density,
     "planck_energy_density": lambda x: statmech.planck_energy_density(x, THERMAL),
-    "dispersion_energy-mass": lambda x: statmech.dispersion_energy(x, 1.0),
-    "dispersion_energy-pc": lambda x: statmech.dispersion_energy(1.0, x),
-    "mode_energy": lambda x: statmech.mode_energy(x, 0),
-    "mode_energy-n": lambda x: statmech.mode_energy(1.0, x),
-    "partition_function": lambda x: statmech.partition_function(x, THERMAL),
     "state_probability-omega": lambda x: statmech.state_probability(x, 0, THERMAL),
-    "state_probability-n": lambda x: statmech.state_probability(1e13, x, THERMAL),
     "mean_occupation": lambda x: statmech.mean_occupation(x, THERMAL),
-    "dipole_max-mass": lambda x: dipole_max(x, 1e20),
-    "dipole_max-omega": lambda x: dipole_max(ELECTRON.mass_mev, x),
-    "dipole_time_averaged": lambda x: dipole_time_averaged(ELECTRON.mass_mev, 1e20, x),
-    "dipole_time_averaged-mass": lambda x: dipole_time_averaged(x, 1e20, 1.0),
-    "dipole_time_averaged-omega": lambda x: dipole_time_averaged(ELECTRON.mass_mev, x, 1.0),
-    "permeability_from_alpha": permeability_from_alpha,
-    "relativistic_magnetic_moment": relativistic_magnetic_moment,
-    "pair_electric_dipole": pair_electric_dipole,
-    "landau_energy-b_tesla": lambda x: landau_energy(ELECTRON.mass_mev, 0.0, x, 0),
-    "landau_energy-mass": lambda x: landau_energy(x, 0.0, 1.0, 0),
-    "landau_energy-n": lambda x: landau_energy(ELECTRON.mass_mev, 0.0, 1.0, x),
 }
 
 

@@ -199,6 +199,12 @@ def _argvs() -> dict[str, list[str]]:
         "simulate", *LIFETIMES["lambda-3"], "--photons", SIMULATE_PHOTONS, "--seed", "11",
         "--delay", "exponential", "--workers", "2",
     ]
+    # A fixed count of fixed delays draws nothing and runs on the calling
+    # thread whatever --workers asks for.
+    argvs["simulate half-compton fixed fixed 2 workers"] = [
+        "simulate", *LIFETIMES["half-compton"], "--photons", SIMULATE_PHOTONS, "--seed", "11",
+        "--delay", "fixed", "--process", "fixed", "--workers", "2",
+    ]
     # A negative report seed, a warning (0.518 expected interactions), and
     # the report's notes under a table whose electron is not the built-in one.
     argvs["report seed -5"] = ["report", "--seed", "-5"]
