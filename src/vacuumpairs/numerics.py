@@ -169,11 +169,13 @@ def integrate(
     f(b) are evaluated once, to reject a non-finite endpoint.
 
     Raises:
-        ValueError: if a > b.
+        ValueError: if a bound is not finite, or if a > b.
         NonFiniteIntegrandError: f returned NaN/inf at an evaluation point.
         MaxDepthExceededError: tolerance not reached within ``_MAX_DEPTH``
             bisection levels (or ``_MAX_PANELS`` panels on one level).
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite: a={a!r}, b={b!r}")
     if a > b:
         raise ValueError(f"integration bounds reversed: a={a!r} > b={b!r}")
     if a == b:

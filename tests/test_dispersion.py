@@ -358,10 +358,9 @@ class TestSimulateFlight:
         assert abs(agg.stddev_delay_s - loop.stddev_delay_s) < 4.0 * sd_se
         assert abs(agg.mean_delay_s - loop.mean_delay_s) < 4.0 * mean_se
 
-    @pytest.mark.parametrize(
-        "process", [InteractionProcess.POISSON_COUNT, InteractionProcess.FIXED_COUNT]
-    )
-    def test_thread_count_is_bounded(self, monkeypatch, process):
+    @staticmethod
+    def record_pools(monkeypatch):
+        """Worker counts of the thread pools ``simulate_flight`` starts."""
         started = []
 
         class Recorder(concurrent.futures.ThreadPoolExecutor):
@@ -370,19 +369,46 @@ class TestSimulateFlight:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
+        return started
+
+    def test_thread_count_is_bounded(self, monkeypatch):
+        started = self.record_pools(monkeypatch)
+        config = FlightConfig(
+            length_m=1.0,
+            lifetime_model=LifetimeModel.half_compton(),
+            n_photons=3 * dispersion.CHUNK_SIZE,
+            seed=4,
+        )
+        parallel = simulate_flight(dataclasses.replace(config, n_workers=64))
+        assert all(n <= min(3, os.cpu_count() or 1) for n in started)
+        assert parallel.stddev_delay_s == simulate_flight(config).stddev_delay_s
+
+    @pytest.mark.parametrize(
+        "process, delay, pool",
+        [
+            (InteractionProcess.FIXED_COUNT, DelayDistribution.FIXED_TAU, False),
+            (InteractionProcess.FIXED_COUNT, DelayDistribution.EXPONENTIAL_TAU, True),
+            (InteractionProcess.POISSON_COUNT, DelayDistribution.FIXED_TAU, True),
+        ],
+        ids=["fixed-count-fixed-tau", "fixed-count-exponential", "poisson-fixed-tau"],
+    )
+    def test_only_a_fixed_count_of_fixed_delays_skips_the_pool(
+        self, monkeypatch, process, delay, pool
+    ):
+        # A fixed count of fixed delays draws nothing, so it runs on the
+        # calling thread; every law that draws still gets its workers.
+        monkeypatch.setattr(dispersion.os, "cpu_count", lambda: 4)
+        started = self.record_pools(monkeypatch)
         config = FlightConfig(
             length_m=1.0,
             lifetime_model=LifetimeModel.half_compton(),
             n_photons=3 * dispersion.CHUNK_SIZE,
             seed=4,
             interaction_process=process,
+            delay_distribution=delay,
         )
         parallel = simulate_flight(dataclasses.replace(config, n_workers=64))
-        if process is InteractionProcess.FIXED_COUNT:
-            # A fixed count of fixed delays draws nothing: no pool starts.
-            assert started == []
-        else:
-            assert all(n <= min(3, os.cpu_count() or 1) for n in started)
+        assert started == ([3] if pool else [])
         serial = simulate_flight(config)
         assert parallel.mean_delay_s == serial.mean_delay_s
         assert parallel.stddev_delay_s == serial.stddev_delay_s

@@ -43,6 +43,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(math.sin, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)],
+        ids=["nan-a", "nan-b", "inf-b", "inf-a"],
+    )
+    def test_non_finite_bounds_rejected(self, a, b):
+        # A constant integrand is finite at any bound, so only the bound
+        # check stops these; a NaN bound once ran all bisection levels.
+        with pytest.raises(ValueError) as refused:
+            integrate(lambda x: 1.0, a, b)
+        assert str(refused.value) == f"integration bounds must be finite: a={a!r}, b={b!r}"
+
     def test_linearity(self):
         rng = np.random.default_rng(11)
         f = lambda x: math.exp(-x) * x

@@ -83,6 +83,13 @@ class TestBoxModes:
         energy = self.energy_for_radius(20.0)
         assert count_box_modes(box, energy, 0.5 * energy) < count_box_modes(box, energy)
 
+    def test_massive_count_is_the_massless_count_at_the_same_momentum(self):
+        # E^2 = (mc^2)^2 + (pc)^2 on Pythagorean triples, whose pc is exact:
+        # a massive species counts the modes of a massless one at pc.
+        box = (0.61 * CODATA.h_c_mev_m,) * 3  # lattice radius 1.22 per MeV of pc
+        for energy, mass, pc in ((5.0, 3.0, 4.0), (13.0, 5.0, 12.0), (17.0, 8.0, 15.0)):
+            assert count_box_modes(box, energy, mass) == count_box_modes(box, pc)
+
     def test_energy_below_mass_rejected(self):
         with pytest.raises(ValueError):
             count_box_modes((1.0, 1.0, 1.0), 1.0, 2.0)
@@ -253,6 +260,35 @@ class TestModeDensity:
             exact = 4 * mp.pi * mp.mpf(p) ** 2 / h**3
             assert abs(mode_density(p) / exact - 1) < 1e-15, p
 
+class TestPartitionFunction:
+    """The single-mode partition function Z = sum_n e^(-(n + 1/2) x) is the
+    normaliser of ``state_probability``: p(0) = e^(-x/2) / Z."""
+
+    def series_z(self, x):
+        total, n = 0.0, 0
+        while True:
+            term = math.exp(-(n + 0.5) * x)
+            total += term
+            if term < 1e-20 * total:
+                return total
+            n += 1
+
+    def z_from_ground_state(self, x, omega=1e14):
+        return math.exp(-0.5 * x) / state_probability(omega, 0, state_with_x(x, omega))
+
+    def test_unit_ratio_value(self):
+        # Frozen series oracle at x=1: 0.9595173756674712.
+        assert abs(self.z_from_ground_state(1.0) - 0.9595173756674712) < 1e-12
+
+    def test_matches_series_oracle(self):
+        for x in (0.1, 0.5, 2.0, 10.0):
+            assert abs(self.z_from_ground_state(x) / self.series_z(x) - 1.0) < 1e-12
+
+    def test_ground_state_dominates_cold_limit(self):
+        x = 60.0
+        assert abs(self.z_from_ground_state(x) / math.exp(-0.5 * x) - 1.0) < 1e-12
+
+
 class TestStateProbability:
     def test_half_at_log2(self):
         omega = 1e14
@@ -278,6 +314,24 @@ class TestStateProbability:
         z = math.fsum(weight(n) for n in range(200))
         for n in (0, 1, 5):
             assert abs(weight(n) / z / state_probability(omega, n, state) - 1.0) < 1e-12
+
+    def test_mean_level_is_mean_occupation(self):
+        omega = 1e14
+        for x in (0.05, 0.7, 3.0):
+            state = state_with_x(x, omega)
+            mean = math.fsum(n * state_probability(omega, n, state) for n in range(2000))
+            assert abs(mean / mean_occupation(omega, state) - 1.0) < 1e-12
+
+    def test_mean_level_energy_is_mean_energy(self):
+        # Levels hbar*omega*(n + 1/2), zero point included, averaged over p(n).
+        omega = 2.3e15
+        for x in (0.05, 0.7, 3.0):
+            state = state_with_x(x, omega)
+            mean = math.fsum(
+                CODATA.hbar_j_s * omega * (n + 0.5) * state_probability(omega, n, state)
+                for n in range(2000)
+            )
+            assert abs(mean / mean_energy(omega, state) - 1.0) < 1e-12
 
     @pytest.mark.parametrize(
         "n, message",

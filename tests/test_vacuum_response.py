@@ -29,6 +29,45 @@ from vacuumpairs.vacuum_response import (
 TARGET = CODATA.inverse_alpha_target
 REG = default_registry()
 ELECTRON = REG.get("e")
+#: Cutoffs of the two fits: the global one (mode quantum) and the
+#: mass-proportional scale a (fixed gap).
+FITTED_CUTOFF = {
+    OscillatorModel.MODE_QUANTUM: lambda species: 292.0,
+    OscillatorModel.FIXED_GAP: lambda species: 6.478444302297101 * species.mass_mev,
+}
+
+
+def si_inverse_alpha(species, cutoff_mev, oscillator):
+    """One species' 1/alpha = 4 pi eps hbar c / q_e^2 built in SI units.
+
+    eps sums, over the vacuum density ``mode_density`` up to the cutoff
+    momentum, the ground-state polarisability 2 |<1|q x|0>|^2 / (hbar w) of
+    a pair oscillator of the species' mass, with |<1|x|0>|^2 = hbar/(2 m w)
+    and gap hbar w = 2 sqrt((mc^2)^2 + (pc)^2) (mode quantum) or 2 mc^2
+    (fixed gap), times the colour and spin factors c g/2.
+    """
+    c, hbar = CODATA.c_m_per_s, CODATA.hbar_j_s
+    rest_j = species.mass_mev * CODATA.mev_to_j
+    m_kg = rest_j / c**2
+    q = float(species.charge_q) * CODATA.q_e_coulomb
+
+    def polarisability(p):
+        if oscillator is OscillatorModel.MODE_QUANTUM:
+            omega = 2.0 * math.hypot(rest_j, p * c) / hbar
+        else:
+            omega = 2.0 * rest_j / hbar
+        x01_squared = hbar / (2.0 * m_kg * omega)
+        return 2.0 * q * q * x01_squared / (hbar * omega)
+
+    p_max = cutoff_mev * CODATA.mev_to_j / c
+    eps = numerics.integrate(
+        lambda p: statmech.mode_density(p) * polarisability(p),
+        0.0,
+        p_max,
+        numerics.QuadratureSpec(rel_tol=1e-12),
+    )
+    eps *= species.color_factor * species.spin_degeneracy / 2.0
+    return 4.0 * math.pi * eps * hbar * c / CODATA.q_e_coulomb**2
 
 
 class TestInverseAlphaSingle:
@@ -54,6 +93,18 @@ class TestInverseAlphaSingle:
             exact = (x - mp.atan(x)) / (2 * mp.pi)
             value = inverse_alpha_single(ELECTRON, cutoff)
             assert abs(value / exact - 1) < 1e-13, float(x)
+
+    @pytest.mark.parametrize("species", list(REG), ids=REG.names)
+    @pytest.mark.parametrize(
+        "oscillator", list(OscillatorModel), ids=[o.value for o in OscillatorModel]
+    )
+    def test_closed_form_is_the_si_polarisability_sum(self, oscillator, species):
+        # The MeV closed form against the pair-oscillator physics in SI units,
+        # at the fitted cutoffs, which put the heavy species on the series
+        # branch of x - atan(x).
+        cutoff = FITTED_CUTOFF[oscillator](species)
+        closed = inverse_alpha_single(species, cutoff, oscillator)
+        assert abs(si_inverse_alpha(species, cutoff, oscillator) / closed - 1.0) < 1e-10
 
     def test_quadrature_cross_check(self):
         closed = inverse_alpha_single(ELECTRON, 292.0)
@@ -227,6 +278,18 @@ class TestFitCutoff:
         total = inverse_alpha_total(REG, policy).total_inverse_alpha
         assert abs(total - TARGET) < 1e-4
 
+    @pytest.mark.parametrize(
+        "kind", [PolicyKind.GLOBAL_CONSTANT, PolicyKind.MASS_PROPORTIONAL],
+        ids=["global-constant", "mass-proportional"],
+    )
+    def test_fitted_vacuum_has_the_vacuum_permittivity(self, kind):
+        # eps0 = (1/alpha) q_e^2 / (4 pi hbar c); CODATA 2018 gives
+        # 8.8541878128e-12 F/m.  The global fit's 1e-4 MeV root tolerance
+        # at A ~ 292 MeV moves 1/alpha by up to ~3.4e-7 of itself.
+        total = inverse_alpha_total(REG, fit_cutoff(REG, TARGET, kind)).total_inverse_alpha
+        eps0 = total * CODATA.q_e_coulomb**2 / (4.0 * math.pi * CODATA.hbar_j_s * CODATA.c_m_per_s)
+        assert abs(eps0 / 8.8541878128e-12 - 1.0) < 1e-6
+
     def test_electron_only_fit(self):
         # Frozen from a 200-step bisection oracle: x* = 862.5922125024447.
         policy = fit_cutoff(REG.subset(["e"]), TARGET, bracket_mev=(10.0, 2000.0))
@@ -396,6 +459,13 @@ SIGN_GUARDS = {
     "planck_energy_density": lambda x: statmech.planck_energy_density(x, THERMAL),
     "state_probability-omega": lambda x: statmech.state_probability(x, 0, THERMAL),
     "mean_occupation": lambda x: statmech.mean_occupation(x, THERMAL),
+    "mean_energy": lambda x: statmech.mean_energy(x, THERMAL),
+    "ThermalState": statmech.ThermalState,
+    "LifetimeModel-k_factor": dispersion.LifetimeModel.k_scaled,
+    "LifetimeModel-custom_tau_s": dispersion.LifetimeModel.custom,
+    "FlightConfig-length_m": lambda x: dispersion.FlightConfig(x, HALF_COMPTON, 2, 0),
+    "QuadratureSpec-rel_tol": lambda x: numerics.QuadratureSpec(rel_tol=x),
+    "RootSpec-x_tol": lambda x: numerics.RootSpec(0.0, 2.0, x_tol=x),
 }
 
 
