@@ -557,10 +557,14 @@ GAUSSIAN_FWHM_PER_RMS = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 def fwhm_from_rms(rms_s: float) -> float:
     """Gaussian full width at half maximum for an RMS width."""
+    if not 0 <= rms_s < math.inf:
+        raise ValueError("rms_s must be finite and >= 0")
     return GAUSSIAN_FWHM_PER_RMS * rms_s
 
 
 def rms_from_fwhm(fwhm_s: float) -> float:
+    if not 0 <= fwhm_s < math.inf:
+        raise ValueError("fwhm_s must be finite and >= 0")
     return fwhm_s / GAUSSIAN_FWHM_PER_RMS
 
 

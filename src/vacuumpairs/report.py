@@ -2,12 +2,13 @@
 against its published or derived reference value.
 
 ``TABLE`` is the single place where every gate is written: one ``RowSpec``
-per row with its unit, provenance, reference, tolerance and note.  The
-values come from the stage functions in ``STAGES`` (the 1/alpha fits, the
-thermal checks, the box count, the quadrature sweep, the dispersion closed
-forms and the Monte Carlo); ``build_report`` runs each stage once and
-fills the table.  The acceptance suite (``tests/test_acceptance.py``)
-asserts on these rows instead of recomputing them.
+per row with the stage that computes it, unit, provenance, reference,
+tolerance and note.  The stages are the 1/alpha fits, the thermal checks,
+the box count, the quadrature sweep, the dispersion closed forms and the
+Monte Carlo; ``run_stages``, the one loop over them, runs and times each
+once in the order of its first row, and ``build_report`` fills the table.
+The acceptance suite (``tests/test_acceptance.py``) asserts on these rows
+instead of recomputing them.
 
 Rows with a reference and tolerance gate the exit status of the ``report``
 CLI command; informational rows record quantities whose quoted values are
@@ -17,6 +18,8 @@ known not to follow from the formulas here (they are listed, not asserted).
 from __future__ import annotations
 
 import math
+import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 from . import dispersion, statmech, vacuum_response
@@ -37,6 +40,7 @@ REPORT_SEED = 20260810
 class RowSpec:
     """Everything about a report row except its computed value."""
 
+    stage: Callable[[SpeciesRegistry, int], dict[str, float]]
     quantity: str
     unit: str
     provenance: str  # "published", "derived" or "exact"
@@ -86,10 +90,11 @@ class ReportRow(RowSpec):
 
 # --- stages: each maps quantity names to computed values -------------------
 #
-# A stage may also return intermediate values that no row shows (the box
-# mode count); the acceptance suite checks those directly.  Stages that draw
-# random numbers or fit arrays import numpy themselves, so importing the
-# report does not.
+# Each ``TABLE`` row names the stage that returns its quantity, and
+# ``run_stages`` is the one loop that runs them.  A stage may also return
+# intermediate values that no row shows (the box mode count); the acceptance
+# suite checks those directly.  Stages that draw random numbers or fit arrays
+# import numpy themselves, so importing the report does not.
 
 
 def alpha_fits(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
@@ -292,27 +297,17 @@ def monte_carlo(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
     }
 
 
-STAGES = (
-    alpha_fits,
-    thermal_checks,
-    box_count,
-    quadrature_sweep,
-    dispersion_closed_forms,
-    monte_carlo,
-)
-
-
 # --- the table --------------------------------------------------------------
 
 TABLE = (
-    RowSpec("weighted-degeneracy-sum", "1", "published", 9.5, 0.0),
-    RowSpec("global-cutoff-mev", "MeV", "published", 292.0, 2.0),
+    RowSpec(alpha_fits, "weighted-degeneracy-sum", "1", "published", 9.5, 0.0),
+    RowSpec(alpha_fits, "global-cutoff-mev", "MeV", "published", 292.0, 2.0),
     RowSpec(
-        "alpha-leading-contributors-ok", "bool", "published", 1.0, 0.0,
+        alpha_fits, "alpha-leading-contributors-ok", "bool", "published", 1.0, 0.0,
         "electron largest, u quark second",
     ),
     RowSpec(
-        "max-minor-species-share", "1", "published",
+        alpha_fits, "max-minor-species-share", "1", "published",
         note=(
             "quoted only as 'percent level and below'; a sub-2% reading is "
             "arithmetically incompatible with the 292 MeV cutoff (d quark), "
@@ -320,68 +315,75 @@ TABLE = (
         ),
     ),
     RowSpec(
-        "electron-only-cutoff-over-mc2", "1", "derived", 862.6, 0.1,
+        alpha_fits, "electron-only-cutoff-over-mc2", "1", "derived", 862.6, 0.1,
         "order-of-magnitude quote is 861 = 2*pi/alpha",
     ),
-    RowSpec("inverse-alpha-at-861-mc2", "1", "published", 136.8, 0.1),
-    RowSpec("mass-proportional-scale-a", "1", "published", 6.48, 0.05, "quoted as ~6.5"),
-    RowSpec("pair-volume-compton-units", "1", "published", 0.218, 0.005, "quoted as ~0.22"),
+    RowSpec(alpha_fits, "inverse-alpha-at-861-mc2", "1", "published", 136.8, 0.1),
     RowSpec(
-        "inverse-alpha-ratio-at-electron-mass-cutoff", "1", "published",
+        alpha_fits, "mass-proportional-scale-a", "1", "published", 6.48, 0.05, "quoted as ~6.5"
+    ),
+    RowSpec(
+        alpha_fits, "pair-volume-compton-units", "1", "published", 0.218, 0.005,
+        "quoted as ~0.22",
+    ),
+    RowSpec(
+        alpha_fits, "inverse-alpha-ratio-at-electron-mass-cutoff", "1", "published",
         note="quoted as 'only 0.1%'; computed value recorded, not forced",
     ),
     RowSpec(
-        "global-cutoff-shift-per-half-unit-of-inverse-alpha", "MeV", "derived",
+        alpha_fits, "global-cutoff-shift-per-half-unit-of-inverse-alpha", "MeV", "derived",
         note="sensitivity of the fitted cutoff to +-0.5 in the 1/alpha target",
     ),
     RowSpec(
-        "stefan-boltzmann-max-rel-dev", "1", "derived", abs_tol=1e-6,
+        thermal_checks, "stefan-boltzmann-max-rel-dev", "1", "derived", abs_tol=1e-6,
         note="thermal Planck integral vs closed form at 2.725, 300, 6000 K",
     ),
-    RowSpec("wien-peak-x", "1", "derived", 2.821, 0.001),
-    RowSpec("box-count-continuum-ratio", "1", "derived", 1.0, 0.02),
-    RowSpec("mean-energy-fd-max-rel-dev", "1", "derived", abs_tol=1e-6),
-    RowSpec("probability-sum-max-dev", "1", "derived", abs_tol=1e-12),
-    RowSpec("quadrature-closed-form-max-rel-dev", "1", "derived", abs_tol=1e-8),
+    RowSpec(thermal_checks, "wien-peak-x", "1", "derived", 2.821, 0.001),
+    RowSpec(box_count, "box-count-continuum-ratio", "1", "derived", 1.0, 0.02),
+    RowSpec(thermal_checks, "mean-energy-fd-max-rel-dev", "1", "derived", abs_tol=1e-6),
+    RowSpec(thermal_checks, "probability-sum-max-dev", "1", "derived", abs_tol=1e-12),
     RowSpec(
-        "sigma-half-compton-fs-per-sqrt-m", "fs*m^-1/2", "published", 1.465, 0.05,
-        "quoted as ~1.5 fs",
+        quadrature_sweep, "quadrature-closed-form-max-rel-dev", "1", "derived", abs_tol=1e-8
     ),
     RowSpec(
-        "sigma-k-scaled-fs-per-sqrt-m", "fs*m^-1/2", "published", 0.259, 0.01,
-        "quoted as ~0.26 fs",
+        dispersion_closed_forms, "sigma-half-compton-fs-per-sqrt-m", "fs*m^-1/2",
+        "published", 1.465, 0.05, "quoted as ~1.5 fs",
     ),
     RowSpec(
-        "sigma-quasistationary-ns-per-sqrt-m", "ns*m^-1/2", "published", 0.455, 0.02,
-        "quoted as ~0.46 ns",
+        dispersion_closed_forms, "sigma-k-scaled-fs-per-sqrt-m", "fs*m^-1/2",
+        "published", 0.259, 0.01, "quoted as ~0.26 fs",
     ),
     RowSpec(
-        "mc-stddev-max-z", "1", "derived", abs_tol=3.0,
+        dispersion_closed_forms, "sigma-quasistationary-ns-per-sqrt-m", "ns*m^-1/2",
+        "published", 0.455, 0.02, "quoted as ~0.46 ns",
+    ),
+    RowSpec(
+        monte_carlo, "mc-stddev-max-z", "1", "derived", abs_tol=3.0,
         note="MC stddev vs analytic sigma, in standard errors, L in {1,4,16} m",
     ),
-    RowSpec("mc-scaling-exponent", "1", "derived", 0.5, 0.02),
+    RowSpec(monte_carlo, "mc-scaling-exponent", "1", "derived", 0.5, 0.02),
     RowSpec(
-        "mc-sampling-paths-z", "1", "derived", abs_tol=3.0,
+        monte_carlo, "mc-sampling-paths-z", "1", "derived", abs_tol=3.0,
         note="aggregate vs per-interaction sampling at large lifetime",
     ),
     RowSpec(
-        "sensitivity-fs-per-sqrt-m", "fs*m^-1/2", "published", 0.00284, 0.0001,
-        "quoted as ~0.003",
+        dispersion_closed_forms, "sensitivity-fs-per-sqrt-m", "fs*m^-1/2",
+        "published", 0.00284, 0.0001, "quoted as ~0.003",
     ),
     RowSpec(
-        "attosecond-fwhm-13cm-as", "as", "published", 42.5, 0.5,
+        dispersion_closed_forms, "attosecond-fwhm-13cm-as", "as", "published", 42.5, 0.5,
         "quoted as 43 as after 13 cm",
     ),
     RowSpec(
-        "attosecond-fwhm-zero-width-1cm-as", "as", "published",
+        dispersion_closed_forms, "attosecond-fwhm-zero-width-1cm-as", "as", "published",
         note="quoted 16 as does not follow from the quadrature sum; unresolved",
     ),
     RowSpec(
-        "attosecond-fwhm-43as-seed-1cm-as", "as", "published",
+        dispersion_closed_forms, "attosecond-fwhm-43as-seed-1cm-as", "as", "published",
         note="quoted 57 as does not follow from the quadrature sum; unresolved",
     ),
     RowSpec(
-        "quasistationary-band-excluded", "bool", "published", 1.0, 0.0,
+        dispersion_closed_forms, "quasistationary-band-excluded", "bool", "published", 1.0, 0.0,
         "sigma-quasistationary-ns-per-sqrt-m vs band 0.2-0.3 fs*m^-1/2",
     ),
 )
@@ -395,6 +397,17 @@ def table_rows(values: dict[str, float]) -> list[ReportRow]:
     ]
 
 
+def run_stages(registry: SpeciesRegistry, seed: int) -> tuple[dict, dict]:
+    """Run each stage that ``TABLE`` names once, in the order of its first
+    row; return the values by quantity and the wall seconds by stage name."""
+    values, seconds = {}, {}
+    for stage in dict.fromkeys(spec.stage for spec in TABLE):
+        start = time.perf_counter()
+        values.update(stage(registry, seed))
+        seconds[stage.__name__] = time.perf_counter() - start
+    return values, seconds
+
+
 def build_report(
     registry: SpeciesRegistry | None = None, seed: int = REPORT_SEED
 ) -> list[ReportRow]:
@@ -402,10 +415,7 @@ def build_report(
     ``ValueError``, naming ``seed``, for a negative seed, before any stage."""
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    reg = default_registry() if registry is None else registry
-    values: dict[str, float] = {}
-    for stage in STAGES:
-        values.update(stage(reg, seed))
+    values, _ = run_stages(default_registry() if registry is None else registry, seed)
     return table_rows(values)
 
 

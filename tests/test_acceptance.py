@@ -3,11 +3,11 @@
 One test per headline criterion, each printing a single pass/fail line
 (run with ``pytest -s`` for the checklist).  The tests read the rows of the
 report table (``vacuumpairs.report``), where every reference value and
-tolerance is written once; each report stage runs once per module and is
-timed here.  Checks that no report row makes stay in this file: the sub-2%
-bound on every minor species' share, the golden-section Wien oracle, the
-box-mode count above 1e5, the wall-time bounds and the report command's
-determinism.
+tolerance is written once; each report stage runs once per module, timed
+by ``report.run_stages``.  Checks that no report row makes stay in this
+file: the sub-2% bound on every minor species' share, the golden-section
+Wien oracle, the box-mode count above 1e5, the wall-time bounds, the
+report command's determinism and the map from rows to their stages.
 
 One check is intentionally red: the sub-2% bound on every minor species'
 share of 1/alpha cannot coexist with the 292 MeV cutoff fit (the d-quark
@@ -17,7 +17,6 @@ so that assertion fails with the computed value rather than being loosened.
 
 import json
 import math
-import time
 
 import pytest
 
@@ -30,11 +29,7 @@ from vacuumpairs.particles import default_registry
 @pytest.fixture(scope="module")
 def report_run():
     """Report rows by quantity, stage values and wall seconds per stage."""
-    values, seconds = {}, {}
-    for stage in report.STAGES:
-        t0 = time.monotonic()
-        values.update(stage(default_registry(), report.REPORT_SEED))
-        seconds[stage.__name__] = time.monotonic() - t0
+    values, seconds = report.run_stages(default_registry(), report.REPORT_SEED)
     rows = {row.quantity: row for row in report.table_rows(values)}
     return rows, values, seconds
 
@@ -259,3 +254,23 @@ def test_report_rows_are_well_formed(rows):
     assert all(row.note.strip() for row in rows.values() if row.status == "info")
     assert {row.provenance for row in rows.values()} <= {"published", "derived", "exact"}
     assert all(row.abs_tol is not None for row in rows.values() if row.reference is not None)
+
+
+def test_each_row_names_the_one_stage_that_computes_it(report_run):
+    _, values, seconds = report_run
+    stages = list(dict.fromkeys(spec.stage for spec in report.TABLE))
+    assert [stage.__name__ for stage in stages] == [
+        "alpha_fits", "thermal_checks", "box_count",
+        "quadrature_sweep", "dispersion_closed_forms", "monte_carlo",
+    ]
+    assert list(seconds) == [stage.__name__ for stage in stages]
+    keys = {
+        stage: set(stage(default_registry(), report.REPORT_SEED)) for stage in stages
+    }
+    for spec in report.TABLE:
+        returned_by = [stage for stage in stages if spec.quantity in keys[stage]]
+        assert returned_by == [spec.stage], spec.quantity
+    # The box-mode count is the one stage value that no row shows.
+    rows_of = {spec.quantity for spec in report.TABLE}
+    assert set().union(*keys.values()) - rows_of == {"box-mode-count"}
+    assert set(values) == set().union(*keys.values())

@@ -647,11 +647,12 @@ class TestImports:
         assert "numpy" in result["modules"]
 
     def test_report_import_loads_no_species_table(self):
-        probe = ("import vacuumpairs.report, vacuumpairs.particles as p; "
-                 "print(p.default_registry.cache_info().currsize)")
+        # TABLE holds the stage functions, whose numpy imports stay inside them.
+        probe = ("import sys, vacuumpairs.report, vacuumpairs.particles as p; "
+                 "print(p.default_registry.cache_info().currsize, 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env=child_env(), check=True, timeout=120)
-        assert proc.stdout == "0\n"
+        assert proc.stdout == "0 False\n"
 
     def test_package_import_loads_no_submodule(self):
         result = probe_imports([])

@@ -985,6 +985,15 @@ class TestPulseBroadening:
     def test_fwhm_round_trip(self):
         assert abs(rms_from_fwhm(fwhm_from_rms(1.7e-17)) / 1.7e-17 - 1.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "convert, name", [(fwhm_from_rms, "rms_s"), (rms_from_fwhm, "fwhm_s")]
+    )
+    def test_width_conversions_refuse_infinite_widths(self, convert, name):
+        assert convert(0.0) == 0.0
+        for width in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
+                convert(width)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             pulse_broadening(-1.0, 0.0, 1.0)

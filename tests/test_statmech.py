@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 
@@ -347,6 +348,22 @@ class TestStateProbability:
         with pytest.raises(ValueError) as refused:
             state_probability(1e13, n, ThermalState(300.0))
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize("n", [10**308, 10**400, 2**1030], ids=["1e308", "1e400", "2^1030"])
+    def test_huge_levels_match_mpmath(self, n):
+        # x ~ 0.25 at 300 K, and a subnormal x ~ 2**-1030 for which n*x is
+        # small at n = 10**308 and ~1 at n = 2**1030, so p(n) is not 0 there.
+        hot = ThermalState(1e26)
+        subnormal = (2.0**-1030 / (CODATA.hbar_j_s * hot.beta_per_j), hot)
+        assert 0 < hot.hw_over_kt(subnormal[0]) < sys.float_info.min
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        for omega, state in [(1e13, ThermalState(300.0)), subnormal]:
+            x = mp.mpf(state.hw_over_kt(omega))
+            want = float(mp.exp(-n * x) * -mp.expm1(-x))
+            got = state_probability(omega, n, state)
+            assert abs(got - want) <= (math.ulp(want) if want else 0.0), (omega, got, want)
+        assert (want > 0) == (n != 10**400)
 
 
 class TestMeanEnergyAndOccupation:

@@ -455,6 +455,8 @@ SIGN_GUARDS = {
     "experiment_sensitivity-pulse_rms_s": lambda x: dispersion.experiment_sensitivity(x, 0.01, 1.0),
     "experiment_sensitivity-precision": lambda x: dispersion.experiment_sensitivity(1e-15, x, 1.0),
     "experiment_sensitivity-length_m": lambda x: dispersion.experiment_sensitivity(1e-15, 0.01, x),
+    "fwhm_from_rms": dispersion.fwhm_from_rms,
+    "rms_from_fwhm": dispersion.rms_from_fwhm,
     "mode_density": statmech.mode_density,
     "planck_energy_density": lambda x: statmech.planck_energy_density(x, THERMAL),
     "state_probability-omega": lambda x: statmech.state_probability(x, 0, THERMAL),
