@@ -183,15 +183,14 @@ def state_probability(omega_rad_per_s: float, n: int, state: ThermalState) -> fl
     if n < 0:
         raise ValueError("n must be >= 0")
     x = state.hw_over_kt(omega_rad_per_s)
-    if n < 1 << 53:  # float(n) is exact, so n * x rounds once
-        return math.exp(-n * x) * -math.expm1(-x)
     # n * x would round n to a float first, which overflows from n = 2**1024
-    # even where n*x is finite (a subnormal x); x's integer ratio does not.
+    # even where n*x is finite (a subnormal x); int/int division rounds the
+    # exact product n*x once.
     try:
         num, den = x.as_integer_ratio()
         nx = n * num / den
-    except OverflowError:  # x or n*x above 1.8e308: e^(-n x) rounds to 0
-        return 0.0
+    except OverflowError:  # x infinite or n*x above 1.8e308: only p(0) = 1
+        return float(n == 0)
     return math.exp(-nx) * -math.expm1(-x)
 
 

@@ -365,6 +365,15 @@ class TestStateProbability:
             assert abs(got - want) <= (math.ulp(want) if want else 0.0), (omega, got, want)
         assert (want > 0) == (n != 10**400)
 
+    @pytest.mark.parametrize(
+        "n, want", [(0, 1.0), (1, 0.0), (10**400, 0.0)], ids=["ground", "first", "1e400"]
+    )
+    def test_infinite_mode_energy_leaves_only_the_ground_level(self, n, want):
+        # hbar*omega/kT overflows to inf; -n * x was 0 * inf, NaN, at n = 0.
+        state = ThermalState(1e-20)
+        assert state.hw_over_kt(1e308) == math.inf
+        assert state_probability(1e308, n, state) == want
+
 
 class TestMeanEnergyAndOccupation:
     def test_cold_limit_keeps_zero_point(self):
