@@ -12,7 +12,7 @@ from importlib import import_module
 _SUBMODULE = {
     name: module
     for module, names in {
-        "constants": "CODATA PhysicalConstants",
+        "constants": "CODATA",
         "dispersion": "DelayDistribution FlightConfig InteractionProcess LifetimeKind"
         " LifetimeModel LimitComparison PhotonFlightResult SamplingMethod analytic_sigma"
         " compare_to_limits experiment_sensitivity fwhm_from_rms lifetime pulse_broadening"

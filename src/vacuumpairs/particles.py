@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -151,46 +150,40 @@ class SpeciesRegistry:
 _REQUIRED_FIELDS = ("name", "mass_mev", "charge_q", "color_factor", "spin_degeneracy")
 
 
-def _records_to_registry(records: object, origin: str) -> SpeciesRegistry:
-    if not isinstance(records, list):
-        raise RegistryParseError(f"{origin}: expected a JSON array of records")
-    species = []
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise RegistryParseError(f"{origin}: record {i} is not an object")
-        missing = [k for k in _REQUIRED_FIELDS if k not in rec]
-        if missing:
-            raise RegistryParseError(f"{origin}: record {i} missing fields {missing}")
-        species.append(ParticleSpecies(**{k: rec[k] for k in _REQUIRED_FIELDS}))
-    return SpeciesRegistry(tuple(species))
-
-
 def load_registry(path: str | Path) -> SpeciesRegistry:
     """Load a species registry from a JSON file.
 
     The file is a JSON array of records with fields ``name``, ``mass_mev``,
     ``charge_q`` (rational charge written as a decimal), ``color_factor``
-    and ``spin_degeneracy``.  Malformed files raise ``RegistryParseError``;
-    records violating the invariants of ``ParticleSpecies`` raise
-    ``RegistryValidationError``, and an empty array ``EmptyRegistryError``.
+    and ``spin_degeneracy``.  Unreadable or malformed files raise
+    ``RegistryParseError``; records violating the invariants of
+    ``ParticleSpecies`` raise ``RegistryValidationError``, and an empty
+    array ``EmptyRegistryError``.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        records = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise RegistryParseError(f"{path}: {exc}") from exc
-    try:
-        records = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise RegistryParseError(f"{path}: invalid JSON ({exc})") from exc
-    return _records_to_registry(records, str(path))
+    if not isinstance(records, list):
+        raise RegistryParseError(f"{path}: expected a JSON array of records")
+    species = []
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise RegistryParseError(f"{path}: record {i} is not an object")
+        missing = [k for k in _REQUIRED_FIELDS if k not in rec]
+        if missing:
+            raise RegistryParseError(f"{path}: record {i} missing fields {missing}")
+        species.append(ParticleSpecies(**{k: rec[k] for k in _REQUIRED_FIELDS}))
+    return SpeciesRegistry(tuple(species))
 
 
 @lru_cache(maxsize=1)
 def default_registry() -> SpeciesRegistry:
     """The built-in 10-species table (e, mu, tau, u, d, s, c, b, t, W)."""
-    data = resources.files(__package__).joinpath("data/species.json").read_text("utf-8")
-    return _records_to_registry(json.loads(data), "builtin species table")
+    return load_registry(Path(__file__).with_name("data") / "species.json")
 
 
 def weighted_degeneracy_sum(registry: SpeciesRegistry) -> float:

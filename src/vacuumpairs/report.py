@@ -204,12 +204,11 @@ def quadrature_sweep(registry: SpeciesRegistry, seed: int) -> dict[str, float]:
 
     rng = np.random.default_rng(seed)
     spec = QuadratureSpec(rel_tol=1e-12)
-    charge = default_registry().get("e").charge_q
     worst = 0.0
     for _ in range(100):
         mass = float(10.0 ** rng.uniform(-1.0, 3.3))
         cutoff = float(10.0 ** rng.uniform(0.0, 3.0))
-        probe = ParticleSpecies("probe", mass, charge, 1, 2)
+        probe = ParticleSpecies("probe", mass, -1, 1, 2)
         closed = vacuum_response.inverse_alpha_single(probe, cutoff)
         quad = vacuum_response.inverse_alpha_single_quadrature(probe, cutoff, spec=spec)
         worst = max(worst, abs(quad / closed - 1.0))

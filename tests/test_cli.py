@@ -624,9 +624,9 @@ def child_env():
     return env
 
 
-def probe_imports(argvs):
+def probe_imports(argvs, *flags):
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+        [sys.executable, *flags, "-c", IMPORT_PROBE, json.dumps(argvs)],
         capture_output=True, text=True, env=child_env(), check=True, timeout=120,
     )
     return json.loads(proc.stdout)
@@ -653,6 +653,15 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env=child_env(), check=True, timeout=120)
         assert proc.stdout == "0 False\n"
+
+    def test_table_commands_load_no_package_resource_reader(self, tmp_path):
+        # -S, as on a clean install: no site hook preloads importlib.resources.
+        species = str(electron_only_file(tmp_path))
+        argvs = [NUMPY_FREE["fit-global"], NUMPY_FREE["dispersion-all"],
+                 [a.format(species=species) for a in NUMPY_FREE["eval-species-file"]]]
+        result = probe_imports(argvs, "-S")
+        assert result["codes"] == [0, 0, 0]
+        assert not {"importlib.resources", "zipfile", "tempfile"} & set(result["modules"])
 
     def test_package_import_loads_no_submodule(self):
         result = probe_imports([])
@@ -913,13 +922,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: u: color_factor must be 1 or 3\n"
 
-    @pytest.mark.parametrize("text, message", [
-        ("{}", "expected a JSON array of records"),
-        ("[1]", "record 0 is not an object"),
-    ], ids=["object", "number-record"])
-    def test_malformed_species_file_is_failure(self, capsys, tmp_path, text, message):
+    @pytest.mark.parametrize("data, message", [
+        (b"{}", "expected a JSON array of records"),
+        (b"[1]", "record 0 is not an object"),
+        (b"\xff[]", "invalid JSON ('utf-8' codec can't decode byte 0xff in position 0:"
+                    " invalid start byte)"),
+        (b"[" + b"1" * 5001 + b"]", "invalid JSON (Exceeds the limit (4300 digits) for integer"
+         " string conversion: value has 5001 digits; use sys.set_int_max_str_digits() to"
+         " increase the limit)"),
+        (b"[" * 200_000 + b"]" * 200_000, "invalid JSON (maximum recursion depth exceeded"
+         " while decoding a JSON array from a unicode string)"),
+    ], ids=["object", "number-record", "not-utf8", "long-integer", "nested-too-deep"])
+    def test_malformed_species_file_is_failure(self, capsys, tmp_path, data, message):
         path = tmp_path / "malformed.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         argv = ["alpha", "--eval", "--cutoff-mev", "292", "--species-file", str(path)]
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (1, "", f"error: {path}: {message}\n")

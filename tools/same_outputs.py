@@ -43,7 +43,9 @@ _SPECIES = json.loads(
 
 #: File name -> text of each file that every call finds in its working
 #: directory: a species table without the electron, which the report needs,
-#: and the built-in table with a 4x heavier electron.
+#: the built-in table with a 4x heavier electron, and three files that the
+#: loader refuses (a truncated array, an integer past the int-to-str digit
+#: limit, arrays nested past the recursion limit).
 INPUTS = {
     "no-electron.json": json.dumps([
         {"name": "mu", "mass_mev": 105.6583755, "charge_q": -1.0, "color_factor": 1,
@@ -55,6 +57,9 @@ INPUTS = {
         record | {"mass_mev": 4 * record["mass_mev"]} if record["name"] == "e" else record
         for record in _SPECIES
     ]),
+    "truncated.json": json.dumps(_SPECIES)[:100],
+    "long-integer.json": "[" + "1" * 5001 + "]",
+    "nested-too-deep.json": "[" * 200_000 + "]" * 200_000,
 }
 
 
@@ -213,6 +218,11 @@ def _argvs() -> dict[str, list[str]]:
         "--seed", "1",
     ]
     argvs["report heavy-electron species file"] = ["report", "--species-file", "heavy-electron.json"]
+    # Refused species files: exit 1 with one line that names the file.
+    for name in ("truncated", "long-integer", "nested-too-deep"):
+        argvs[f"alpha fit {name} species file"] = [
+            "alpha", "--fit", "--species-file", f"{name}.json",
+        ]
     # Uniform fractions with every count summed exactly (lambda = 0.5), and
     # with most counts above 16, where the normal stand-in draws (lambda = 20).
     for lam, length in (("0.5", "1.49896229e-4"), ("20", "5.99584916e-3")):
