@@ -14,8 +14,8 @@ _SUBMODULE = {
     for module, names in {
         "constants": "CODATA",
         "dispersion": "DelayDistribution FlightConfig InteractionProcess LifetimeKind"
-        " LifetimeModel LimitComparison PhotonFlightResult SamplingMethod analytic_sigma"
-        " compare_to_limits experiment_sensitivity fwhm_from_rms lifetime pulse_broadening"
+        " LifetimeModel LimitComparison PhotonFlightResult SamplingMethod compare_to_limits"
+        " experiment_sensitivity fwhm_from_rms lifetime pulse_broadening"
         " rms_from_fwhm sigma_coefficient simulate_flight",
         "numerics": "QuadratureSpec RootSpec find_root integrate integrate_half_line",
         "particles": "ParticleSpecies SpeciesRegistry default_registry load_registry"

@@ -235,7 +235,7 @@ def cmd_dispersion(args: argparse.Namespace) -> dict:
                 "model": model.kind.value,
                 "tau_s": dispersion.lifetime(model, species),
                 "sigma_fs_per_sqrt_m": verdict.sigma_fs_per_sqrt_m,
-                "sigma_1m_fs": dispersion.analytic_sigma(model, 1.0, species) * 1e15,
+                "sigma_1m_fs": verdict.sigma_fs_per_sqrt_m,  # sigma * sqrt(1 m)
                 "band_verdict": verdict.band_verdict,
                 "literature_verdict": verdict.literature_verdict,
             }

@@ -1,5 +1,5 @@
 """Photon flight-time dispersion from virtual-pair interactions: lifetime
-models, the analytic sqrt(tau/c)*sqrt(L) fluctuation, Monte Carlo transport,
+models, the sqrt(tau/c) fluctuation coefficient, Monte Carlo transport,
 pulse broadening and the comparison against astrophysical timing limits.
 
 The underlying picture: a photon is trapped for one pair lifetime at each
@@ -99,24 +99,24 @@ class LifetimeModel:
 
 
 def lifetime(model: LifetimeModel, species: ParticleSpecies | None = None) -> float:
-    """Virtual-pair lifetime in seconds for the given species (by default the
-    built-in table's electron).  Raises ``ValueError``, naming ``k_factor``,
-    ``custom_tau_s`` or the species' ``mass_mev``, where tau/c, the square of
-    ``sigma_coefficient``, is not a positive normal float: tau below ~6.7e-300 s."""
-    if species is None:
-        species = default_registry().get("e")
-    gap_j = 2.0 * species.mass_mev * CODATA.mev_to_j
-    factor = {LifetimeKind.HALF_COMPTON: 1.0, LifetimeKind.K_SCALED: model.k_factor,
-              LifetimeKind.QUASISTATIONARY: CODATA.alpha_target**5 * 0.5}.get(model.kind)
-    if factor is None:
-        tau = float(model.custom_tau_s)
-    else:  # factor * gap_j is 0.0 only where it underflows
+    """Virtual-pair lifetime in seconds for the given species (by default the built-in
+    table's electron; a custom lifetime reads no species).  Raises ``ValueError``, naming
+    ``k_factor``, ``custom_tau_s`` or the species' ``mass_mev``, where tau/c, the square
+    of ``sigma_coefficient``, is not a positive normal float: tau below ~6.7e-300 s."""
+    if model.kind is LifetimeKind.CUSTOM:
+        tau, inputs = float(model.custom_tau_s), f"custom_tau_s = {model.custom_tau_s}"
+    else:
+        species = default_registry().get("e") if species is None else species
+        gap_j = 2.0 * species.mass_mev * CODATA.mev_to_j
+        factor = {LifetimeKind.HALF_COMPTON: 1.0, LifetimeKind.K_SCALED: model.k_factor,
+                  LifetimeKind.QUASISTATIONARY: CODATA.alpha_target**5 * 0.5}[model.kind]
+        # factor * gap_j is 0.0 only where it underflows
         tau = CODATA.hbar_j_s / (factor * gap_j) if factor * gap_j else math.inf
+        inputs = f"{species.name} mass_mev = {species.mass_mev}"
+        if model.kind is LifetimeKind.K_SCALED:
+            inputs = f"k_factor = {model.k_factor} and {inputs}"
     if sys.float_info.min <= tau / CODATA.c_m_per_s < math.inf:
         return tau
-    mass = f"{species.name} mass_mev = {species.mass_mev}"
-    inputs = {LifetimeKind.K_SCALED: f"k_factor = {model.k_factor} and {mass}",
-              LifetimeKind.CUSTOM: f"custom_tau_s = {model.custom_tau_s}"}.get(model.kind, mass)
     raise ValueError(f"{model.kind.value} lifetime from {inputs}: tau = {tau} s, whose tau/c "
                      f"is not a positive normal float")
 
@@ -124,15 +124,6 @@ def lifetime(model: LifetimeModel, species: ParticleSpecies | None = None) -> fl
 def sigma_coefficient(model: LifetimeModel, species: ParticleSpecies | None = None) -> float:
     """Flight-time fluctuation per sqrt(metre), sqrt(tau/c), in s*m^-1/2."""
     return math.sqrt(lifetime(model, species) / CODATA.c_m_per_s)
-
-
-def analytic_sigma(
-    model: LifetimeModel, length_m: float, species: ParticleSpecies | None = None
-) -> float:
-    """Flight-time standard deviation sigma_T = sqrt(tau/c)*sqrt(L) in seconds."""
-    if not length_m > 0:
-        raise ValueError("length_m must be > 0")
-    return sigma_coefficient(model, species) * math.sqrt(length_m)
 
 
 class DelayDistribution(str, enum.Enum):

@@ -152,7 +152,8 @@ def count_box_modes(
     energy_max_mev: float,
     mass_energy_mev: float = 0.0,
 ) -> int:
-    """Exact count of box modes with energy at most ``energy_max_mev``.
+    """Count of box modes with energy at most ``energy_max_mev``; floating point may miss modes
+    on the energy surface (radii (140, 140, 140): 1,459,686 lattice points, not 1,459,689).
 
     Modes are non-negative integer triples (l_x, l_y, l_z) under the
     half-wavelength standing-wave condition p_i = h*l_i/(2*L_i); the all-zero

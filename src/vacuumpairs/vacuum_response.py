@@ -318,6 +318,9 @@ def chiral_cutoff_policy(
     condensate is expected to disappear; all other species keep the fitted
     global value.  The resulting 1/alpha deficit is reported, not asserted.
     """
+    for name, value in (("quark_cutoff_mev", quark_cutoff_mev), ("default_cutoff_mev", default_cutoff_mev)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0")
     return CutoffPolicy.per_species(
         {
             s.name: quark_cutoff_mev if s.color_factor == 3 else default_cutoff_mev

@@ -274,6 +274,18 @@ class TestDispersionCommand:
         code, _, _ = run(capsys, ["dispersion"])
         assert code == 2
 
+    @pytest.mark.parametrize("table", [["--reference-species", "e"], ["--reference-species", "mu"],
+                                       ["--species-file", "{heavy}"]], ids=["e", "mu", "heavy-e"])
+    def test_one_metre_spread_is_the_coefficient(self, capsys, tmp_path, table):
+        # sigma over 1 m is sigma * sqrt(1 m), the verdict's coefficient, bit for bit.
+        argv = ["dispersion", "--all"] + [a.format(heavy=heavy_electron_file(tmp_path)) for a in table]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows = json.loads(out)["models"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["sigma_1m_fs"] == row["sigma_fs_per_sqrt_m"]
+
 
 #: 0.518 expected interactions per photon, which warns.
 DEGENERATE_SIMULATE = ["simulate", "--model", "half-compton", "--length-m", "1e-13",
@@ -866,6 +878,11 @@ class TestExitCodes:
         (["dispersion", "--model", "half-compton", "--species-file", "{heavy}"], "mass_mev"),
         # Refused before any stage, not by numpy's SeedSequence after the fits.
         (["report", "--seed", "-5"], "seed"),
+        # A chiral cutoff is refused by name, not as one of the policy's cutoffs.
+        (["alpha", "--eval", "--cutoff-mev", "292", "--chiral-quark-cutoff-mev", "nan"],
+         "quark_cutoff_mev must be finite and > 0"),
+        (["alpha", "--eval", "--cutoff-mev", "nan", "--chiral-quark-cutoff-mev", "100"],
+         "default_cutoff_mev must be finite and > 0"),
     ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "subnormal-momentum-scale",
             "overflowing-mode-density",
             "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha",
@@ -873,7 +890,7 @@ class TestExitCodes:
             "overflowing-json-total", "overflowing-pair-volume",
             "underflowing-k-scaled-lifetime", "underflowing-simulated-lifetime",
             "zero-k-scaled-gap", "subnormal-custom-lifetime", "subnormal-species-lifetime",
-            "negative-report-seed"])
+            "negative-report-seed", "nan-chiral-quark-cutoff", "nan-chiral-default-cutoff"])
     def test_degenerate_value_names_its_quantity(self, capsys, tmp_path, argv, quantity):
         heavy = heavy_electron_file(tmp_path, mass_mev=1e300)
         code, out, err = run(capsys, [a.format(heavy=heavy) for a in argv])

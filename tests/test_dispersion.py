@@ -10,13 +10,14 @@ import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vacuumpairs import dispersion
+from vacuumpairs import dispersion, particles, report
 from vacuumpairs.cli import main
 from vacuumpairs.constants import CODATA
 from vacuumpairs.dispersion import (
@@ -29,7 +30,6 @@ from vacuumpairs.dispersion import (
     LifetimeKind,
     LifetimeModel,
     SamplingMethod,
-    analytic_sigma,
     compare_to_limits,
     compound_moments,
     experiment_sensitivity,
@@ -40,7 +40,7 @@ from vacuumpairs.dispersion import (
     sigma_coefficient,
     simulate_flight,
 )
-from vacuumpairs.particles import default_registry
+from vacuumpairs.particles import default_registry, load_registry
 
 
 def sd_standard_error(sigma, n):
@@ -75,6 +75,17 @@ class TestLifetimes:
         hc_mu = lifetime(LifetimeModel.half_compton(), muon)
         hc_e = lifetime(LifetimeModel.half_compton())
         assert abs(hc_mu / (hc_e * 0.51099895 / 105.6583755) - 1.0) < 1e-9
+
+    def test_custom_lifetime_reads_no_builtin_table(self, tmp_path):
+        # Only a mass-based rule without a species reads the built-in table:
+        # the report's Monte Carlo under a species file runs custom lifetimes.
+        path = tmp_path / "species.json"
+        path.write_bytes((Path(particles.__file__).parent / "data" / "species.json").read_bytes())
+        registry = load_registry(path)
+        default_registry.cache_clear()
+        lifetime(LifetimeModel.custom(1e-20))
+        report.monte_carlo(registry, report.REPORT_SEED)
+        assert default_registry.cache_info().misses == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -125,13 +136,22 @@ class TestAnalyticSigma:
         assert abs(sigma_coefficient(LifetimeModel.quasistationary()) * 1e9 - 0.4556687062513895) < 1e-9
 
     def test_sqrt_scaling_exact(self):
-        model = LifetimeModel.half_compton()
+        # The Poisson, fixed-delay spread is sqrt(tau/c)*sqrt(L): 4L gives twice it.
+        tau = lifetime(LifetimeModel.half_compton())
+
+        def spread(length_m):
+            expected_n = length_m / (CODATA.c_m_per_s * tau)
+            _, variance = compound_moments(
+                InteractionProcess.POISSON_COUNT, DelayDistribution.FIXED_TAU, expected_n, tau
+            )
+            return math.sqrt(variance)
+
         for length in (0.25, 1.0, 7.3):
-            assert analytic_sigma(model, 4.0 * length) == 2.0 * analytic_sigma(model, length)
+            assert spread(4.0 * length) == 2.0 * spread(length)
 
     def test_length_validation(self):
-        with pytest.raises(ValueError):
-            analytic_sigma(LifetimeModel.half_compton(), 0.0)
+        with pytest.raises(FlightConfigError, match="length_m"):
+            FlightConfig(0.0, LifetimeModel.half_compton(), 2, 0)
 
 
 class TestSimulateFlight:

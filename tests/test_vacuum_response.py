@@ -448,7 +448,6 @@ HALF_COMPTON = dispersion.LifetimeModel.half_compton()
 
 #: One call per sign-guarded argument, as a function of that argument alone.
 SIGN_GUARDS = {
-    "analytic_sigma": lambda x: dispersion.analytic_sigma(HALF_COMPTON, x),
     "pulse_broadening-pulse_rms_s": lambda x: dispersion.pulse_broadening(x, 1e-17, 1.0),
     "pulse_broadening-sigma": lambda x: dispersion.pulse_broadening(1e-15, x, 1.0),
     "pulse_broadening-length_m": lambda x: dispersion.pulse_broadening(1e-15, 1e-17, x),
@@ -468,6 +467,11 @@ SIGN_GUARDS = {
     "FlightConfig-length_m": lambda x: dispersion.FlightConfig(x, HALF_COMPTON, 2, 0),
     "QuadratureSpec-rel_tol": lambda x: numerics.QuadratureSpec(rel_tol=x),
     "RootSpec-x_tol": lambda x: numerics.RootSpec(0.0, 2.0, x_tol=x),
+    # Each on a table where no species takes that cutoff: only the guard refuses it.
+    "chiral_cutoff_policy-quark_cutoff_mev": lambda x: chiral_cutoff_policy(REG.subset(["e"]), x),
+    "chiral_cutoff_policy-default_cutoff_mev": lambda x: chiral_cutoff_policy(
+        REG.subset(["u"]), 100.0, x
+    ),
 }
 
 

@@ -218,6 +218,24 @@ def _argvs() -> dict[str, list[str]]:
         "--seed", "1",
     ]
     argvs["report heavy-electron species file"] = ["report", "--species-file", "heavy-electron.json"]
+    # A reference species other than the built-in electron: dispersion's
+    # rows, and simulate's fold into a custom lifetime (which reads no
+    # species), for the muon and for a table's own electron.
+    for table in (["--reference-species", "mu"], ["--species-file", "heavy-electron.json"]):
+        argvs[" ".join(["dispersion all", *table])] = ["dispersion", "--all", *table]
+        argvs[" ".join(["simulate half-compton", *table])] = [
+            "simulate", *LIFETIMES["half-compton"], *table, "--photons", SIMULATE_PHOTONS,
+            "--seed", "11",
+        ]
+    argvs["simulate custom 1e-12 s heavy-electron species file"] = [
+        "simulate", *LIFETIMES["lambda-1e3"], "--species-file", "heavy-electron.json",
+        "--photons", SIMULATE_PHOTONS, "--seed", "11",
+    ]
+    # Chiral cutoffs refused by the name of the one that is not finite.
+    for quark, default in (("nan", "292"), ("100", "nan")):
+        argvs[f"alpha eval {default} chiral {quark}"] = [
+            "alpha", "--eval", "--cutoff-mev", default, "--chiral-quark-cutoff-mev", quark,
+        ]
     # Refused species files: exit 1 with one line that names the file.
     for name in ("truncated", "long-integer", "nested-too-deep"):
         argvs[f"alpha fit {name} species file"] = [
