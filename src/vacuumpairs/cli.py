@@ -158,6 +158,9 @@ def cmd_alpha(args: argparse.Namespace) -> dict:
         _refuse_flags(args, "--eval", ("policy",), "; use --fit")
     registry = _registry_from(args)
     target = args.target
+    # One guard for both modes: --eval divides by the target, --fit fits to it.
+    if not 0 < target < math.inf:
+        raise ValueError("target_inverse_alpha must be finite and > 0")
     if args.fit:
         policy = vacuum_response.fit_cutoff(registry, target, args.policy or "global-constant")
     elif args.cutoff_mev is not None:

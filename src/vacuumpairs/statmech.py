@@ -241,7 +241,7 @@ def _planck(p_kg_m_s: float, beta_per_j: float, zero_point: float) -> float:
         return 0.0
     epsilon_j = p_kg_m_s * CODATA.c_m_per_s
     occupancy = _occupation_from_x(epsilon_j * beta_per_j) + zero_point
-    return 2.0 * (_FOUR_PI * p_kg_m_s**2 / _H_CUBED) * epsilon_j * occupancy
+    return 2.0 * mode_density(p_kg_m_s) * epsilon_j * occupancy
 
 
 def stefan_boltzmann_density(state: ThermalState) -> float:

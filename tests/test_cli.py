@@ -883,6 +883,11 @@ class TestExitCodes:
          "quark_cutoff_mev must be finite and > 0"),
         (["alpha", "--eval", "--cutoff-mev", "nan", "--chiral-quark-cutoff-mev", "100"],
          "default_cutoff_mev must be finite and > 0"),
+        # The ratio to the target divides by it; --fit refuses the same values.
+        (["alpha", "--eval", "--cutoff-mev", "292", "--target", "0"],
+         "target_inverse_alpha must be finite and > 0"),
+        (["alpha", "--eval", "--cutoff-mev", "292", "--target", "-1"],
+         "target_inverse_alpha must be finite and > 0"),
     ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "subnormal-momentum-scale",
             "overflowing-mode-density",
             "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha",
@@ -890,7 +895,8 @@ class TestExitCodes:
             "overflowing-json-total", "overflowing-pair-volume",
             "underflowing-k-scaled-lifetime", "underflowing-simulated-lifetime",
             "zero-k-scaled-gap", "subnormal-custom-lifetime", "subnormal-species-lifetime",
-            "negative-report-seed", "nan-chiral-quark-cutoff", "nan-chiral-default-cutoff"])
+            "negative-report-seed", "nan-chiral-quark-cutoff", "nan-chiral-default-cutoff",
+            "eval-target-zero", "eval-target-negative"])
     def test_degenerate_value_names_its_quantity(self, capsys, tmp_path, argv, quantity):
         heavy = heavy_electron_file(tmp_path, mass_mev=1e300)
         code, out, err = run(capsys, [a.format(heavy=heavy) for a in argv])

@@ -1,30 +1,45 @@
-"""Check that the working tree gives byte-identical outputs to a parent revision.
+"""Check every CLI output against the stored manifest ``tests/outputs.json``.
 
 Usage (from the repository root):
 
-    python3 tools/same_outputs.py --parent REV
+    python3 tools/same_outputs.py            # compare with the manifest
+    python3 tools/same_outputs.py --update   # rewrite it from this tree
 
-Runs each argv of ``ARGVS`` as ``python -m vacuumpairs`` (after the
-interpreter's ``-W`` flag, where the argv starts with one) on the working
-tree and on a clean export of REV (``bench.export``, a ``git archive``),
-each call in a working directory of its own that holds only ``INPUTS``.
-An output is the exit code, stdout, stderr and every file the call writes;
-two outputs are the same when they are equal byte for byte.  Prints one
-line per argv and exits 1, naming each output that differs, when any does.
+Runs each argv of ``ARGVS`` in process through ``vacuumpairs.cli.main``, in
+a working directory of its own that holds only ``INPUTS``, with stdout and
+stderr captured as UTF-8 bytes.  Warnings are filtered as in a fresh
+interpreter; an argv that starts with the interpreter's ``-W`` flag runs
+under that filter instead.  An output is the exit code, stdout, stderr and
+every file the call writes.  The manifest holds, per argv, the sha256 of
+each of these parts, and the Python and numpy versions it was made with;
+``tests/report.json`` is the default-seed ``report`` JSON itself, so that a
+moved digit reads as a one-line diff.  Prints one line per argv whose entry
+is new, moved (naming each part that moved) or gone, and exits 1 when any
+is, unless ``--update`` wrote them.  ``tests/test_outputs.py`` makes the
+same comparison in tier-1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 import os
-import subprocess
+import platform
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+from typing import Callable
 
-from bench import ROOT, export, git
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "outputs.json"
+GOLDEN = ROOT / "tests" / "report.json"
+#: The argv whose stdout ``GOLDEN`` holds: ``report`` at the default seed.
+REPORT = "report json"
 
 SIMULATE_PHOTONS = "12295"  # three chunks of 4096 photons and a short fourth
 #: Lifetime flags per count law: half-Compton gives normal counts (lambda
@@ -236,6 +251,14 @@ def _argvs() -> dict[str, list[str]]:
         argvs[f"alpha eval {default} chiral {quark}"] = [
             "alpha", "--eval", "--cutoff-mev", default, "--chiral-quark-cutoff-mev", quark,
         ]
+    # A target that --eval divides by is refused as --fit refuses it.
+    for target in ("0", "-1"):
+        argvs[f"alpha eval 292 --target {target}"] = [
+            "alpha", "--eval", "--cutoff-mev", "292", "--target", target,
+        ]
+    # Targets that fit_cutoff reaches only by widening its bracket, down and up.
+    for target in ("1e-3", "1e4"):
+        argvs[f"alpha fit --target {target}"] = ["alpha", "--fit", "--target", target]
     # Refused species files: exit 1 with one line that names the file.
     for name in ("truncated", "long-integer", "nested-too-deep"):
         argvs[f"alpha fit {name} species file"] = [
@@ -263,46 +286,110 @@ def _argvs() -> dict[str, list[str]]:
 ARGVS = _argvs()
 
 
-def output(tree: Path, argv: list[str]) -> dict[str, bytes]:
-    """Exit code, stdout, stderr and written files of one call on ``tree``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+def run(argv: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
+    """``cli.main(argv)`` in process, in ``cwd``, as ``python -m vacuumpairs``
+    would run it: the same warning filters and stdout and stderr encodings."""
+    from vacuumpairs import cli
+
+    # An argv may start with the interpreter's own "-W" flag.
+    flags = argv[:2] if argv[0] == "-W" else []
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            # A fresh interpreter's filters, whatever the caller set (pytest
+            # shows DeprecationWarning, for one).
+            warnings.resetwarnings()
+            for category in (DeprecationWarning, PendingDeprecationWarning, ImportWarning,
+                             ResourceWarning):
+                warnings.simplefilter("ignore", category)
+            if flags:
+                warnings.simplefilter(flags[1])
+            code = cli.main(argv[len(flags):])
+    finally:
+        os.chdir(here)
+    return code, stdout.detach().getvalue(), stderr.detach().getvalue()
+
+
+def output(
+    argv: list[str], call: Callable[[list[str], Path], tuple[int, bytes, bytes]] = run
+) -> dict[str, bytes]:
+    """Exit code, stdout, stderr and written files of ``call(argv, cwd)``,
+    with ``cwd`` a fresh directory that holds ``INPUTS``."""
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as cwd:
         for name, text in INPUTS.items():
             Path(cwd, name).write_text(text, encoding="utf-8")
-        # An argv may start with the interpreter's own "-W" flag.
-        flags = argv[:2] if argv[0] == "-W" else []
-        proc = subprocess.run([sys.executable, *flags, "-m", "vacuumpairs", *argv[len(flags):]],
-                              cwd=cwd, env=env, capture_output=True, timeout=600)
-        out = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
-               "stderr": proc.stderr}
+        code, stdout, stderr = call(argv, Path(cwd))
+        out = {"exit code": str(code).encode(), "stdout": stdout, "stderr": stderr}
         for path in sorted(Path(cwd).iterdir()):
             if path.name not in INPUTS:
-                out[path.name] = path.read_bytes()
+                out[f"file {path.name}"] = path.read_bytes()
     return out
+
+
+def digest(out: dict[str, bytes]) -> dict[str, str]:
+    """The sha256 of each part of one output."""
+    return {part: hashlib.sha256(data).hexdigest() for part, data in out.items()}
+
+
+def run_all() -> tuple[dict[str, dict[str, str]], bytes]:
+    """The digests of every argv's output in process, and ``REPORT``'s stdout."""
+    digests = {}
+    for label, argv in ARGVS.items():
+        out = output(argv)
+        digests[label] = digest(out)
+        if label == REPORT:
+            report = out["stdout"]
+    return digests, report
+
+
+def versions() -> dict[str, str]:
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def load_manifest() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def compare(recorded: dict[str, dict[str, str]], digests: dict[str, dict[str, str]]) -> list[str]:
+    """One line per argv whose entry in ``digests`` is new, moved or gone
+    against ``recorded``; a moved one names each part that moved."""
+    lines = []
+    for label in dict.fromkeys([*digests, *recorded]):
+        before, after = recorded.get(label), digests.get(label)
+        if before is None:
+            lines.append(f"new: {label}")
+        elif after is None:
+            lines.append(f"gone: {label}")
+        elif parts := [p for p in sorted(before.keys() | after.keys())
+                       if before.get(p) != after.get(p)]:
+            lines.append(f"moved: {label} ({', '.join(parts)})")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--update", action="store_true",
+                        help="rewrite the manifest and the golden report from this tree")
     args = parser.parse_args(argv)
-    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    differ = []
-    with tempfile.TemporaryDirectory(prefix="same-outputs-parent-") as tmp:
-        parent = Path(tmp)
-        export(parent_commit, parent)
-        for label, call in ARGVS.items():
-            before, after = output(parent, call), output(ROOT, call)
-            parts = [k for k in sorted(before.keys() | after.keys()) if before.get(k) != after.get(k)]
-            if parts:
-                differ.append(label)
-            print(f"{label:62s} {'DIFFERS in ' + ', '.join(parts) if parts else 'identical'}",
-                  flush=True)
-    print(f"{len(ARGVS) - len(differ)} of {len(ARGVS)} outputs identical to {args.parent}"
-          f" ({parent_commit[:12]})")
-    for label in differ:
-        print(f"differs: {label}", file=sys.stderr)
-    return 1 if differ else 0
+    sys.path.insert(0, str(ROOT / "src"))
+    digests, report = run_all()
+    changed = compare(load_manifest()["outputs"], digests)
+    for line in changed:
+        print(line)
+    print(f"{len(digests)} argvs run; {len(changed)} entries new, moved or gone")
+    if args.update:
+        manifest = {**versions(), "outputs": digests}
+        MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+        GOLDEN.write_bytes(report)
+        print(f"wrote {MANIFEST.relative_to(ROOT)} and {GOLDEN.relative_to(ROOT)}")
+        return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
