@@ -17,7 +17,7 @@ _SUBMODULE = {
         " LifetimeModel LimitComparison PhotonFlightResult SamplingMethod compare_to_limits"
         " experiment_sensitivity fwhm_from_rms lifetime pulse_broadening"
         " rms_from_fwhm sigma_coefficient simulate_flight",
-        "numerics": "QuadratureSpec RootSpec find_root integrate integrate_half_line",
+        "numerics": "QuadratureSpec find_root integrate integrate_half_line",
         "particles": "ParticleSpecies SpeciesRegistry default_registry load_registry"
         " weighted_degeneracy_sum",
         "statmech": "ThermalState count_box_modes mean_energy mean_occupation mode_density"

@@ -564,8 +564,8 @@ def pulse_broadening(
 ) -> float:
     """RMS width after propagation: sqrt(T^2 + sigma^2 * L) (widths add in
     quadrature)."""
-    if not (pulse_rms_s >= 0 and sigma_s_per_sqrt_m >= 0 and length_m >= 0):
-        raise ValueError("all arguments must be >= 0")
+    if not all(0 <= x < math.inf for x in (pulse_rms_s, sigma_s_per_sqrt_m, length_m)):
+        raise ValueError("all arguments must be finite and >= 0")
     return math.hypot(pulse_rms_s, sigma_s_per_sqrt_m * math.sqrt(length_m))
 
 
@@ -577,8 +577,8 @@ def experiment_sensitivity(
     From sqrt(T^2 + sigma^2 L) - T = sigma_frac * T:
     sigma = T * sqrt(sigma_frac * (2 + sigma_frac) / L).
     """
-    if not (pulse_rms_s > 0 and precision_fraction > 0 and length_m > 0):
-        raise ValueError("all arguments must be > 0")
+    if not all(0 < x < math.inf for x in (pulse_rms_s, precision_fraction, length_m)):
+        raise ValueError("all arguments must be finite and > 0")
     return pulse_rms_s * math.sqrt(
         precision_fraction * (2.0 + precision_fraction) / length_m
     )

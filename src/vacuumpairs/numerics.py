@@ -6,9 +6,9 @@ unrestricted concurrent use.  The integrands handled here are smooth
 rational/exponential functions, which a breadth-first adaptive 15-point
 Gauss–Kronrod rule (Piessens et al., QUADPACK, 1983; Gander & Gautschi,
 BIT 40, 2000) resolves in a few hundred scalar calls to tight tolerances.
-A caller sets the tolerance (``QuadratureSpec``, ``RootSpec``); the guards
-that stop work which cannot converge, ``_MAX_DEPTH``, ``_MAX_PANELS`` and
-``_MAX_ITER``, are fixed here.
+A caller sets the tolerance (a ``QuadratureSpec``, or ``find_root``'s
+``x_tol``); the guards that stop work which cannot converge,
+``_MAX_DEPTH``, ``_MAX_PANELS`` and ``_MAX_ITER``, are fixed here.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
-
-
-@dataclass(frozen=True)
-class RootSpec:
-    """Bracket and stopping rule for ``find_root``."""
-
-    bracket_lo: float
-    bracket_hi: float
-    x_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not self.bracket_lo < self.bracket_hi:
-            raise ValueError("bracket_lo must be < bracket_hi")
-        if not self.x_tol > 0:
-            raise ValueError("x_tol must be > 0")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -136,7 +121,7 @@ def _gauss_kronrod(
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     values = [f(c + h * x) for x in _NODES]
-    kronrod = sum(map(mul, _KRONROD, values))
+    kronrod = h * sum(map(mul, _KRONROD, values))
     if not math.isfinite(kronrod):
         for x, value in zip(_NODES, values):
             if not math.isfinite(value):
@@ -145,7 +130,7 @@ def _gauss_kronrod(
     error = math.hypot(
         sum(map(mul, _KRONROD_MINUS_GAUSS, values)), sum(map(mul, _ODD, values))
     )
-    return h * kronrod, h * error
+    return kronrod, h * error
 
 
 def integrate(
@@ -169,8 +154,9 @@ def integrate(
     f(b) are evaluated once, to reject a non-finite endpoint.
 
     Raises:
-        ValueError: if a bound is not finite, or if a > b.
-        NonFiniteIntegrandError: f returned NaN/inf at an evaluation point.
+        ValueError: if a bound or the span b - a is not finite, or if a > b.
+        NonFiniteIntegrandError: f returned NaN/inf at an evaluation point,
+            or a panel's K15 estimate overflows.
         MaxDepthExceededError: tolerance not reached within ``_MAX_DEPTH``
             bisection levels (or ``_MAX_PANELS`` panels on one level).
     """
@@ -178,11 +164,13 @@ def integrate(
         raise ValueError(f"integration bounds must be finite: a={a!r}, b={b!r}")
     if a > b:
         raise ValueError(f"integration bounds reversed: a={a!r} > b={b!r}")
+    span = b - a
+    if span == math.inf:
+        raise ValueError(f"integration span b - a overflows: a={a!r}, b={b!r}")
     if a == b:
         return 0.0
     _eval(f, a)
     _eval(f, b)
-    span = b - a
     edges = [a + span * i / _START_PANELS for i in range(_START_PANELS)] + [b]
     panels = list(zip(edges, edges[1:]))
     estimates = [_gauss_kronrod(f, lo, hi) for lo, hi in panels]
@@ -240,8 +228,8 @@ def integrate_half_line(
 _MAX_ITER = 200
 
 
-def find_root(g: Callable[[float], float], spec: RootSpec) -> float:
-    """Find a root of ``g`` inside the bracket using Brent's method.
+def find_root(g: Callable[[float], float], lo: float, hi: float, x_tol: float) -> float:
+    """Find a root of ``g`` in the bracket [lo, hi] using Brent's method.
 
     Combines bisection, secant and inverse quadratic interpolation, so
     convergence is guaranteed for a valid bracket.  Deterministic for
@@ -250,10 +238,16 @@ def find_root(g: Callable[[float], float], spec: RootSpec) -> float:
     Returns the abscissa once the bracket has shrunk below x_tol.
 
     Raises:
-        NoSignChangeError: g(bracket_lo) and g(bracket_hi) have equal signs.
+        ValueError: lo >= hi, the width hi - lo is not finite (an end is
+            infinite or NaN, or the width overflows), or x_tol is not > 0.
+        NoSignChangeError: g(lo) and g(hi) have equal signs.
         MaxIterExceededError: not converged within ``_MAX_ITER`` iterations.
     """
-    a, b = spec.bracket_lo, spec.bracket_hi
+    if not (lo < hi and hi - lo < math.inf):
+        raise ValueError(f"root bracket must have lo < hi and a finite width: lo={lo!r}, hi={hi!r}")
+    if not x_tol > 0:
+        raise ValueError("x_tol must be > 0")
+    a, b = lo, hi
     fa, fb = g(a), g(b)
     if fa == 0.0:
         return a
@@ -273,7 +267,7 @@ def find_root(g: Callable[[float], float], spec: RootSpec) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * spec.x_tol
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * x_tol
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b

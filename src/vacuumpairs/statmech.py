@@ -2,10 +2,10 @@
 mode counting, the thermal occupation of a single mode, Planck's spectral
 energy density and the mode density ``mode_density``, which is also the
 non-thermal vacuum density behind the virtual-pair picture.  Planck's law
-has one home, ``_planck``, which both the spectral density and the thermal
-quadrature evaluate; ``planck_curve`` samples it as plain (momentum,
-density) pairs.  The mode-count ceiling ``_MAX_COUNT``, the thermal
-quadrature's tolerance and the Wien root's bracket are module constants.
+has one home, ``planck_energy_density``, which the thermal quadrature
+integrates and ``planck_curve`` samples as plain (momentum, density) pairs.
+The mode-count ceiling ``_MAX_COUNT`` and the thermal quadrature's
+tolerance are module constants.
 """
 
 from __future__ import annotations
@@ -227,21 +227,13 @@ def planck_energy_density(
     Photon dispersion epsilon = p*c and polarisation degeneracy g = 2.
     With ``include_zero_point`` false only the thermal part remains.
     """
-    if not p_kg_m_s >= 0:
-        raise ValueError("momentum must be >= 0")
-    return _planck(p_kg_m_s, state.beta_per_j, 0.5 if include_zero_point else 0.0)
-
-
-def _planck(p_kg_m_s: float, beta_per_j: float, zero_point: float) -> float:
-    """Planck's law 2 * (4 pi p^2/h^3) * pc * (zero_point + <n>) at p >= 0.
-
-    The one home of the law; its callers check the momentum.
-    """
+    density = mode_density(p_kg_m_s)
     if p_kg_m_s == 0:
         return 0.0
     epsilon_j = p_kg_m_s * CODATA.c_m_per_s
-    occupancy = _occupation_from_x(epsilon_j * beta_per_j) + zero_point
-    return 2.0 * mode_density(p_kg_m_s) * epsilon_j * occupancy
+    zero_point = 0.5 if include_zero_point else 0.0
+    occupancy = _occupation_from_x(epsilon_j * state.beta_per_j) + zero_point
+    return 2.0 * density * epsilon_j * occupancy
 
 
 def stefan_boltzmann_density(state: ThermalState) -> float:
@@ -249,23 +241,26 @@ def stefan_boltzmann_density(state: ThermalState) -> float:
 
     Formed as (pi^2/15) (kT/(hbar c))^3 kT: (kT)^4 alone underflows below
     ~1e-57 K, while this product holds wherever the density is a normal
-    float.  Raises ``ValueError`` where it is not, below ~7e-74 K.
+    float.  Raises ``ValueError`` where it is not: below ~7e-74 K, where it
+    underflows, and above ~7e80 K, where it overflows.
     """
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
     wavenumber = kt / (CODATA.hbar_j_s * CODATA.c_m_per_s)
-    density = math.pi**2 / 15.0 * wavenumber**3 * kt
-    if density < sys.float_info.min:
+    try:
+        density = math.pi**2 / 15.0 * wavenumber**3 * kt
+    except OverflowError:  # wavenumber**3, above ~1e100 K
+        density = math.inf
+    if not sys.float_info.min <= density < math.inf:
+        end = "underflows" if density < 1.0 else "overflows"
         raise ValueError(
             f"temperature_k = {state.temperature_k} gives a Stefan-Boltzmann density "
-            f"{density} J/m^3 that underflows double precision"
+            f"{density} J/m^3 that {end} double precision"
         )
     return density
 
 
 #: Tolerance of ``integrate_thermal_density``.
 _THERMAL_QUADRATURE = numerics.QuadratureSpec(rel_tol=1e-9)
-#: Bracket and tolerance of ``wien_peak_x``.
-_WIEN_ROOT = numerics.RootSpec(bracket_lo=2.0, bracket_hi=4.0, x_tol=1e-12)
 
 
 def integrate_thermal_density(state: ThermalState) -> float:
@@ -274,14 +269,15 @@ def integrate_thermal_density(state: ThermalState) -> float:
 
     Integrated in the dimensionless variable x = pc/(kT) so the integrand
     peaks at order unity; the improper upper limit is handled by the
-    half-line map in ``numerics``.
+    half-line map in ``numerics``.  Refused, before it integrates, at the
+    temperatures where ``stefan_boltzmann_density`` refuses the closed form.
     """
+    stefan_boltzmann_density(state)
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
     p_scale = kt / CODATA.c_m_per_s
-    beta_per_j = state.beta_per_j
 
     def integrand(x: float) -> float:
-        return _planck(x * p_scale, beta_per_j, 0.0)
+        return planck_energy_density(x * p_scale, state, False)
 
     return p_scale * numerics.integrate_half_line(integrand, 0.0, _THERMAL_QUADRATURE)
 
@@ -292,7 +288,7 @@ def wien_peak_x() -> float:
     Stationarity of x^3/(e^x - 1) gives 3*(1 - e^-x) = x, solved by
     bracketed root finding in [2, 4] to 1e-12.
     """
-    return numerics.find_root(lambda x: 3.0 * -math.expm1(-x) - x, _WIEN_ROOT)
+    return numerics.find_root(lambda x: 3.0 * -math.expm1(-x) - x, 2.0, 4.0, 1e-12)
 
 
 def planck_curve(

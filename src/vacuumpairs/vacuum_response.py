@@ -249,14 +249,12 @@ def fit_cutoff(
 
         lo, hi = bracket_mev or (1.0, 5000.0)
         try:
-            root = numerics.find_root(objective, numerics.RootSpec(lo, hi, x_tol=1e-4))
+            root = numerics.find_root(objective, lo, hi, 1e-4)
         except numerics.NoSignChangeError:
             if bracket_mev is not None:
                 raise
             lo, hi = _widen_bracket(total, target_inverse_alpha, lo, hi)
-            root = numerics.find_root(
-                objective, numerics.RootSpec(lo, hi, x_tol=1e-12 * lo)
-            )
+            root = numerics.find_root(objective, lo, hi, 1e-12 * lo)
         return CutoffPolicy.global_constant(root)
     if kind is PolicyKind.MASS_PROPORTIONAL:
         s = weighted_degeneracy_sum(registry)

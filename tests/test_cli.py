@@ -858,8 +858,9 @@ class TestExitCodes:
         (["planck", "--temperature-k", "5e-324"], "temperature_k"),
         # Every contribution underflows, so the species shares divide by 0.0.
         (["alpha", "--eval", "--cutoff-mev", "1e-300"], "cutoff_mev"),
-        # The Stefan-Boltzmann density itself underflows.
+        # The Stefan-Boltzmann density itself underflows, or overflows.
         (["planck", "--temperature-k", "1e-280", "--integrate"], "temperature_k"),
+        (["planck", "--temperature-k", "1e150", "--integrate"], "temperature_k"),
         # The electron's contribution overflows; CSV refuses it as JSON does.
         (["alpha", "--eval", "--cutoff-mev", "1e308", "--format", "csv"], "contribution"),
         # The same total overflows; JSON names its key as CSV does.
@@ -891,7 +892,8 @@ class TestExitCodes:
     ], ids=["overflowing-lifetime", "underflowing-momentum-scale", "subnormal-momentum-scale",
             "overflowing-mode-density",
             "underflowing-kt", "smallest-subnormal-temperature", "underflowing-inverse-alpha",
-            "underflowing-stefan-boltzmann-density", "overflowing-csv-contribution",
+            "underflowing-stefan-boltzmann-density", "overflowing-stefan-boltzmann-density",
+            "overflowing-csv-contribution",
             "overflowing-json-total", "overflowing-pair-volume",
             "underflowing-k-scaled-lifetime", "underflowing-simulated-lifetime",
             "zero-k-scaled-gap", "subnormal-custom-lifetime", "subnormal-species-lifetime",

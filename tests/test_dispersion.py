@@ -1018,6 +1018,13 @@ class TestPulseBroadening:
         with pytest.raises(ValueError):
             pulse_broadening(-1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(math.inf, 0.0, 1.0), (1.0, math.inf, 1.0),
+                                      (1.0, 0.0, math.inf)],
+                             ids=["pulse_rms_s", "sigma", "length_m"])
+    def test_infinite_argument_rejected(self, args):
+        with pytest.raises(ValueError, match="^all arguments must be finite and >= 0$"):
+            pulse_broadening(*args)
+
 
 class TestExperimentSensitivity:
     def test_published_setup(self):
@@ -1038,6 +1045,13 @@ class TestExperimentSensitivity:
     def test_positivity_required(self):
         with pytest.raises(ValueError):
             experiment_sensitivity(0.0, 0.01, 1.0)
+
+    @pytest.mark.parametrize("args", [(math.inf, 0.01, 1.0), (1.0, math.inf, 1.0),
+                                      (1.0, 0.01, math.inf)],
+                             ids=["pulse_rms_s", "precision", "length_m"])
+    def test_infinite_argument_rejected(self, args):
+        with pytest.raises(ValueError, match="^all arguments must be finite and > 0$"):
+            experiment_sensitivity(*args)
 
 
 class TestLimitVerdicts:

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacuumpairs import numerics
 from vacuumpairs.numerics import (
@@ -11,7 +14,6 @@ from vacuumpairs.numerics import (
     NonFiniteIntegrandError,
     NoSignChangeError,
     QuadratureSpec,
-    RootSpec,
     find_root,
     integrate,
     integrate_half_line,
@@ -72,6 +74,18 @@ class TestIntegrate:
         parts = integrate(f, 0.0, 1.3) + integrate(f, 1.3, 3.0)
         assert abs(whole - parts) < 1e-9 * abs(whole)
 
+    def test_overflowing_span_rejected(self):
+        # Both bounds are finite, but b - a is not: the panel edges would be NaN.
+        with pytest.raises(ValueError) as refused:
+            integrate(lambda x: 1.0, -1e308, 1e308)
+        assert str(refused.value) == "integration span b - a overflows: a=-1e+308, b=1e+308"
+
+    def test_overflowing_panel_estimate_rejected(self):
+        # Each integrand value and their weighted sum are finite; the panel's
+        # estimate, that sum times its half-width, is not.
+        with pytest.raises(NonFiniteIntegrandError, match="overflow their sum"):
+            integrate(lambda x: 1e300, 0.0, 1e10)
+
     def test_non_finite_integrand(self):
         with pytest.raises(NonFiniteIntegrandError):
             integrate(lambda x: float("inf") if x == 0.0 else 1.0 / x, 0.0, 1.0)
@@ -131,22 +145,22 @@ class TestIntegrate:
 
 class TestFindRoot:
     def test_sqrt_two(self):
-        root = find_root(lambda x: x * x - 2.0, RootSpec(1.0, 2.0, x_tol=1e-12))
+        root = find_root(lambda x: x * x - 2.0, 1.0, 2.0, 1e-12)
         assert abs(root - math.sqrt(2.0)) < 1e-10
 
     def test_inverse_alpha_bracket_equation(self):
         # Frozen from a 200-step bisection oracle on the same bracket.
         g = lambda x: x - math.atan(x) - 2.0 * math.pi * 137.035999
-        root = find_root(g, RootSpec(800.0, 900.0, x_tol=1e-10))
+        root = find_root(g, 800.0, 900.0, 1e-10)
         assert abs(root - 862.5922125024447) < 1e-6
 
     def test_endpoint_root_returned(self):
-        assert find_root(lambda x: x - 1.0, RootSpec(1.0, 2.0)) == 1.0
-        assert find_root(lambda x: x - 2.0, RootSpec(1.0, 2.0)) == 2.0
+        assert find_root(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == 1.0
+        assert find_root(lambda x: x - 2.0, 1.0, 2.0, 1e-12) == 2.0
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
-            find_root(lambda x: x * x + 1.0, RootSpec(-1.0, 1.0))
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
     def test_max_iter_exceeded(self, monkeypatch):
         # Cube root defeats interpolation, so only bisection progress is
@@ -154,19 +168,45 @@ class TestFindRoot:
         monkeypatch.setattr(numerics, "_MAX_ITER", 3)
         g = lambda x: math.copysign(abs(x - 0.37) ** (1.0 / 3.0), x - 0.37)
         with pytest.raises(MaxIterExceededError):
-            find_root(g, RootSpec(0.0, 1e6, x_tol=1e-14))
+            find_root(g, 0.0, 1e6, 1e-14)
 
     def test_monotone_rescaling_invariance(self):
         g = lambda x: math.cos(x) - x
-        spec = RootSpec(0.0, 1.0, x_tol=1e-12)
-        base = find_root(g, spec)
-        scaled = find_root(lambda x: 3.7 * g(x), spec)
-        cubed = find_root(lambda x: g(x) ** 3, RootSpec(0.0, 1.0, x_tol=1e-9))
+        base = find_root(g, 0.0, 1.0, 1e-12)
+        scaled = find_root(lambda x: 3.7 * g(x), 0.0, 1.0, 1e-12)
+        cubed = find_root(lambda x: g(x) ** 3, 0.0, 1.0, 1e-9)
         assert abs(scaled - base) < 1e-10
         assert abs(cubed - base) < 1e-6
 
     def test_spec_validation(self):
+        g = lambda x: x - 0.5
         with pytest.raises(ValueError):
-            RootSpec(2.0, 1.0)
+            find_root(g, 2.0, 1.0, 1e-12)
         with pytest.raises(ValueError):
-            RootSpec(0.0, 1.0, x_tol=0.0)
+            find_root(g, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (0.0, math.nan), (-1e308, 1e308),
+    ], ids=["inf-hi", "inf-lo", "nan-lo", "nan-hi", "overflowing-width"])
+    def test_non_finite_bracket_rejected(self, lo, hi):
+        # x - 1 changes sign across each of these; such a bracket once ran
+        # all _MAX_ITER iterations instead.
+        with pytest.raises(ValueError) as refused:
+            find_root(lambda x: x - 1.0, lo, hi, 1e-12)
+        assert str(refused.value) == (
+            f"root bracket must have lo < hi and a finite width: lo={lo!r}, hi={hi!r}"
+        )
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(
+        ends=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3, unique=True).map(sorted),
+        x_tol=st.floats(1e-9, 1e-3),
+        cubic=st.booleans(),
+    )
+    def test_root_lies_within_x_tol(self, ends, x_tol, cubic):
+        lo, root, hi = ends
+        g = (lambda x: (x - root) ** 3 + (x - root)) if cubic else (lambda x: 2.5 * (x - root))
+        # Brent stops once the sign-changing bracket [b, c] holding the root is
+        # at most 2*tol wide, tol = 2*eps*|b| + x_tol/2.
+        found = find_root(g, lo, hi, x_tol)
+        assert abs(found - root) <= x_tol + 4.0 * sys.float_info.epsilon * abs(found)

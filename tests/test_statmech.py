@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -435,6 +436,24 @@ class TestPlanckLaw:
         state = ThermalState(300.0)
         quad = integrate_thermal_density(state)
         assert abs(quad / stefan_boltzmann_density(state) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("temperature_k, end", [
+        (1e-280, "underflows"), (1e81, "overflows"), (1e100, "overflows"),
+        (1e150, "overflows"), (1e200, "overflows"), (1e300, "overflows"),
+    ])
+    def test_density_out_of_range_is_refused_by_both_forms(self, temperature_k, end):
+        # One rule: the closed form and the quadrature refuse the same
+        # temperatures, with the same error, where the density is not a
+        # positive normal float.
+        state = ThermalState(temperature_k)
+        message = (
+            f"^temperature_k = {re.escape(str(temperature_k))} gives a Stefan-Boltzmann density .* "
+            f"that {end} double precision$"
+        )
+        with pytest.raises(ValueError, match=message):
+            stefan_boltzmann_density(state)
+        with pytest.raises(ValueError, match=message):
+            integrate_thermal_density(state)
 
     def test_thermal_integral_integrates_the_planck_law(self):
         # The quadrature's integrand is planck_energy_density, bit for bit.

@@ -306,7 +306,9 @@ class TestFitCutoff:
                     REG, CutoffPolicy.mass_proportional(v)
                 ).total_inverse_alpha
                 - target,
-                numerics.RootSpec(bracket_lo=0.5 * a, bracket_hi=2.0 * a, x_tol=1e-8),
+                0.5 * a,
+                2.0 * a,
+                1e-8,
             )
             assert abs(root - a) < 1e-6
 
@@ -329,7 +331,7 @@ class TestFitCutoff:
             policy = CutoffPolicy.global_constant(a_mev)
             return inverse_alpha_total(REG, policy).total_inverse_alpha - target
 
-        root = numerics.find_root(objective, numerics.RootSpec(1.0, 5000.0, x_tol=1e-4))
+        root = numerics.find_root(objective, 1.0, 5000.0, 1e-4)
         assert fit_cutoff(REG, target).cutoff_mev == root
 
     @pytest.mark.parametrize("target", [1e-300, 1e-3, 1e6, 1e300])
@@ -466,7 +468,7 @@ SIGN_GUARDS = {
     "LifetimeModel-custom_tau_s": dispersion.LifetimeModel.custom,
     "FlightConfig-length_m": lambda x: dispersion.FlightConfig(x, HALF_COMPTON, 2, 0),
     "QuadratureSpec-rel_tol": lambda x: numerics.QuadratureSpec(rel_tol=x),
-    "RootSpec-x_tol": lambda x: numerics.RootSpec(0.0, 2.0, x_tol=x),
+    "RootSpec-x_tol": lambda x: numerics.find_root(lambda t: t - 1.0, 0.0, 2.0, x),
     # Each on a table where no species takes that cutoff: only the guard refuses it.
     "chiral_cutoff_policy-quark_cutoff_mev": lambda x: chiral_cutoff_policy(REG.subset(["e"]), x),
     "chiral_cutoff_policy-default_cutoff_mev": lambda x: chiral_cutoff_policy(

@@ -146,6 +146,10 @@ def _argvs() -> dict[str, list[str]]:
     # Refused curves: the density overflows at the top, and 1/x below ~1e-308.
     argvs["planck 1e100 K"] = ["planck", "--temperature-k", "1e100"]
     argvs["planck 1e31 K x-max 1e-320"] = ["planck", "--temperature-k", "1e31", "--x-max", "1e-320"]
+    # Refused thermal integrals: the density underflows, or overflows, a
+    # double (below ~7e-74 K, above ~7e80 K).
+    for t in ("1e-280", "1e150", "1e200"):
+        argvs[f"planck {t} K integrate"] = ["planck", "--temperature-k", t, "--integrate"]
     # A non-finite CSV or JSON value, a mass-proportional target out of
     # reach, and lifetimes that underflow or overflow: each exits 2 with an
     # error that names its key or flag.
