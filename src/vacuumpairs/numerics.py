@@ -133,6 +133,17 @@ def _gauss_kronrod(
     return kronrod, h * error
 
 
+def _fsum(values: list[float], a: float, b: float) -> float:
+    """``math.fsum`` of the panel estimates on [a, b]; each is finite, but
+    their sum may overflow."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise NonFiniteIntegrandError(
+            f"integrand values on [{a!r}, {b!r}] overflow their sum"
+        ) from None
+
+
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -173,13 +184,13 @@ def integrate(
     _eval(f, b)
     edges = [a + span * i / _START_PANELS for i in range(_START_PANELS)] + [b]
     panels = list(zip(edges, edges[1:]))
-    estimates = [_gauss_kronrod(f, lo, hi) for lo, hi in panels]
-    tol = spec.rel_tol * abs(math.fsum(k for k, _ in estimates))
     accepted = []
     level = 0
     while True:
+        estimates = [_gauss_kronrod(f, lo, hi) for lo, hi in panels]
+        total = _fsum(accepted + [kronrod for kronrod, _ in estimates], a, b)
         # Every panel on this level is span / (_START_PANELS * 2**level) wide.
-        panel_tol = tol / (_START_PANELS * 2.0**level)
+        panel_tol = spec.rel_tol * abs(total) / (_START_PANELS * 2.0**level)
         live = []
         for panel, (kronrod, error) in zip(panels, estimates):
             if error <= panel_tol:
@@ -187,7 +198,7 @@ def integrate(
             else:
                 live.append(panel)
         if not live:
-            return math.fsum(accepted)
+            return total
         if level == _MAX_DEPTH or 2 * len(live) > _MAX_PANELS:
             lo, hi = live[0]
             raise MaxDepthExceededError(
@@ -200,7 +211,6 @@ def integrate(
             for lo, hi in live
             for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))
         ]
-        estimates = [_gauss_kronrod(f, lo, hi) for lo, hi in panels]
 
 
 def integrate_half_line(

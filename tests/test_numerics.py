@@ -86,6 +86,12 @@ class TestIntegrate:
         with pytest.raises(NonFiniteIntegrandError, match="overflow their sum"):
             integrate(lambda x: 1e300, 0.0, 1e10)
 
+    def test_overflowing_total_rejected(self):
+        # Each panel's estimate is finite; the sum of all of them is not.
+        with pytest.raises(NonFiniteIntegrandError) as refused:
+            integrate(lambda x: 1e307, 0.0, 30.0)
+        assert str(refused.value) == "integrand values on [0.0, 30.0] overflow their sum"
+
     def test_non_finite_integrand(self):
         with pytest.raises(NonFiniteIntegrandError):
             integrate(lambda x: float("inf") if x == 0.0 else 1.0 / x, 0.0, 1.0)
