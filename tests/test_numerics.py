@@ -1,9 +1,10 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vacuumpairs import numerics
@@ -37,6 +38,18 @@ class TestIntegrate:
             lambda x: x**3 * math.exp(-x) / -math.expm1(-x) if x > 0 else 0.0, 0.0
         )
         assert abs(value / (math.pi**4 / 15.0) - 1.0) < 1e-8
+
+    def test_half_line_with_an_inverse_square_tail(self):
+        # 1/(1+x^2) maps to 1/((1-t)^2 + t^2), whose limit at t = 1 is 1, not
+        # the 0 that the map sets there: the end panel must still be accepted.
+        value = integrate_half_line(lambda x: 1.0 / (1.0 + x * x), 0.0)
+        assert abs(value / (math.pi / 2.0) - 1.0) < 1e-10
+
+    def test_end_value_that_is_not_the_limit(self):
+        # sin(x)/x written as 0 at x = 0, where its limit is 1: what the panel
+        # at 0 may miss there shrinks with the panel and must come to fit tol.
+        value = integrate(lambda x: math.sin(x) / x if x else 0.0, 0.0, 2.0)
+        assert abs(value / float(mpmath.si(2)) - 1.0) < 1e-10
 
     def test_empty_interval(self):
         assert integrate(math.sin, 2.0, 2.0) == 0.0
@@ -97,8 +110,9 @@ class TestIntegrate:
             integrate(lambda x: float("inf") if x == 0.0 else 1.0 / x, 0.0, 1.0)
 
     @pytest.mark.parametrize("f, message", [
-        # NaN on (0.3, 0.35) first meets the centre node of the panel [0.25, 0.375].
-        (lambda x: math.nan if 0.3 < x < 0.35 else 1.0, "integrand is nan at x=0.3125"),
+        # NaN on (0.3, 0.35) first meets the fifth node of the starting panel
+        # [0.25, 0.5], the first of its nodes inside that interval.
+        (lambda x: math.nan if 0.3 < x < 0.35 else 1.0, "integrand is nan at x=0.3017390955665386"),
         # Each value is finite; their weighted sum is not.
         (lambda x: 1e308, "overflow their sum"),
     ], ids=["nan-on-a-subinterval", "overflowing-sum"])
@@ -147,6 +161,97 @@ class TestIntegrate:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
+
+    def test_smooth_integral_takes_four_panels(self):
+        # t^2 is resolved on the four starting panels: 15 nodes each, plus
+        # f(a) and f(b).
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t * t
+
+        integrate(f, 0.0, 7.3)
+        assert len(calls) == 4 * 15 + 2
+
+
+def _family(name, m, b):
+    """An integrand on [0, b] with parameter m, and a closed form of its
+    integral at mpmath's working precision."""
+    M, B = mpmath.mpf(m), mpmath.mpf(b)
+    if name == "rational":
+        return lambda t: t * t / (t * t + m * m), lambda: B - M * mpmath.atan(B / M)
+    if name == "sqrt":
+        return lambda t: math.sqrt(t + m), lambda: 2 * ((B + M) ** 1.5 - M**1.5) / 3
+    if name == "exp":
+        return lambda t: math.exp(-m * t), lambda: -mpmath.expm1(-M * B) / M
+    # A Lorentzian of width w = m b, centred at c = 0.3 b.
+    w, c = m * b, 0.3 * b
+    W, C = mpmath.mpf(w), mpmath.mpf(c)
+    return (
+        lambda t: w / ((t - c) ** 2 + w * w),
+        lambda: mpmath.atan((B - C) / W) + mpmath.atan(C / W),
+    )
+
+
+@pytest.mark.parametrize("name, m, b, rel_tol", [
+    ("exp", 246.88, 422.49, 1e-6),
+    *[("exp", k, 1.0, 1e-10) for k in (2e4, 6e4, 2e5, 1e6, 3e6)],
+    *[("exp", k, 1.0, 1e-4) for k in (6e4, 2e5, 1e6, 3e6)],
+    ("rational", 1e-5, 1.0, 1e-5),
+    ("rational", 1e-7, 1.0, 1e-8),
+])
+def test_end_layer_inside_the_first_node_converges(name, m, b, rel_tol):
+    # The mass of exp(-m t), or the dip of t^2/(t^2+m^2), lies between 0
+    # and the first node of the first panel.  The K15 sum over the starting
+    # grid is then far below the integral, or exactly 0, so it cannot fix
+    # the tolerance; and the panel at 0 must not be accepted while its nodes
+    # miss f(0).
+    f, closed = _family(name, m, b)
+    value = integrate(f, 0.0, b, QuadratureSpec(rel_tol))
+    with mpmath.workdps(40):
+        exact = closed()
+        assert abs(value - exact) <= rel_tol * abs(exact)
+
+
+def test_end_layer_inside_the_last_node_converges():
+    # The dip of t^2/(t^2+m^2) at m = 1e-5, moved to the right end.
+    m = 1e-5
+    value = integrate(lambda t: (1.0 - t) ** 2 / ((1.0 - t) ** 2 + m * m), 0.0, 1.0,
+                      QuadratureSpec(1e-5))
+    exact = 1.0 - m * math.atan(1.0 / m)
+    assert abs(value - exact) <= 1e-5 * exact
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+#: Log10 range of m per family: the rational and square-root scales, exp's
+#: rate k up to 1e8, and the Lorentzian's width down to 1e-6 of the span.
+_FAMILY_M = {"rational": (-6.0, 6.0), "sqrt": (-6.0, 6.0), "exp": (-2.0, 8.0),
+             "lorentzian": (-6.0, 0.0)}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    case=st.sampled_from(sorted(_FAMILY_M)).flatmap(
+        lambda name: st.tuples(st.just(name), _log_uniform(*_FAMILY_M[name]))
+    ),
+    b=_log_uniform(-2.0, 3.0),
+    rel_tol=_log_uniform(-12.0, -4.0),
+)
+@example(case=("exp", 3e6), b=1.0, rel_tol=1e-10)
+def test_integral_within_rel_tol_or_refused(case, b, rel_tol):
+    # Refusing a tolerance is allowed; returning a value outside it is not.
+    f, closed = _family(*case, b)
+    try:
+        value = integrate(f, 0.0, b, QuadratureSpec(rel_tol))
+    except MaxDepthExceededError:
+        return
+    with mpmath.workdps(40):
+        exact = closed()
+        assert abs(value - exact) <= rel_tol * abs(exact)
 
 
 class TestFindRoot:

@@ -466,6 +466,19 @@ class TestPlanckLaw:
         )
         assert integrate_thermal_density(state) == direct
 
+    def test_thermal_integral_takes_241_planck_evaluations(self, monkeypatch):
+        # 16 K15 panels of 15 nodes each, plus f at t = 0 of the half-line
+        # map; its t = 1 end is 0 without a call.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return planck_energy_density(*args)
+
+        monkeypatch.setattr(statmech, "planck_energy_density", counted)
+        integrate_thermal_density(ThermalState(300.0))
+        assert len(calls) == 16 * 15 + 1
+
     def test_zero_point_part_survives_cold_limit(self):
         cold = ThermalState(1e-6)
         p = 1e-28
