@@ -135,8 +135,9 @@ def _argvs() -> dict[str, list[str]]:
     for t in ("2.725", "300", "6000"):
         argvs[f"planck {t} K integrate"] = ["planck", "--temperature-k", t, "--integrate"]
         argvs[f"planck {t} K csv"] = ["planck", "--temperature-k", t, "--format", "csv"]
-    # The ends of the 1 K to 1e4 K span that the benchmark integrates over.
-    for t in ("1", "1e4"):
+    # The ends of the 1 K to 1e4 K span that the benchmark integrates over,
+    # and of the accepted range, just inside the Stefan-Boltzmann refusals.
+    for t in ("1", "1e4", "6.9e80", "1e-73"):
         argvs[f"planck {t} K integrate"] = ["planck", "--temperature-k", t, "--integrate"]
     argvs["planck 300 K json"] = ["planck", "--temperature-k", "300"]
     argvs["planck 2.725 K thermal 1001 points csv"] = [
