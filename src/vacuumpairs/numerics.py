@@ -1,5 +1,5 @@
-"""Deterministic numerical kernels: Gauss–Kronrod quadrature and bracketing
-root finding.
+"""Deterministic numerical kernels: Gauss–Kronrod quadrature over finite
+intervals and bracketing root finding.
 
 Both routines are pure functions of their arguments, so they are safe for
 unrestricted concurrent use.  The integrands handled here are smooth
@@ -247,28 +247,6 @@ def integrate(
             for lo, hi in live
             for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))
         ]
-
-
-def integrate_half_line(
-    f: Callable[[float], float],
-    a: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Integrate ``f`` over [a, inf) via the substitution x = a + t/(1-t).
-
-    The image integrand is f(x)/(1-t)^2 on [0, 1); the t=1 endpoint is
-    defined as 0, which is the correct limit whenever f decays faster than
-    1/x^2 (the exponential tails handled here do).  Where f ~ c/x^2 the
-    limit is c, and ``integrate`` pays for the wrong end value in levels.
-    """
-
-    def mapped(t: float) -> float:
-        if t >= 1.0:
-            return 0.0
-        s = 1.0 / (1.0 - t)
-        return f(a + t * s) * s * s
-
-    return integrate(mapped, 0.0, 1.0, spec)
 
 
 #: Brent iterations ``find_root`` may take before it gives up.

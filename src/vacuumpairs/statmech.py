@@ -4,6 +4,8 @@ energy density and the mode density ``mode_density``, which is also the
 non-thermal vacuum density behind the virtual-pair picture.  Planck's law
 has one home, ``planck_energy_density``, which the thermal quadrature
 integrates and ``planck_curve`` samples as plain (momentum, density) pairs.
+The quadrature maps x = pc/(kT) from [0, inf) onto [0, 1] itself and sets
+the mapped curve to 0 at the end, the limit of its e^(-x) tail.
 The mode-count ceiling ``_MAX_COUNT`` and the thermal quadrature's
 tolerance are module constants.
 """
@@ -268,18 +270,23 @@ def integrate_thermal_density(state: ThermalState) -> float:
     relative tolerance 1e-9.
 
     Integrated in the dimensionless variable x = pc/(kT) so the integrand
-    peaks at order unity; the improper upper limit is handled by the
-    half-line map in ``numerics``.  Refused, before it integrates, at the
-    temperatures where ``stefan_boltzmann_density`` refuses the closed form.
+    peaks at order unity, and mapped from [0, inf) onto [0, 1] by
+    x = t/(1-t), with the Jacobian 1/(1-t)^2.  The mapped curve is set to 0
+    at t = 1: its e^(-x) tail falls faster than any power of 1/x, so that is
+    its limit there.  Refused, before it integrates, at the temperatures
+    where ``stefan_boltzmann_density`` refuses the closed form.
     """
     stefan_boltzmann_density(state)
     kt = CODATA.k_boltzmann_j_per_k * state.temperature_k
     p_scale = kt / CODATA.c_m_per_s
 
-    def integrand(x: float) -> float:
-        return planck_energy_density(x * p_scale, state, False)
+    def mapped(t: float) -> float:
+        if t >= 1.0:
+            return 0.0
+        s = 1.0 / (1.0 - t)
+        return planck_energy_density(t * s * p_scale, state, False) * s * s
 
-    return p_scale * numerics.integrate_half_line(integrand, 0.0, _THERMAL_QUADRATURE)
+    return p_scale * numerics.integrate(mapped, 0.0, 1.0, _THERMAL_QUADRATURE)
 
 
 def wien_peak_x() -> float:

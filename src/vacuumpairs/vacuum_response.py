@@ -179,7 +179,7 @@ def inverse_alpha_single_quadrature(
     species: ParticleSpecies,
     cutoff_mev: float,
     oscillator: OscillatorModel = OscillatorModel.MODE_QUANTUM,
-    spec: numerics.QuadratureSpec | None = None,
+    spec: numerics.QuadratureSpec = numerics.DEFAULT_QUADRATURE,
 ) -> float:
     """Same contribution by direct quadrature of the momentum integral.
 
@@ -188,7 +188,6 @@ def inverse_alpha_single_quadrature(
     """
     if not 0 < cutoff_mev < math.inf:
         raise ValueError("cutoff_mev must be finite and > 0")
-    spec = spec or numerics.DEFAULT_QUADRATURE
     m = species.mass_mev
     if oscillator is OscillatorModel.MODE_QUANTUM:
         integral = numerics.integrate(
@@ -331,7 +330,13 @@ def chiral_cutoff_policy(
 
 def pair_volume_compton_units(scale_a: float) -> float:
     """Average volume per virtual pair, 6 pi^2 / a^3, in units of the cubed
-    reduced Compton length of its species: the same for every species."""
+    reduced Compton length of its species: the same for every species.
+    ``ValueError`` names ``scale_a`` where a^3 underflows to 0 (a below
+    ~1.4e-108) or overflows (above ~5.6e102); a subnormal a^3 gives inf."""
     if not 0 < scale_a < math.inf:
         raise ValueError("scale_a must be finite and > 0")
-    return 6.0 * math.pi**2 / scale_a**3
+    try:
+        return 6.0 * math.pi**2 / scale_a**3
+    except (ZeroDivisionError, OverflowError):
+        end = "underflows to 0" if scale_a < 1.0 else "overflows"
+        raise ValueError(f"scale_a = {scale_a!r} has a cube that {end}") from None

@@ -17,7 +17,6 @@ from vacuumpairs.numerics import (
     QuadratureSpec,
     find_root,
     integrate,
-    integrate_half_line,
 )
 
 
@@ -33,16 +32,24 @@ class TestIntegrate:
         assert abs(value / exact - 1.0) < 1e-8
 
     def test_planck_tail_on_half_line(self):
-        # x^3/(e^x - 1), written so that it does not overflow at large x.
-        value = integrate_half_line(
-            lambda x: x**3 * math.exp(-x) / -math.expm1(-x) if x > 0 else 0.0, 0.0
-        )
+        # x^3/(e^x - 1) over [0, inf), written so that it does not overflow at
+        # large x, mapped onto [0, 1] by x = t/(1-t); its e^-x tail makes 0
+        # the mapped curve's limit at t = 1.
+        def mapped(t):
+            if t >= 1.0:
+                return 0.0
+            s = 1.0 / (1.0 - t)
+            x = t * s
+            return (x**3 * math.exp(-x) / -math.expm1(-x) if x > 0 else 0.0) * s * s
+
+        value = integrate(mapped, 0.0, 1.0)
         assert abs(value / (math.pi**4 / 15.0) - 1.0) < 1e-8
 
     def test_half_line_with_an_inverse_square_tail(self):
-        # 1/(1+x^2) maps to 1/((1-t)^2 + t^2), whose limit at t = 1 is 1, not
-        # the 0 that the map sets there: the end panel must still be accepted.
-        value = integrate_half_line(lambda x: 1.0 / (1.0 + x * x), 0.0)
+        # 1/(1+x^2) over [0, inf) maps by x = t/(1-t) to 1/((1-t)^2 + t^2) on
+        # [0, 1], whose limit at t = 1 is 1, not the 0 written there: the end
+        # panel must still be accepted.
+        value = integrate(lambda t: 1.0 / ((1.0 - t) ** 2 + t * t) if t < 1.0 else 0.0, 0.0, 1.0)
         assert abs(value / (math.pi / 2.0) - 1.0) < 1e-10
 
     def test_end_value_that_is_not_the_limit(self):

@@ -456,19 +456,25 @@ class TestPlanckLaw:
             integrate_thermal_density(state)
 
     def test_thermal_integral_integrates_the_planck_law(self):
-        # The quadrature's integrand is planck_energy_density, bit for bit.
+        # The quadrature's integrand is planck_energy_density under the map
+        # x = t/(1-t), bit for bit.
         state = ThermalState(300.0)
         p_scale = CODATA.k_boltzmann_j_per_k * state.temperature_k / CODATA.c_m_per_s
-        direct = p_scale * numerics.integrate_half_line(
-            lambda x: planck_energy_density(x * p_scale, state, include_zero_point=False),
-            0.0,
-            numerics.QuadratureSpec(rel_tol=1e-9),
+
+        def mapped(t):
+            if t >= 1.0:
+                return 0.0
+            s = 1.0 / (1.0 - t)
+            return planck_energy_density(t * s * p_scale, state, include_zero_point=False) * s * s
+
+        direct = p_scale * numerics.integrate(
+            mapped, 0.0, 1.0, numerics.QuadratureSpec(rel_tol=1e-9)
         )
         assert integrate_thermal_density(state) == direct
 
     def test_thermal_integral_takes_241_planck_evaluations(self, monkeypatch):
-        # 16 K15 panels of 15 nodes each, plus f at t = 0 of the half-line
-        # map; its t = 1 end is 0 without a call.
+        # 16 K15 panels of 15 nodes each, plus the mapped curve at t = 0;
+        # its t = 1 end is 0 without a call.
         calls = []
 
         def counted(*args):

@@ -397,6 +397,20 @@ class TestAveragePairVolume:
         compton_m = CODATA.hbar_j_s * CODATA.c_m_per_s / (ELECTRON.mass_mev * CODATA.mev_to_j)
         assert abs(pair_volume_compton_units(a) * compton_m**3 * density - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("a, end", [(1e-108, "underflows to 0"), (1e110, "overflows")],
+                             ids=["cube-underflows", "cube-overflows"])
+    def test_cube_out_of_range_refused_by_name(self, a, end):
+        # a^3 is 0.0 or overflows: a ValueError naming scale_a, not a bare
+        # ZeroDivisionError or OverflowError.
+        with pytest.raises(ValueError) as caught:
+            pair_volume_compton_units(a)
+        assert str(caught.value) == f"scale_a = {a!r} has a cube that {end}"
+
+    def test_subnormal_cube_gives_inf(self):
+        # 1e-321 is a non-zero subnormal: 6 pi^2 / a^3 overflows to inf, which
+        # the CLI refuses by its key.
+        assert pair_volume_compton_units(1e-107) == math.inf
+
 
 class TestCutoffPolicy:
     def test_validation(self):
